@@ -11,17 +11,17 @@ with simple poles at E = +/-eta and at coinciding parameters.  The sector
 carries exactly M+1 distinct real solution sets in the trigonometric regime
 (V^2 > W^2); each set yields one eigenvalue through a closed formula.
 
-The solver runs damped Newton iterations from a deterministic multi-start
-family, then completes any missing solution sets by inverting the pair
-structure of the corresponding exact eigenvectors (the ladder amplitudes are
-fixed multiples of the elementary symmetric polynomials in the Moebius
-variables x_l = (E_l + eta)/(E_l - eta), so roots of one polynomial recover
-the E_l).  Every returned list is validated against exact diagonalization.
+The solver seeds each solution set from the matching exact eigenvector: the
+ladder amplitudes are fixed multiples of the elementary symmetric polynomials
+in the Moebius variables x_l = (E_l + eta)/(E_l - eta), so the roots of one
+polynomial recover the E_l, which damped Newton then polishes.  The roots are
+therefore seeded from the diagonalization; the residual of the pair-energy
+equations and the closed-form eigenvalue stay independent of it, and every
+returned list is validated against the diagonalization.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -52,21 +52,14 @@ class SolverOptions:
     """Tunables for :func:`solve_bethe`.
 
     ``tol`` bounds the accepted residual norm, ``match_tol`` the agreement
-    with the diagonalization oracle, ``dedup_tol`` the relative tolerance for
-    identifying two solution sets.  ``start_budget_factor`` caps the total
-    Newton attempts at factor*(M+1); ``multistart_attempts`` limits the
-    initial multi-start phase before eigenvector inversion completes the set
-    (defaults to 8*(M+1)).
+    with the diagonalization oracle, ``guard`` the closest approach to a pole
+    or to another parameter, and ``max_iterations`` the Newton steps per set.
     """
 
     tol: float = 1e-10
     match_tol: float = 1e-8
     guard: float = 1e-8
-    dedup_tol: float = 1e-6
-    start_budget_factor: int = 50
-    multistart_attempts: int | None = None
     max_iterations: int = 60
-    seed: int = 0
     allow_hyperbolic: bool = False
 
 
@@ -88,34 +81,24 @@ class SpectralSolution:
 
 def _pole_violation(energies: np.ndarray, eta: float, guard: float) -> str | None:
     """Describe the first parameter sitting on a pole E = +/-eta, if any."""
-    for l, e in enumerate(energies):
-        for sign, name in ((1.0, "+eta"), (-1.0, "-eta")):
-            if abs(e - sign * eta) < guard:
-                return f"E[{l}]={e:.6g} within {guard:g} of {name}"
-    return None
+    near = np.flatnonzero(np.abs(np.abs(energies) - abs(eta)) < guard)
+    if near.size == 0:
+        return None
+    l = int(near[0])
+    name = "+eta" if energies[l] * eta > 0 else "-eta"
+    return f"E[{l}]={energies[l]:.6g} within {guard:g} of {name}"
 
 
-def _collision_violation(energies: np.ndarray, guard: float) -> str | None:
-    """Describe the first pair of coinciding parameters, if any."""
-    for l, n_ in itertools.combinations(range(energies.size), 2):
-        if abs(energies[l] - energies[n_]) < guard:
-            return f"E[{l}] and E[{n_}] closer than {guard:g}"
-    return None
-
-
-def _check_regular(energies: np.ndarray, eta: float, guard: float) -> str | None:
-    return _pole_violation(energies, eta, guard) or _collision_violation(energies, guard)
-
-
-def _is_regular(energies: np.ndarray, eta: float, guard: float) -> bool:
-    """Fast pole/collision guard used inside the Newton loop."""
-    if np.min(np.abs(energies - eta)) < guard or np.min(np.abs(energies + eta)) < guard:
-        return False
-    if energies.size > 1:
-        gaps = np.diff(np.sort(energies))
-        if gaps[np.argmin(gaps)] < guard:
-            return False
-    return True
+def _singularity(energies: np.ndarray, eta: float, guard: float) -> str | None:
+    """Describe the first pole hit or pair of coinciding parameters, if any."""
+    problem = _pole_violation(energies, eta, guard)
+    if problem is None and energies.size > 1:
+        order = np.argsort(energies)
+        k = int(np.argmin(np.diff(energies[order])))
+        if energies[order[k + 1]] - energies[order[k]] < guard:
+            l, n_ = sorted((int(order[k]), int(order[k + 1])))
+            problem = f"E[{l}] and E[{n_}] closer than {guard:g}"
+    return problem
 
 
 def _residual_raw(energies, config, params):
@@ -161,7 +144,7 @@ def residual(energies, config: SectorConfig, params: ModelParams) -> np.ndarray:
         raise InvalidArgumentError(f"expected {config.m} spectral parameters, got {e.shape}")
     if params.rational:
         raise UnsupportedRegimeError("pair-energy equations are undefined at V^2 = W^2")
-    problem = _check_regular(e, params.eta, 1e-8)
+    problem = _singularity(e, params.eta, 1e-8)
     if problem is not None:
         raise SingularityError(problem)
     return _residual_raw(e, config, params)
@@ -206,11 +189,11 @@ def _require_solvable(config: SectorConfig, params: ModelParams, opts: SolverOpt
         )
 
 
-def _finalize(sets, config, params, opts) -> list[SpectralSolution]:
+def _finalize(sets, config, params) -> list[SpectralSolution]:
     sols = []
     for energies in sets:
         e = np.asarray(energies)
-        rn = float(np.max(np.abs(_residual_raw(e, config, params)))) if e.size else 0.0
+        rn = float(np.max(np.abs(_residual_raw(e, config, params)), initial=0.0))
         sols.append(
             SpectralSolution(
                 config=config,
@@ -225,23 +208,17 @@ def _finalize(sets, config, params, opts) -> list[SpectralSolution]:
     return [replace(s, index=j + 1) for j, s in enumerate(sols)]
 
 
-def _same_set(a, b, rel):
-    return all(
-        math.isclose(x, y, rel_tol=rel, abs_tol=rel * 1e-3) for x, y in zip(a, b)
-    )
-
-
 def _newton(start, config, params, opts) -> np.ndarray | None:
     e = np.array(start, dtype=float)
     guard = opts.guard
     with np.errstate(all="ignore"):
-        if not np.all(np.isfinite(e)) or not _is_regular(e, params.eta, guard):
+        if not np.all(np.isfinite(e)) or _singularity(e, params.eta, guard):
             return None
         res = _residual_raw(e, config, params)
         if not np.all(np.isfinite(res)):
             return None
         for _ in range(opts.max_iterations):
-            rmax = np.max(np.abs(res))
+            rmax = np.max(np.abs(res), initial=0.0)
             if rmax <= opts.tol:
                 return np.sort(e)
             if rmax > 1e8:
@@ -256,7 +233,7 @@ def _newton(start, config, params, opts) -> np.ndarray | None:
             lam = 1.0
             for _ in range(12):
                 trial = e - lam * step
-                if _is_regular(trial, params.eta, guard):
+                if not _singularity(trial, params.eta, guard):
                     trial_res = _residual_raw(trial, config, params)
                     if np.all(np.isfinite(trial_res)) and trial_res @ trial_res < best:
                         e, res = trial, trial_res
@@ -264,7 +241,7 @@ def _newton(start, config, params, opts) -> np.ndarray | None:
                 lam *= 0.5
             else:
                 return None
-        if np.max(np.abs(res)) <= opts.tol:
+        if np.max(np.abs(res), initial=0.0) <= opts.tol:
             return np.sort(e)
     return None
 
@@ -308,36 +285,10 @@ def _invert_pairons(vec: np.ndarray, config: SectorConfig, params: ModelParams):
     if np.any(np.abs(roots - 1.0) < 1e-12):
         return None, None
     energies = sign * params.eta * (roots + 1.0) / (roots - 1.0)
-    if np.max(np.abs(energies.imag)) > 1e-6 * (1.0 + np.max(np.abs(energies.real))):
+    scale = 1.0 + np.max(np.abs(energies.real), initial=0.0)
+    if np.any(np.abs(energies.imag) > 1e-6 * scale):
         return None, energies
     return np.sort(energies.real), None
-
-
-def _start_points(config: SectorConfig, params: ModelParams, opts: SolverOptions):
-    """Deterministic seed generator: analytic roots, pole-interval grid, jitter."""
-    m = config.m
-    abs_eta = abs(params.eta)
-    if m == 1:
-        try:
-            for sol in solve_m1(config, params):
-                yield np.array(sol.energies)
-        except (UnsupportedRegimeError, IncompleteSolveError):
-            pass
-    if m == 2 and params.w == 0.0 and config.nu_a == config.nu_b:
-        sol = solve_m2_simplified(config, params)
-        yield np.array(sol.energies)
-    inner = np.linspace(-0.9 * abs_eta, 0.9 * abs_eta, 5)
-    outer = np.array([-2.5, -1.4, -1.1, 1.1, 1.4, 2.5]) * abs_eta
-    pool = np.concatenate([inner, outer, np.array([0.5, -0.5]) * (1.0 + abs(params.v))])
-    if m == 1:
-        for p in pool:
-            yield np.array([p])
-        return
-    rng = np.random.default_rng(opts.seed)
-    with_replacement = m > pool.size  # jitter separates any repeats
-    while True:
-        pick = rng.choice(pool, size=m, replace=with_replacement)
-        yield np.sort(pick * (1.0 + 0.05 * rng.standard_normal(m)))
 
 
 def solve_m1(config: SectorConfig, params: ModelParams) -> list[SpectralSolution]:
@@ -369,7 +320,7 @@ def solve_m1(config: SectorConfig, params: ModelParams) -> list[SpectralSolution
         raise ComplexPaironsError(f"M=1 quadratic has complex roots (discriminant {disc:g})")
     sq = math.sqrt(disc)
     roots = sorted([(-b - sq) / (2 * a), (-b + sq) / (2 * a)])
-    return _finalize([np.array([r]) for r in roots], config, params, SolverOptions())
+    return _finalize([np.array([r]) for r in roots], config, params)
 
 
 def solve_m2_simplified(config: SectorConfig, params: ModelParams) -> SpectralSolution:
@@ -391,7 +342,7 @@ def solve_m2_simplified(config: SectorConfig, params: ModelParams) -> SpectralSo
     nu, v, n = config.nu_a, params.v, params.n
     sq = math.sqrt(v * v * (1 + 2 * nu) ** 2 + n * n)
     pair = np.array([(-v * (1 + 2 * nu) - sq) / n, (-v * (1 + 2 * nu) + sq) / n])
-    sol = _finalize([pair], config, params, SolverOptions())[0]
+    sol = _finalize([pair], config, params)[0]
     vals, _ = sector_spectrum(config, params)
     rank = int(np.argmin(np.abs(vals - sol.omega))) + 1
     return replace(sol, index=rank)
@@ -402,87 +353,44 @@ def solve_bethe(
 ) -> list[SpectralSolution]:
     """All M+1 solution sets of a sector, validated against diagonalization.
 
-    Multi-start damped Newton supplies the bulk of the sets; any eigenvalue
-    still missing is targeted directly by inverting its exact eigenvector
-    into seed pair energies.  Raises IncompleteSolveError when the validated
-    list cannot be completed and ComplexPaironsError when the missing sets
-    are complex (hyperbolic regime).
+    Set j is seeded by inverting exact eigenvector j into pair energies and
+    polished by damped Newton on the pair-energy equations.  A set that fails
+    to polish, or that polishes onto another set, leaves an eigenvalue of the
+    oracle unmatched.  Raises IncompleteSolveError when the validated list
+    cannot be completed, and ComplexPaironsError when the missing sets are
+    complex (hyperbolic regime only: trigonometric pair energies are real, so
+    non-real roots there are a numerical failure).
     """
     opts = options or SolverOptions()
     _require_solvable(config, params, opts)
     m = config.m
     exact_vals, exact_vecs = sector_spectrum(config, params)
 
-    if m == 0:
-        sols = _finalize([np.empty(0)], config, params, opts)
-        if abs(sols[0].omega - exact_vals[0]) > opts.match_tol:
-            raise IncompleteSolveError(
-                f"empty-sector eigenvalue {sols[0].omega:.12g} does not match "
-                f"diagonalization {exact_vals[0]:.12g}",
-                found=0,
-                needed=1,
-            )
-        return sols
-
     found: list[np.ndarray] = []
-
-    def add(candidate: np.ndarray) -> None:
-        for known in found:
-            if _same_set(candidate, known, opts.dedup_tol):
-                return
-        found.append(candidate)
-
-    budget = opts.start_budget_factor * (m + 1)
-    primary = opts.multistart_attempts
-    if primary is None:
-        primary = 8 * (m + 1)
-    primary = min(primary, budget)
-
-    attempts = 0
-    stall = 0
-    stall_limit = 3 * (m + 1)
-    for start in _start_points(config, params, opts):
-        if attempts >= primary or stall >= stall_limit or len(found) == m + 1:
-            break
-        attempts += 1
-        before = len(found)
-        solved = _newton(start, config, params, opts)
-        if solved is not None:
-            add(solved)
-        stall = 0 if len(found) > before else stall + 1
-
     complex_roots = None
-    if len(found) < m + 1:
-        matched = np.zeros(exact_vals.size, dtype=bool)
-        for e in found:
-            j = int(np.argmin(np.abs(exact_vals - eigenvalue(e, config, params))))
-            matched[j] = True
-        for j in np.flatnonzero(~matched):
-            if attempts >= budget:
-                break
-            attempts += 1
-            seed, croots = _invert_pairons(exact_vecs[:, j], config, params)
-            if seed is None:
-                if croots is not None:
-                    complex_roots = croots
-                continue
-            solved = _newton(seed, config, params, opts)
-            if solved is not None:
-                add(solved)
+    for vec in exact_vecs.T:
+        seed, croots = _invert_pairons(vec, config, params)
+        if seed is None:
+            if croots is not None:
+                complex_roots = croots
+            continue
+        solved = _newton(seed, config, params, opts)
+        if solved is not None:
+            found.append(solved)
 
     if len(found) < m + 1:
-        if complex_roots is not None:
+        if complex_roots is not None and params.s < 0:
             raise ComplexPaironsError(
                 f"non-real pair energies detected (e.g. {complex_roots[0]:.6g}); "
                 f"only {len(found)} of {m + 1} real solution sets exist"
             )
         raise IncompleteSolveError(
-            f"found {len(found)} of {m + 1} solution sets within budget",
+            f"recovered {len(found)} of {m + 1} solution sets from the eigenvectors",
             found=len(found),
             needed=m + 1,
         )
 
-    sols = _finalize(found, config, params, opts)
+    sols = _finalize(found, config, params)
     got = np.array([s.omega for s in sols])
     if np.max(np.abs(got - exact_vals)) > opts.match_tol:
         raise IncompleteSolveError(

@@ -239,8 +239,8 @@ def log_angles(target) -> AngleSet:
     Works backwards through the gate pairs, merging each pair's two ladder
     slots into its source slot; the merged amplitude keeps the source sign
     (so cos(theta/2) >= 0 for every pair but the first), which fixes one
-    representative of the sign-gauge equivalence class.  A damped Gauss-
-    Newton polish on the product-form amplitude map guards the construction.
+    representative of the sign-gauge equivalence class.  Raises
+    NumericFailureError if the angles do not reproduce the target.
     """
     c = _check_unit_target(target)
     m = c.size - 1
@@ -260,42 +260,8 @@ def log_angles(target) -> AngleSet:
     angles = AngleSet(tuple(thetas), "log")
     reached = one_hot_output(angles)
     if float(np.max(np.abs(reached - c))) > 1e-12:
-        angles = _polish_log_angles(thetas, c)
+        raise NumericFailureError("log-depth angles do not reproduce the target")
     return angles
-
-
-def _polish_log_angles(thetas: np.ndarray, c: np.ndarray, budget: int = 60) -> AngleSet:
-    """Damped Gauss-Newton fallback on the amplitude map.
-
-    Unreachable from the exact splitting construction; kept as a guard for
-    callers feeding hand-made angle seeds.
-    """
-    th = thetas.copy()
-    step_h = 1e-7
-    err = one_hot_output(AngleSet(tuple(th), "log")) - c
-    for _ in range(budget):
-        worst = float(np.max(np.abs(err)))
-        if worst <= 1e-12:
-            return AngleSet(tuple(th), "log")
-        jac = np.zeros((c.size, th.size))
-        for i in range(th.size):
-            bumped = th.copy()
-            bumped[i] += step_h
-            jac[:, i] = (one_hot_output(AngleSet(tuple(bumped), "log")) - err - c) / step_h
-        update, *_ = np.linalg.lstsq(jac, err, rcond=None)
-        scale = 1.0
-        for _ in range(20):
-            trial = th - scale * update
-            trial_err = one_hot_output(AngleSet(tuple(trial), "log")) - c
-            if float(np.max(np.abs(trial_err))) < worst:
-                th, err = trial, trial_err
-                break
-            scale *= 0.5
-        else:
-            break
-    if float(np.max(np.abs(one_hot_output(AngleSet(tuple(th), "log")) - c))) > 1e-10:
-        raise NumericFailureError("log-depth angle refinement did not converge")
-    return AngleSet(tuple(th), "log")
 
 
 def build_circuit(angles: AngleSet) -> Circuit:

@@ -163,11 +163,7 @@ def _cmd_bethe(args) -> int:
     params = make_params(args.n, args.v, args.w)
     config = _parse_sector(args.sector, args.n)
     opts = SolverOptions(
-        seed=args.seed,
-        allow_hyperbolic=args.allow_hyperbolic,
-        tol=args.tol,
-        match_tol=args.match_tol,
-        start_budget_factor=args.budget,
+        allow_hyperbolic=args.allow_hyperbolic, tol=args.tol, match_tol=args.match_tol
     )
     solutions = solve_bethe(config, params, opts)
     rows = [
@@ -379,11 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bethe", help="spectral parameters of one sector")
     _add_instance_flags(p)
     p.add_argument("--sector", required=True, help="fiducial occupations, e.g. 1,0")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--allow-hyperbolic", action="store_true")
     p.add_argument("--tol", type=float, default=1e-10, help="residual tolerance")
     p.add_argument("--match-tol", type=float, default=1e-8, help="oracle match tolerance")
-    p.add_argument("--budget", type=int, default=50, help="start attempts per solution")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_bethe)
 

@@ -62,14 +62,16 @@ class ModelParams:
 def make_params(n: int, v: float, w: float) -> ModelParams:
     """Build a ModelParams, deriving g, eta and the regime sign s.
 
-    Raises InvalidArgumentError for n < 1.  The rational case V^2 = W^2 is
-    constructed with s = 0 and NaN g/eta; only exact diagonalization works
-    there.
+    Raises InvalidArgumentError for n < 1 or a non-finite coupling.  The
+    rational case V^2 = W^2 is constructed with s = 0 and NaN g/eta; only
+    exact diagonalization works there.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidArgumentError(f"particle number must be a positive integer, got {n!r}")
     v = float(v)
     w = float(w)
+    if not (math.isfinite(v) and math.isfinite(w)):
+        raise InvalidArgumentError(f"couplings must be finite, got V={v!r}, W={w!r}")
     disc = v * v - w * w
     s = (disc > 0) - (disc < 0)
     if s == 0:
@@ -201,30 +203,24 @@ def apply_hamiltonian(psi: FockVector, params: ModelParams) -> FockVector:
 def exact_spectrum(params: ModelParams) -> list[tuple[float, FockVector]]:
     """All N+1 eigenpairs from dense diagonalization of the two parity blocks.
 
-    Eigenvalues are in units of the gap, sorted ascending; eigenvectors are
-    normalized with the largest-magnitude amplitude positive.
+    Eigenvalues are in units of the gap, sorted ascending (even parity first
+    on a tie); eigenvectors are normalized with the largest-magnitude
+    amplitude positive.
     """
     pairs: list[tuple[float, FockVector]] = []
-    for parity in (0, 1):
-        if params.n < parity:
-            continue
-        diag, hop = ladder_matrix(params, parity)
-        if diag.size == 1:
-            vals, vecs = diag.copy(), np.ones((1, 1))
-        else:
-            vals, vecs = eigh_tridiagonal(diag, hop)
-        for j in range(vals.size):
-            amps = canonical_sign(vecs[:, j])
-            pairs.append((float(vals[j]), FockVector(params.n, parity, amps)))
-    pairs.sort(key=lambda item: item[0])
+    for config in sector_configs(params.n):
+        vals, vecs = sector_spectrum(config, params)
+        for val, amps in zip(vals, vecs.T):
+            pairs.append((float(val), FockVector(params.n, config.parity, amps)))
+    pairs.sort(key=lambda item: (item[0], item[1].parity))
     return pairs
 
 
 def sector_spectrum(config: SectorConfig, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvector columns of one sector's block, ascending.
 
-    Convenience view of :func:`exact_spectrum` restricted to the block that
-    shares the sector's conserved parity; columns carry the canonical sign.
+    Diagonalizes the parity block that the sector lives in; columns carry the
+    canonical sign.
     """
     if config.n != params.n:
         raise InvalidArgumentError(

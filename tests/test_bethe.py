@@ -298,12 +298,29 @@ def test_spectral_solution_energies_sorted_and_distinct():
 def test_solve_bethe_incomplete_with_exhausted_budget():
     from lmg import IncompleteSolveError
 
+    # no Newton steps and an unreachable tolerance: no seed can be polished
     p = make_params(8, 1.05, 0.35)
-    opts = SolverOptions(start_budget_factor=0, multistart_attempts=0)
+    opts = SolverOptions(max_iterations=0, tol=1e-300)
     with pytest.raises(IncompleteSolveError) as excinfo:
         solve_bethe(SectorConfig(4, 0, 0), p, opts)
     assert excinfo.value.needed == 5
     assert excinfo.value.found < 5
+
+
+@pytest.mark.parametrize("n", [56, 60, 64])
+def test_solve_bethe_large_n_trigonometric_never_complex(n):
+    from lmg import IncompleteSolveError
+
+    # trigonometric pair energies are real: a lost set is a numerical failure
+    p = make_params(n, 0.75, 0.5)
+    for config in sector_configs(n):
+        try:
+            sols = solve_bethe(config, p)
+        except IncompleteSolveError as exc:
+            assert exc.needed == config.m + 1
+            assert exc.found < exc.needed
+        else:
+            assert len(sols) == config.m + 1
 
 
 def test_solve_bethe_negative_v_regimes():

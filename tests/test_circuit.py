@@ -12,6 +12,7 @@ from lmg import (
     FockVector,
     Gate,
     InvalidArgumentError,
+    NumericFailureError,
     SectorConfig,
     build_circuit,
     control_slot,
@@ -263,11 +264,10 @@ def test_json_round_trip_mixed_gate_kinds():
     assert import_circuit(export_circuit(circ, "json")) == circ
 
 
-def test_log_angle_polish_recovers_from_perturbed_seed():
-    from lmg.circuit import _polish_log_angles
+def test_log_angles_refuse_angles_that_miss_the_target(monkeypatch):
+    import lmg.circuit
 
-    rng = np.random.default_rng(53)
-    target = normalized(rng.standard_normal(5))
-    exact = np.asarray(log_angles(target).thetas)
-    polished = _polish_log_angles(exact + 1e-4 * rng.standard_normal(4), target)
-    np.testing.assert_allclose(one_hot_output(polished), target, atol=1e-11)
+    target = normalized(np.arange(1.0, 6.0))
+    monkeypatch.setattr(lmg.circuit, "one_hot_output", lambda angles: np.zeros(5))
+    with pytest.raises(NumericFailureError):
+        log_angles(target)

@@ -147,6 +147,27 @@ def test_bad_flags_exit_two():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("flag", ["--seed", "--budget"])
+def test_bethe_rejects_removed_solver_flags(flag):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bethe", "--n", "7", "--v", "0.75", "--w", "0.5", "--sector", "1,0", flag, "5"])
+    assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["spectrum", "--n", "7", "--v", "nan", "--w", "0.5"], ["verify", "--only", "bogus"]],
+)
+def test_bad_values_give_json_error_not_traceback(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "lmg.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    payload = json.loads(proc.stderr)
+    assert payload["error"]["type"] == "InvalidArgumentError"
+
+
 def test_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "lmg.cli", "--version"], capture_output=True, text=True

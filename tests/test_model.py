@@ -58,6 +58,12 @@ def test_make_params_rejects_bad_n():
         make_params(-3, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("v,w", [(math.nan, 0.5), (math.inf, 0.5), (0.75, -math.inf)])
+def test_make_params_rejects_non_finite_couplings(v, w):
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        make_params(7, v, w)
+
+
 def test_sector_configs_examples():
     assert [(c.m, c.nu_a, c.nu_b) for c in sector_configs(1)] == [(0, 0, 1), (0, 1, 0)]
     assert [(c.m, c.nu_a, c.nu_b) for c in sector_configs(2)] == [(1, 0, 0), (0, 1, 1)]
