@@ -34,6 +34,7 @@ __all__ = [
     "decode",
     "linear_angles",
     "log_angles",
+    "one_hot_output",
     "build_circuit",
     "export_circuit",
     "import_circuit",

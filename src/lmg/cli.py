@@ -3,13 +3,11 @@
 All numeric output is JSON by default (CSV for the tabular subcommands via
 --format csv), floats printed with 17 significant digits so values round-trip
 exactly, and every command is deterministic given its flags and seeds.
-LMG_THREADS caps internal parallelism for the vqe/benchmark subcommands.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -278,14 +276,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("LMG_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _cmd_vqe(args) -> int:
     params = make_params(args.n, args.v, args.w)
     if args.sector is not None:
@@ -301,7 +291,6 @@ def _cmd_vqe(args) -> int:
         shots=args.shots or 0,
         warm=args.warm,
         depth=args.depth,
-        max_workers=_max_workers(),
     )
     result = optimize(config, params, opts)
     _emit_json(
@@ -323,10 +312,7 @@ def _cmd_vqe(args) -> int:
 def _cmd_benchmark(args) -> int:
     params = make_params(args.n, args.v, args.w)
     budgets = tuple(None if b == 0 else b for b in args.shots) if args.shots else ()
-    opts = VqeOptions(
-        restarts=args.restarts, seed=args.seed, shot_budgets=budgets,
-        max_workers=_max_workers(),
-    )
+    opts = VqeOptions(restarts=args.restarts, seed=args.seed, shot_budgets=budgets)
     report = benchmark(params, opts)
     text = _to_json(report) + "\n"
     if args.out:

@@ -14,6 +14,7 @@ a dense-diagonalization oracle used to validate everything else.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -126,14 +127,37 @@ def ladder_occupations(n: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
     return (n - parity - 2 * k).astype(float), (parity + 2 * k).astype(float)
 
 
+@functools.lru_cache(maxsize=128)
 def ladder_matrix(params: ModelParams, parity: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and sub-diagonal of the Hamiltonian block on one parity ladder."""
+    """Diagonal and sub-diagonal of the Hamiltonian block on one parity ladder.
+
+    Cached per (params, parity), so both arrays are shared and read-only.
+    """
     na, nb = ladder_occupations(params.n, parity)
     diag = (nb - na) / 2 + (params.w / params.n) * ((na + nb) / 2 + na * nb)
     hop = (params.v / (2 * params.n)) * np.sqrt(
         na[:-1] * (na[:-1] - 1) * (nb[:-1] + 1) * (nb[:-1] + 2)
     )
+    diag.flags.writeable = False
+    hop.flags.writeable = False
     return diag, hop
+
+
+def ladder_energy(w: np.ndarray, params: ModelParams, parity: int) -> float:
+    """<H> of (real or complex) ladder amplitudes ``w``, over their weight.
+
+    Evaluates the tridiagonal block directly:
+    sum_k d_k |w_k|^2 + 2 sum_k t_k Re(w_k* w_{k+1}), divided by sum_k |w_k|^2.
+    """
+    diag, hop = ladder_matrix(params, parity)
+    probs = np.abs(w) ** 2
+    weight = float(np.sum(probs))
+    if weight == 0.0:
+        raise InvalidArgumentError("state has no weight on the ladder")
+    value = float(np.sum(diag * probs))
+    if hop.size:
+        value += 2.0 * float(np.sum(hop * np.real(np.conj(w[:-1]) * w[1:])))
+    return value / weight
 
 
 @dataclass(frozen=True)
@@ -237,6 +261,10 @@ def sector_spectrum(config: SectorConfig, params: ModelParams) -> tuple[np.ndarr
 
 def expectation(psi: FockVector, params: ModelParams) -> float:
     """<psi| H |psi> in units of the gap.  Requires a normalized state."""
+    if psi.n != params.n:
+        raise InvalidArgumentError(
+            f"state carries {psi.n} quanta but the Hamiltonian expects {params.n}"
+        )
     if abs(psi.amps @ psi.amps - 1.0) > 1e-9:
         raise InvalidArgumentError("expectation requires a normalized state")
-    return float(psi.amps @ apply_hamiltonian(psi, params).amps)
+    return ladder_energy(psi.amps, params, psi.parity)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .circuit import Circuit
 from .errors import InvalidArgumentError, LeakageError
-from .model import ModelParams, SectorConfig, ladder_matrix
+from .model import ModelParams, SectorConfig, ladder_energy, ladder_matrix
 
 __all__ = [
     "StateVector",
@@ -220,20 +220,12 @@ def _one_hot_weights(psi: StateVector, config: SectorConfig) -> np.ndarray:
 def encoded_expectation(psi: StateVector, config: SectorConfig, params: ModelParams) -> float:
     """<H> of a one-hot-supported state, in units of the gap.
 
-    Evaluates the tridiagonal block directly on the decoded ladder
-    amplitudes: sum_k d_k |w_k|^2 + 2 sum_k t_k Re(w_k* w_{k+1}), normalized
-    over the one-hot weight.  Raises LeakageError when the state strays off
-    the subspace (a broken circuit, not a numerical accident).
+    Decodes the one-hot amplitudes onto the ladder and evaluates them with
+    :func:`lmg.model.ladder_energy`, normalized over the one-hot weight.
+    Raises LeakageError when the state strays off the subspace (a broken
+    circuit, not a numerical accident).
     """
-    w = _one_hot_weights(psi, config)
-    diag, hop = ladder_matrix(params, config.parity)
-    weight = float(np.sum(np.abs(w) ** 2))
-    if weight == 0.0:
-        raise InvalidArgumentError("state has no weight on the one-hot subspace")
-    value = float(np.sum(diag * np.abs(w) ** 2))
-    if hop.size:
-        value += 2.0 * float(np.sum(hop * np.real(np.conj(w[:-1]) * w[1:])))
-    return value / weight
+    return ladder_energy(_one_hot_weights(psi, config), params, config.parity)
 
 
 @dataclass(frozen=True)

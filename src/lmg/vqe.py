@@ -2,30 +2,41 @@
 
 The ansatz is the staircase circuit itself: its M angles sweep every real
 unit vector on the sector support, so with an exact estimator the optimum
-equals the sector's lowest eigenvalue.  Optimization uses Nelder-Mead with
-deterministic seeded restarts; a "warm" first restart starts from the angles
-of the known target state, cold restarts draw uniformly from [0, 4pi)^M.
+equals the sector's lowest eigenvalue.  The circuit never leaves the
+Hamming-weight-1 subspace, so the objective reads the circuit's one-hot
+amplitudes in closed form (:func:`lmg.circuit.one_hot_output`, O(M) per
+evaluation) instead of building and simulating it; the simulators are the
+oracle those amplitudes are tested against.  Optimization uses Nelder-Mead
+with deterministic seeded restarts, run one after another; a "warm" first
+restart starts from the angles of the known target state, cold restarts
+draw uniformly from [0, 4pi)^M.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import bethe
-from .circuit import AngleSet, build_circuit, encode, linear_angles, log_angles
+from .circuit import AngleSet, build_circuit, encode, linear_angles, log_angles, one_hot_output
 from .errors import InvalidArgumentError, LmgError
 from .model import (
     FockVector,
     ModelParams,
     SectorConfig,
+    ladder_energy,
     sector_configs,
     sector_spectrum,
 )
-from .simulator import encoded_expectation, fidelity, pauli_groups, run, sampled_expectation
+from .simulator import (
+    StateVector,
+    encoded_expectation,
+    fidelity,
+    pauli_groups,
+    run,
+    sampled_expectation,
+)
 
 __all__ = ["VqeOptions", "VqeResult", "objective", "optimize", "benchmark"]
 
@@ -45,7 +56,6 @@ class VqeOptions:
     maxiter: int | None = None
     xatol: float = 1e-8
     fatol: float = 1e-12
-    max_workers: int = 1
     shot_budgets: tuple[int | None, ...] = ()
 
 
@@ -75,17 +85,20 @@ def objective(
 ) -> float:
     """Energy of the circuit state at the given angles.
 
-    ``estimator="exact"`` evaluates <H> from the state vector;
+    ``estimator="exact"`` evaluates <H> from the one-hot amplitudes;
     ``estimator="sampled"`` draws ``shots`` measurements per group with a
-    fixed seed, so the value is deterministic for fixed arguments.
+    fixed seed, so the value is deterministic for fixed arguments.  Both
+    equal the same estimators applied to ``run(build_circuit(angles))``.
     """
     angles = thetas if isinstance(thetas, AngleSet) else AngleSet(tuple(thetas), depth)
-    state = run(build_circuit(angles))
+    if len(angles) != config.m:
+        raise InvalidArgumentError(f"sector needs {config.m} angles, got {len(angles)}")
+    amps = one_hot_output(angles)
     if estimator == "exact":
-        return encoded_expectation(state, config, params)
+        return ladder_energy(amps, params, config.parity)
     if estimator == "sampled":
-        groups = pauli_groups(config, params)
-        return sampled_expectation(state, groups, shots, seed)[0]
+        state = StateVector(config.m + 1, {1 << k: complex(a) for k, a in enumerate(amps)})
+        return sampled_expectation(state, pauli_groups(config, params), shots, seed)[0]
     raise InvalidArgumentError(f"unknown estimator {estimator!r}")
 
 
@@ -96,7 +109,9 @@ def _warm_start(config: SectorConfig, params: ModelParams, depth: str) -> np.nda
     return np.asarray(angles.thetas)
 
 
-def _single_restart(restart, x0, config, params, opts):
+def _single_restart(x0, config, params, opts):
+    from scipy.optimize import minimize  # deferred: importing lmg should not load it
+
     evals = 0
     trace: list[tuple[int, float]] = []
 
@@ -118,7 +133,6 @@ def _single_restart(restart, x0, config, params, opts):
         options={"xatol": opts.xatol, "fatol": opts.fatol, "maxiter": maxiter},
     )
     return {
-        "restart": restart,
         "energy": float(result.fun),
         "thetas": np.mod(np.asarray(result.x, dtype=float), FULL_TURN),
         "evals": evals,
@@ -134,9 +148,12 @@ def optimize(
 
     Deterministic for fixed options: restart r draws its start point from
     generator seed (seed, r); results merge as the seed-ordered minimum.
-    The exact reference energy is the sector's lowest eigenvalue.
+    The exact reference energy is the sector's lowest eigenvalue.  Raises
+    InvalidArgumentError unless ``restarts >= 1``.
     """
     opts = options or VqeOptions()
+    if opts.restarts < 1:
+        raise InvalidArgumentError(f"restarts must be >= 1, got {opts.restarts}")
     exact_energy = float(sector_spectrum(config, params)[0][0])
     m = config.m
     estimator_label = opts.estimator if opts.estimator == "exact" else f"sampled({opts.shots})"
@@ -156,35 +173,20 @@ def optimize(
             converged=True,
         )
 
-    starts = []
-    for restart in range(max(1, opts.restarts)):
+    outcomes = []
+    for restart in range(opts.restarts):
         if opts.warm and restart == 0:
-            starts.append(_warm_start(config, params, opts.depth))
+            x0 = _warm_start(config, params, opts.depth)
         else:
-            rng = np.random.default_rng((opts.seed, restart))
-            starts.append(rng.uniform(0.0, FULL_TURN, m))
+            x0 = np.random.default_rng((opts.seed, restart)).uniform(0.0, FULL_TURN, m)
+        outcomes.append(_single_restart(x0, config, params, opts))
 
-    if opts.max_workers > 1:
-        with ThreadPoolExecutor(max_workers=opts.max_workers) as pool:
-            outcomes = list(
-                pool.map(
-                    lambda pair: _single_restart(pair[0], pair[1], config, params, opts),
-                    enumerate(starts),
-                )
-            )
-    else:
-        outcomes = [
-            _single_restart(restart, x0, config, params, opts)
-            for restart, x0 in enumerate(starts)
-        ]
-
-    outcomes.sort(key=lambda o: o["restart"])
     trace: list[tuple[int, float]] = []
     offset = 0
     for outcome in outcomes:
         trace.extend((offset + i, value) for i, value in outcome["trace"])
         offset += outcome["evals"]
-    best = min(outcomes, key=lambda o: (o["energy"], o["restart"]))
+    best = min(outcomes, key=lambda o: o["energy"])
     return VqeResult(
         best_thetas=AngleSet(tuple(best["thetas"]), opts.depth),
         best_energy=best["energy"],
@@ -269,7 +271,6 @@ def benchmark(params: ModelParams, options: VqeOptions | None = None) -> dict:
                     estimator="exact" if budget is None else "sampled",
                     shots=budget or 0, warm=warm, depth=opts.depth,
                     maxiter=opts.maxiter, xatol=opts.xatol, fatol=opts.fatol,
-                    max_workers=opts.max_workers,
                 )
                 result = optimize(ground[1], params, run_opts)
                 runs.append(

@@ -156,7 +156,11 @@ def test_bethe_rejects_removed_solver_flags(flag):
 
 @pytest.mark.parametrize(
     "argv",
-    [["spectrum", "--n", "7", "--v", "nan", "--w", "0.5"], ["verify", "--only", "bogus"]],
+    [
+        ["spectrum", "--n", "7", "--v", "nan", "--w", "0.5"],
+        ["verify", "--only", "bogus"],
+        ["vqe", "--n", "8", "--v", "0.8", "--w", "0.25", "--restarts", "0"],
+    ],
 )
 def test_bad_values_give_json_error_not_traceback(argv):
     proc = subprocess.run(
@@ -166,6 +170,17 @@ def test_bad_values_give_json_error_not_traceback(argv):
     assert "Traceback" not in proc.stderr
     payload = json.loads(proc.stderr)
     assert payload["error"]["type"] == "InvalidArgumentError"
+
+
+def test_import_does_not_load_the_optimizer():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, lmg, lmg.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_entry_point_runs():

@@ -16,6 +16,7 @@ from lmg import (
     sector_spectrum,
     SectorConfig,
 )
+from lmg.model import ladder_matrix
 from oracles import dense_hamiltonian, embed_ladder
 
 
@@ -145,6 +146,18 @@ def test_apply_hamiltonian_quanta_mismatch():
     p = make_params(4, 1.0, 0.0)
     with pytest.raises(InvalidArgumentError):
         apply_hamiltonian(FockVector(6, 0, np.ones(4)), p)
+    with pytest.raises(InvalidArgumentError):
+        expectation(FockVector(6, 0, np.full(4, 0.5)), p)
+
+
+def test_ladder_matrix_is_shared_and_read_only():
+    p = make_params(6, 0.9, 0.2)
+    diag, hop = ladder_matrix(p, 0)
+    again = ladder_matrix(make_params(6, 0.9, 0.2), 0)
+    assert again[0] is diag and again[1] is hop
+    for arr in (diag, hop):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
 
 
 def test_exact_spectrum_against_dense_oracle():

@@ -307,3 +307,18 @@ def test_plain_ry_gate_supported_in_both_paths():
     for basis, amp in expected.items():
         assert sparse.amplitude(basis) == pytest.approx(amp, abs=1e-14)
         assert dense.amplitude(basis) == pytest.approx(amp, abs=1e-14)
+
+
+@pytest.mark.parametrize("mode", ["linear", "log"])
+def test_one_hot_output_equals_sparse_simulation(mode):
+    # The VQE objective reads these closed-form amplitudes instead of
+    # simulating the circuit, so they must agree with the simulator bit for bit.
+    from lmg.circuit import one_hot_output
+
+    rng = np.random.default_rng(43)
+    for m in range(21):
+        for _ in range(5):
+            angles = AngleSet(tuple(rng.uniform(-4 * math.pi, 4 * math.pi, m)), mode)
+            block = run(build_circuit(angles)).one_hot_block()
+            assert np.array_equal(one_hot_output(angles), block.real)
+            assert not block.imag.any()

@@ -6,12 +6,20 @@ import numpy as np
 import pytest
 
 from lmg import (
+    AngleSet,
+    InvalidArgumentError,
     SectorConfig,
     VqeOptions,
     benchmark,
+    build_circuit,
+    encoded_expectation,
     make_params,
     objective,
     optimize,
+    pauli_groups,
+    run,
+    sampled_expectation,
+    sector_configs,
     sector_spectrum,
 )
 from lmg.reference import N7, N7_LINEAR_ANGLES, N7_LINEAR_ENERGY
@@ -100,14 +108,36 @@ def test_optimize_m0_sector():
     assert result.best_thetas.thetas == ()
 
 
-def test_optimize_parallel_matches_serial():
+@pytest.mark.parametrize("restarts", [0, -1])
+def test_optimize_rejects_nonpositive_restarts(restarts):
     p = make_params(6, 0.9, 0.25)
-    config = SectorConfig(3, 0, 0)
-    serial = optimize(config, p, VqeOptions(restarts=4, seed=9, max_workers=1))
-    parallel = optimize(config, p, VqeOptions(restarts=4, seed=9, max_workers=4))
-    assert serial.best_energy == parallel.best_energy
-    assert serial.best_thetas == parallel.best_thetas
-    assert serial.trace == parallel.trace
+    with pytest.raises(InvalidArgumentError):
+        optimize(SectorConfig(3, 0, 0), p, VqeOptions(restarts=restarts))
+
+
+@pytest.mark.parametrize("depth", ["linear", "log"])
+def test_objective_equals_simulated_estimators(depth):
+    # The objective skips the circuit simulation; on the simulated state the
+    # public estimators must give the very same floats, so optimizer
+    # trajectories do not depend on which path computed them.
+    rng = np.random.default_rng(47)
+    for n in (1, 8, 13, 40):
+        p = make_params(n, 0.75, 0.5)
+        for config in sector_configs(n):
+            thetas = tuple(rng.uniform(0.0, 4 * math.pi, config.m))
+            state = run(build_circuit(AngleSet(thetas, depth)))
+            exact = objective(thetas, config, p, depth=depth)
+            assert exact == encoded_expectation(state, config, p)
+            sampled = objective(thetas, config, p, estimator="sampled", shots=500,
+                                seed=n, depth=depth)
+            assert sampled == sampled_expectation(state, pauli_groups(config, p), 500, n)[0]
+
+
+@pytest.mark.parametrize("estimator", ["exact", "sampled"])
+def test_objective_rejects_wrong_angle_count(estimator):
+    p = make_params(6, 0.9, 0.2)
+    with pytest.raises(InvalidArgumentError):
+        objective((0.4, 1.3), SectorConfig(3, 0, 0), p, estimator=estimator)
 
 
 def test_benchmark_n7_report():
@@ -168,10 +198,6 @@ def test_benchmark_rational_instance_skips_bethe():
 def test_sampled_estimator_consistency_over_seeds():
     # Mean of 50 seeded sampled objectives sits within 5 combined standard
     # errors of the exact objective.
-    from lmg import build_circuit, pauli_groups, run, sampled_expectation
-    from lmg.circuit import AngleSet
-    from lmg.simulator import encoded_expectation
-
     p = make_params(6, 0.9, 0.2)
     config = SectorConfig(3, 0, 0)
     thetas = (0.8, 2.1, 1.4)
