@@ -46,20 +46,22 @@ __all__ = [
     "solve_bethe",
 ]
 
+GUARD = 1e-8  # closest approach of a parameter to a pole or to another parameter
+MAX_ITERATIONS = 60  # Newton steps per solution set
+
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tunables for :func:`solve_bethe`.
+    """Tunables for :func:`solve_bethe` (the ``lmg bethe`` flags).
 
     ``tol`` bounds the accepted residual norm, ``match_tol`` the agreement
-    with the diagonalization oracle, ``guard`` the closest approach to a pole
-    or to another parameter, and ``max_iterations`` the Newton steps per set.
+    with the diagonalization oracle, and ``allow_hyperbolic`` opts in to a
+    real-parameter solve when V^2 < W^2.  The pole guard and the Newton step
+    budget are the module constants GUARD and MAX_ITERATIONS.
     """
 
     tol: float = 1e-10
     match_tol: float = 1e-8
-    guard: float = 1e-8
-    max_iterations: int = 60
     allow_hyperbolic: bool = False
 
 
@@ -89,15 +91,15 @@ def _pole_violation(energies: np.ndarray, eta: float, guard: float) -> str | Non
     return f"E[{l}]={energies[l]:.6g} within {guard:g} of {name}"
 
 
-def _singularity(energies: np.ndarray, eta: float, guard: float) -> str | None:
+def _singularity(energies: np.ndarray, eta: float) -> str | None:
     """Describe the first pole hit or pair of coinciding parameters, if any."""
-    problem = _pole_violation(energies, eta, guard)
+    problem = _pole_violation(energies, eta, GUARD)
     if problem is None and energies.size > 1:
         order = np.argsort(energies)
         k = int(np.argmin(np.diff(energies[order])))
-        if energies[order[k + 1]] - energies[order[k]] < guard:
+        if energies[order[k + 1]] - energies[order[k]] < GUARD:
             l, n_ = sorted((int(order[k]), int(order[k + 1])))
-            problem = f"E[{l}] and E[{n_}] closer than {guard:g}"
+            problem = f"E[{l}] and E[{n_}] closer than {GUARD:g}"
     return problem
 
 
@@ -144,7 +146,7 @@ def residual(energies, config: SectorConfig, params: ModelParams) -> np.ndarray:
         raise InvalidArgumentError(f"expected {config.m} spectral parameters, got {e.shape}")
     if params.rational:
         raise UnsupportedRegimeError("pair-energy equations are undefined at V^2 = W^2")
-    problem = _singularity(e, params.eta, 1e-8)
+    problem = _singularity(e, params.eta)
     if problem is not None:
         raise SingularityError(problem)
     return _residual_raw(e, config, params)
@@ -210,14 +212,13 @@ def _finalize(sets, config, params) -> list[SpectralSolution]:
 
 def _newton(start, config, params, opts) -> np.ndarray | None:
     e = np.array(start, dtype=float)
-    guard = opts.guard
     with np.errstate(all="ignore"):
-        if not np.all(np.isfinite(e)) or _singularity(e, params.eta, guard):
+        if not np.all(np.isfinite(e)) or _singularity(e, params.eta):
             return None
         res = _residual_raw(e, config, params)
         if not np.all(np.isfinite(res)):
             return None
-        for _ in range(opts.max_iterations):
+        for _ in range(MAX_ITERATIONS):
             rmax = np.max(np.abs(res), initial=0.0)
             if rmax <= opts.tol:
                 return np.sort(e)
@@ -233,7 +234,7 @@ def _newton(start, config, params, opts) -> np.ndarray | None:
             lam = 1.0
             for _ in range(12):
                 trial = e - lam * step
-                if not _singularity(trial, params.eta, guard):
+                if not _singularity(trial, params.eta):
                     trial_res = _residual_raw(trial, config, params)
                     if np.all(np.isfinite(trial_res)) and trial_res @ trial_res < best:
                         e, res = trial, trial_res

@@ -121,8 +121,6 @@ class Circuit:
             for q in gate.qubits:
                 if not 1 <= q <= self.num_qubits:
                     raise InvalidArgumentError(f"qubit index {q} outside 1..{self.num_qubits}")
-            if gate.control is not None and gate.control == gate.target:
-                raise InvalidArgumentError("control and target must differ")
         layers = tuple(tuple(layer) for layer in self.layers)
         object.__setattr__(self, "layers", layers)
         flat = sorted(i for layer in layers for i in layer)

@@ -39,19 +39,17 @@ def apply_pair_factor(psi: FockVector, energy: float, eta: float) -> FockVector:
     return FockVector(n + 2, parity, out)
 
 
-def build_eigenstate(solution: SpectralSolution, params: ModelParams | None = None) -> FockVector:
+def build_eigenstate(solution: SpectralSolution) -> FockVector:
     """Normalized eigenstate generated by a converged solution set.
 
     Factors are applied in ascending pair-energy order (they commute; a fixed
     order keeps outputs bit-stable) with renormalization after each step, and
     the global sign follows the largest-amplitude-positive convention.
     """
-    params = params or solution.params
-    eta = params.eta
-    config = solution.config
+    config, params = solution.config, solution.params
     state = FockVector.fiducial(config.nu_a, config.nu_b)
     for energy in sorted(solution.energies):
-        state = apply_pair_factor(state, energy, eta).normalize()
+        state = apply_pair_factor(state, energy, params.eta).normalize()
     if state.n != params.n:
         raise InvalidArgumentError(
             f"solution generates {state.n}-quantum states but params describe {params.n}"

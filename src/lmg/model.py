@@ -251,8 +251,6 @@ def sector_spectrum(config: SectorConfig, params: ModelParams) -> tuple[np.ndarr
             f"sector describes {config.n} particles, params describe {params.n}"
         )
     diag, hop = ladder_matrix(params, config.parity)
-    if diag.size == 1:
-        return diag.copy(), np.ones((1, 1))
     vals, vecs = eigh_tridiagonal(diag, hop)
     for j in range(vals.size):
         vecs[:, j] = canonical_sign(vecs[:, j])

@@ -101,16 +101,6 @@ class StateVector:
         block = self.one_hot_block()
         return self.norm() ** 2 - float(np.sum(np.abs(block) ** 2))
 
-    def to_dense(self) -> "StateVector":
-        if self.is_dense:
-            return self
-        if self.num_qubits > DENSE_QUBIT_CAP:
-            raise InvalidArgumentError(f"cannot densify beyond {DENSE_QUBIT_CAP} qubits")
-        amps = np.zeros(2**self.num_qubits, dtype=complex)
-        for basis, amp in self.amps.items():
-            amps[basis] = amp
-        return StateVector(self.num_qubits, amps)
-
 
 def _slices(n: int, assignments: dict[int, int]) -> tuple:
     """Index tuple pinning 1-based qubits to bit values on a (2,)*n tensor."""
@@ -339,7 +329,6 @@ def sampled_expectation(
     variance = 0.0
     for group in groups:
         values, probs = group.outcomes(weights)
-        probs = np.clip(probs, 0.0, None)
         probs = probs / probs.sum()
         counts = rng.multinomial(shots, probs)
         mean = float(counts @ values) / shots

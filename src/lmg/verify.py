@@ -58,18 +58,15 @@ def _angles_close_mod_4pi(got, want, tol):
 
 def check_n7_pairons():
     """Ground-sector pair energies of the 7-particle reference instance."""
-    start = time.perf_counter()
     p = make_params(**ref.N7)
     sols = solve_bethe(SectorConfig(3, 1, 0), p)
-    elapsed = time.perf_counter() - start
     worst = float(np.max(np.abs(np.array(sols[0].energies) - np.array(ref.N7_PAIRONS))))
-    ok = worst < 1e-5 and len(sols) == 4 and elapsed < 1.0
-    return ok, f"max pairon deviation {worst:.2e} (tol 1e-5), solve took {elapsed:.3f}s (< 1s)"
+    ok = worst < 1e-5 and len(sols) == 4
+    return ok, f"max pairon deviation {worst:.2e} (tol 1e-5)"
 
 
 def check_n7_energy():
     """Bethe ground energy and both circuit expectation values at N = 7."""
-    start = time.perf_counter()
     p = make_params(**ref.N7)
     config = SectorConfig(3, 1, 0)
     ground = solve_bethe(config, p)[0]
@@ -85,13 +82,11 @@ def check_n7_energy():
         run(build_circuit(AngleSet(ref.N7_LINEAR_ANGLES, "linear"))), config, p
     )
     rel_ref = abs(ref_lin - ground.omega) / abs(ground.omega)
-    elapsed = time.perf_counter() - start
     ok = (
         d_omega <= 1e-9
         and rels["linear"] <= 1e-9
         and rels["log"] <= 1e-9
         and rel_ref <= 1e-9
-        and elapsed < 1.0
     )
     return ok, (
         f"|omega - reference| = {d_omega:.2e} (tol 1e-9); circuit rel errors "
@@ -117,7 +112,6 @@ def check_n7_angles():
 
 def check_n20_ground():
     """Twenty-particle ground state: amplitudes, angles, linearized angles."""
-    start = time.perf_counter()
     p = make_params(**ref.N20)
     omega, state = exact_spectrum(p)[0]
     amps = state.amps
@@ -131,17 +125,15 @@ def check_n20_ground():
     worst_lin = max(
         abs((math.pi - 2 * amps[11 - j]) - angles.thetas[j - 1]) for j in (1, 2, 3, 4)
     )
-    elapsed = time.perf_counter() - start
-    ok = ok_amps and ok_ang and worst_lin < 1e-4 and elapsed < 5.0
+    ok = ok_amps and ok_ang and worst_lin < 1e-4
     return ok, (
         f"max amplitude rel err {np.max(rel):.2e}; angle deviation {worst_ang:.2e}; "
-        f"linearized-angle deviation {worst_lin:.2e}; took {elapsed:.2f}s (< 5s)"
+        f"linearized-angle deviation {worst_lin:.2e}"
     )
 
 
 def check_completeness():
     """Bethe + state builder reproduce the full spectrum for N <= 12."""
-    start = time.perf_counter()
     rng = np.random.default_rng(2024)
     worst_omega = 0.0
     worst_resid = 0.0
@@ -161,11 +153,10 @@ def check_completeness():
             if len(omegas) != n + 1:
                 return False, f"found {len(omegas)} states for N={n}, expected {n + 1}"
             worst_omega = max(worst_omega, float(np.max(np.abs(np.sort(omegas) - exact))))
-    elapsed = time.perf_counter() - start
-    ok = worst_omega <= 1e-8 and worst_resid <= 1e-8 and elapsed < 60.0
+    ok = worst_omega <= 1e-8 and worst_resid <= 1e-8
     return ok, (
         f"240 instances: max eigenvalue deviation {worst_omega:.2e}, max state residual "
-        f"{worst_resid:.2e} (tol 1e-8); took {elapsed:.1f}s (< 60s)"
+        f"{worst_resid:.2e} (tol 1e-8)"
     )
 
 
@@ -284,13 +275,19 @@ CHECKS = {
     "vqe": check_vqe,
 }
 
+# wall-clock seconds a check must finish within to pass, timed by run_checks
+BUDGETS = {"n7-pairons": 1.0, "n7-energy": 1.0, "n20-ground": 5.0, "completeness": 60.0}
+
 
 def available_checks() -> list[str]:
     return list(CHECKS)
 
 
 def run_checks(names: list[str] | None = None) -> list[CheckResult]:
-    """Run the named checks (all by default) and collect timed results."""
+    """Run the named checks (all by default) and collect timed results.
+
+    A check with an entry in BUDGETS fails when it runs over that budget.
+    """
     selected = names or list(CHECKS)
     unknown = [name for name in selected if name not in CHECKS]
     if unknown:
@@ -304,5 +301,9 @@ def run_checks(names: list[str] | None = None) -> list[CheckResult]:
             passed, detail = CHECKS[name]()
         except LmgError as exc:
             passed, detail = False, f"{type(exc).__name__}: {exc}"
-        results.append(CheckResult(name, bool(passed), detail, time.perf_counter() - start))
+        seconds = time.perf_counter() - start
+        if name in BUDGETS:
+            passed = passed and seconds < BUDGETS[name]
+            detail += f"; took {seconds:.3f}s (budget {BUDGETS[name]:g}s)"
+        results.append(CheckResult(name, bool(passed), detail, seconds))
     return results

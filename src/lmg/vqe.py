@@ -14,7 +14,7 @@ draw uniformly from [0, 4pi)^M.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,11 +41,21 @@ from .simulator import (
 __all__ = ["VqeOptions", "VqeResult", "objective", "optimize", "benchmark"]
 
 FULL_TURN = 4.0 * np.pi  # RY period
+XATOL = 1e-8  # Nelder-Mead stops when the simplex spans less than this in angle
+FATOL = 1e-12  # ... and its energies span less than this
 
 
 @dataclass(frozen=True)
 class VqeOptions:
-    """Optimizer settings; all randomness flows from ``seed``."""
+    """Optimizer settings; all randomness flows from ``seed``.
+
+    ``restarts`` Nelder-Mead runs are made (at least 1, else
+    InvalidArgumentError); the first starts warm when ``warm``.  ``estimator``
+    is "exact" or "sampled" (``shots`` per measurement group), ``depth`` the
+    circuit flavor, ``maxiter`` each run's cap (default 400 per angle), and
+    ``shot_budgets`` the VQE runs :func:`benchmark` adds (None = exact).  The
+    simplex tolerances are the module constants XATOL and FATOL.
+    """
 
     restarts: int = 10
     seed: int = 0
@@ -54,9 +64,11 @@ class VqeOptions:
     warm: bool = False
     depth: str = "linear"
     maxiter: int | None = None
-    xatol: float = 1e-8
-    fatol: float = 1e-12
     shot_budgets: tuple[int | None, ...] = ()
+
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise InvalidArgumentError(f"restarts must be >= 1, got {self.restarts}")
 
 
 @dataclass(frozen=True)
@@ -125,12 +137,12 @@ def _single_restart(x0, config, params, opts):
         evals += 1
         return value
 
-    maxiter = opts.maxiter if opts.maxiter is not None else 400 * max(1, x0.size)
+    maxiter = opts.maxiter if opts.maxiter is not None else 400 * x0.size
     result = minimize(
         wrapped,
         x0,
         method="Nelder-Mead",
-        options={"xatol": opts.xatol, "fatol": opts.fatol, "maxiter": maxiter},
+        options={"xatol": XATOL, "fatol": FATOL, "maxiter": maxiter},
     )
     return {
         "energy": float(result.fun),
@@ -148,38 +160,28 @@ def optimize(
 
     Deterministic for fixed options: restart r draws its start point from
     generator seed (seed, r); results merge as the seed-ordered minimum.
-    The exact reference energy is the sector's lowest eigenvalue.  Raises
-    InvalidArgumentError unless ``restarts >= 1``.
+    The exact reference energy is the sector's lowest eigenvalue.  An M = 0
+    sector has no angles: its one evaluation is the result.
     """
     opts = options or VqeOptions()
-    if opts.restarts < 1:
-        raise InvalidArgumentError(f"restarts must be >= 1, got {opts.restarts}")
     exact_energy = float(sector_spectrum(config, params)[0][0])
     m = config.m
     estimator_label = opts.estimator if opts.estimator == "exact" else f"sampled({opts.shots})"
 
+    outcomes = []
     if m == 0:
         energy = objective((), config, params, estimator=opts.estimator,
                            shots=opts.shots, seed=opts.seed, depth=opts.depth)
-        return VqeResult(
-            best_thetas=AngleSet((), opts.depth),
-            best_energy=energy,
-            exact_energy=exact_energy,
-            abs_error=abs(energy - exact_energy),
-            evaluations=1,
-            trace=((0, energy),),
-            seed=opts.seed,
-            estimator=estimator_label,
-            converged=True,
+        outcomes.append(
+            {"energy": energy, "thetas": (), "evals": 1, "trace": [(0, energy)], "converged": True}
         )
-
-    outcomes = []
-    for restart in range(opts.restarts):
-        if opts.warm and restart == 0:
-            x0 = _warm_start(config, params, opts.depth)
-        else:
-            x0 = np.random.default_rng((opts.seed, restart)).uniform(0.0, FULL_TURN, m)
-        outcomes.append(_single_restart(x0, config, params, opts))
+    else:
+        for restart in range(opts.restarts):
+            if opts.warm and restart == 0:
+                x0 = _warm_start(config, params, opts.depth)
+            else:
+                x0 = np.random.default_rng((opts.seed, restart)).uniform(0.0, FULL_TURN, m)
+            outcomes.append(_single_restart(x0, config, params, opts))
 
     trace: list[tuple[int, float]] = []
     offset = 0
@@ -234,7 +236,7 @@ def benchmark(params: ModelParams, options: VqeOptions | None = None) -> dict:
         },
         "sectors": [],
     }
-    ground: tuple[float, SectorConfig] | None = None
+    ground: tuple[float, SectorConfig] | None = None  # every N >= 1 has a sector
     for config in sector_configs(params.n):
         vals, vecs = sector_spectrum(config, params)
         if ground is None or vals[0] < ground[0]:
@@ -261,16 +263,15 @@ def benchmark(params: ModelParams, options: VqeOptions | None = None) -> dict:
             {"config": {"m": config.m, "nu_a": config.nu_a, "nu_b": config.nu_b}, "rows": rows}
         )
 
-    if opts.shot_budgets and ground is not None:
+    if opts.shot_budgets:
         runs = []
         # warm starts verify the pipeline; cold starts are the honest benchmark
         for budget in opts.shot_budgets:
             for warm in (False, True):
-                run_opts = VqeOptions(
-                    restarts=1 if warm else opts.restarts, seed=opts.seed,
+                run_opts = replace(
+                    opts, restarts=1 if warm else opts.restarts,
                     estimator="exact" if budget is None else "sampled",
-                    shots=budget or 0, warm=warm, depth=opts.depth,
-                    maxiter=opts.maxiter, xatol=opts.xatol, fatol=opts.fatol,
+                    shots=budget or 0, warm=warm,
                 )
                 result = optimize(ground[1], params, run_opts)
                 runs.append(

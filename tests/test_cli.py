@@ -160,6 +160,7 @@ def test_bethe_rejects_removed_solver_flags(flag):
         ["spectrum", "--n", "7", "--v", "nan", "--w", "0.5"],
         ["verify", "--only", "bogus"],
         ["vqe", "--n", "8", "--v", "0.8", "--w", "0.25", "--restarts", "0"],
+        ["benchmark", "--n", "3", "--v", "0.9", "--w", "0.3", "--restarts", "0"],
     ],
 )
 def test_bad_values_give_json_error_not_traceback(argv):
@@ -199,6 +200,16 @@ def test_verify_list_and_single_check(capsys):
     assert code == 0
     assert sum(1 for line in out.splitlines() if line.startswith("ok ")) == 2
     assert "2/2 checks passed" in out
+
+
+def test_verify_fails_a_check_over_its_budget(monkeypatch):
+    from lmg import verify
+
+    (within,) = verify.run_checks(["n7-pairons"])
+    assert within.passed and "(budget 1s)" in within.detail
+    monkeypatch.setitem(verify.BUDGETS, "n7-pairons", 0.0)
+    (over,) = verify.run_checks(["n7-pairons"])
+    assert not over.passed and "(budget 0s)" in over.detail
 
 
 def test_spectrum_rational_instance(capsys):

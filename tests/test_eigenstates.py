@@ -1,5 +1,6 @@
 """Pair-factor products: closed-form fixtures and the eigenvector property."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -224,4 +225,4 @@ def test_build_eigenstate_quanta_check():
     p2 = make_params(2, 0.75, 0.0)
     sols = solve_m1(SectorConfig(1, 0, 0), p2)
     with pytest.raises(InvalidArgumentError):
-        build_eigenstate(sols[0], make_params(4, 0.75, 0.0))
+        build_eigenstate(dataclasses.replace(sols[0], params=make_params(4, 0.75, 0.0)))

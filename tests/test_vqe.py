@@ -1,5 +1,7 @@
 """Variational loop: objective fixtures, optimization, benchmark report."""
 
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -9,9 +11,11 @@ from lmg import (
     AngleSet,
     InvalidArgumentError,
     SectorConfig,
+    SolverOptions,
     VqeOptions,
     benchmark,
     build_circuit,
+    build_eigenstate,
     encoded_expectation,
     make_params,
     objective,
@@ -108,8 +112,21 @@ def test_optimize_m0_sector():
     assert result.best_thetas.thetas == ()
 
 
+def test_settable_values_are_the_run_defining_ones():
+    # solver and simplex internals are module constants, not options
+    assert [f.name for f in dataclasses.fields(SolverOptions)] == [
+        "tol", "match_tol", "allow_hyperbolic",
+    ]
+    assert [f.name for f in dataclasses.fields(VqeOptions)] == [
+        "restarts", "seed", "estimator", "shots", "warm", "depth", "maxiter", "shot_budgets",
+    ]
+    assert list(inspect.signature(build_eigenstate).parameters) == ["solution"]
+
+
 @pytest.mark.parametrize("restarts", [0, -1])
 def test_optimize_rejects_nonpositive_restarts(restarts):
+    with pytest.raises(InvalidArgumentError):
+        VqeOptions(restarts=restarts)
     p = make_params(6, 0.9, 0.25)
     with pytest.raises(InvalidArgumentError):
         optimize(SectorConfig(3, 0, 0), p, VqeOptions(restarts=restarts))
