@@ -55,7 +55,8 @@ class SolverOptions:
     """Tunables for :func:`solve_bethe` (the ``lmg bethe`` flags).
 
     ``tol`` bounds the accepted residual norm, ``match_tol`` the agreement
-    with the diagonalization oracle, and ``allow_hyperbolic`` opts in to a
+    with the diagonalization oracle (both finite and positive, else
+    InvalidArgumentError), and ``allow_hyperbolic`` opts in to a
     real-parameter solve when V^2 < W^2.  The pole guard and the Newton step
     budget are the module constants GUARD and MAX_ITERATIONS.
     """
@@ -63,6 +64,12 @@ class SolverOptions:
     tol: float = 1e-10
     match_tol: float = 1e-8
     allow_hyperbolic: bool = False
+
+    def __post_init__(self):
+        for name in ("tol", "match_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise InvalidArgumentError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True)

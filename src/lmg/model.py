@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import InvalidArgumentError
 
@@ -246,6 +245,8 @@ def sector_spectrum(config: SectorConfig, params: ModelParams) -> tuple[np.ndarr
     Diagonalizes the parity block that the sector lives in; columns carry the
     canonical sign.
     """
+    from scipy.linalg import eigh_tridiagonal  # deferred: importing lmg should not load it
+
     if config.n != params.n:
         raise InvalidArgumentError(
             f"sector describes {config.n} particles, params describe {params.n}"

@@ -6,14 +6,32 @@ equals the sector's lowest eigenvalue.  The circuit never leaves the
 Hamming-weight-1 subspace, so the objective reads the circuit's one-hot
 amplitudes in closed form (:func:`lmg.circuit.one_hot_output`, O(M) per
 evaluation) instead of building and simulating it; the simulators are the
-oracle those amplitudes are tested against.  Optimization uses Nelder-Mead
-with deterministic seeded restarts, run one after another; a "warm" first
-restart starts from the angles of the known target state, cold restarts
-draw uniformly from [0, 4pi)^M.
+oracle those amplitudes are tested against.
+
+Optimization is sequential minimal optimization (Nakanishi, Fujii and Todo,
+PRR 2, 043158 (2020); Ostaszewski, Grant and Benedetti, Quantum 5, 391
+(2021)).  With the other angles fixed, the energy is a trigonometric
+polynomial of degree 2 in phi = theta_j/2,
+
+    E = a0 + a1 cos phi + b1 sin phi + a2 cos 2phi + b2 sin 2phi,
+
+because the amplitudes are linear in cos phi and sin phi and the energy is
+quadratic in the amplitudes.  Five
+evaluations at theta_j + 4pi k/5 (k = 0..4, all measured) fix the five
+coefficients through a real DFT, and theta_j jumps to the polynomial's
+minimizer.  A sweep does this for every angle in turn; a restart stops when
+the energy measured at the start of a sweep falls by less than SWEEP_TOL
+from the previous sweep's start (``converged``), or after ``maxiter``
+sweeps.  Its energy is one more evaluation at its final angles, so every
+reported value is a measured one.  Restarts are deterministic, seeded and
+run one after another; a "warm" first restart starts from the angles of the
+known target state, cold restarts draw uniformly from [0, 4pi)^M.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,20 +59,25 @@ from .simulator import (
 __all__ = ["VqeOptions", "VqeResult", "objective", "optimize", "benchmark"]
 
 FULL_TURN = 4.0 * np.pi  # RY period
-XATOL = 1e-8  # Nelder-Mead stops when the simplex spans less than this in angle
-FATOL = 1e-12  # ... and its energies span less than this
+NODES = 5  # evaluations that fix one angle's degree-2 polynomial in theta/2
+SWEEP_TOL = 1e-13  # a restart stops when a sweep lowers its start energy by less
+_GRID = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)  # shifts in phi = theta/2
+_GRID_WAVES = np.exp(1j * np.outer((1, 2), _GRID))
+_NEWTON_STEPS = 4
 
 
 @dataclass(frozen=True)
 class VqeOptions:
     """Optimizer settings; all randomness flows from ``seed``.
 
-    ``restarts`` Nelder-Mead runs are made (at least 1, else
-    InvalidArgumentError); the first starts warm when ``warm``.  ``estimator``
-    is "exact" or "sampled" (``shots`` per measurement group), ``depth`` the
-    circuit flavor, ``maxiter`` each run's cap (default 400 per angle), and
-    ``shot_budgets`` the VQE runs :func:`benchmark` adds (None = exact).  The
-    simplex tolerances are the module constants XATOL and FATOL.
+    ``restarts`` runs are made (at least 1, else InvalidArgumentError); the
+    first starts warm when ``warm``.  ``estimator`` is "exact" or "sampled"
+    (``shots`` per measurement group), ``depth`` the circuit flavor,
+    ``maxiter`` the cap on sweeps over the angles per run (at least 1, else
+    InvalidArgumentError), and ``shot_budgets`` the VQE runs
+    :func:`benchmark` adds (None = exact).  A run is ``converged`` when a
+    sweep lowered its start energy by less than the module constant
+    SWEEP_TOL before the cap.
     """
 
     restarts: int = 10
@@ -63,12 +86,14 @@ class VqeOptions:
     shots: int = 100_000
     warm: bool = False
     depth: str = "linear"
-    maxiter: int | None = None
+    maxiter: int = 400
     shot_budgets: tuple[int | None, ...] = ()
 
     def __post_init__(self):
         if self.restarts < 1:
             raise InvalidArgumentError(f"restarts must be >= 1, got {self.restarts}")
+        if self.maxiter < 1:
+            raise InvalidArgumentError(f"maxiter must be >= 1, got {self.maxiter}")
 
 
 @dataclass(frozen=True)
@@ -121,36 +146,63 @@ def _warm_start(config: SectorConfig, params: ModelParams, depth: str) -> np.nda
     return np.asarray(angles.thetas)
 
 
-def _single_restart(x0, config, params, opts):
-    from scipy.optimize import minimize  # deferred: importing lmg should not load it
+def _fit_minimizer(values: np.ndarray) -> float:
+    """Shift in phi that minimizes the degree-2 polynomial through the nodes.
 
-    evals = 0
+    ``values[k]`` is the energy at phi + 2pi k/5.  Relative to phi the
+    polynomial is Re(z1 e^{i psi} + z2 e^{2i psi}) plus a constant, with
+    z_m = 2 rfft(values)[m] / 5; its minimum is located on a 64-point grid and
+    refined by Newton steps on the derivative.
+    """
+    z1, z2 = 2.0 * np.fft.rfft(values)[1:] / NODES
+    psi = float(_GRID[np.argmin((z1 * _GRID_WAVES[0] + z2 * _GRID_WAVES[1]).real)])
+    for _ in range(_NEWTON_STEPS):
+        w1 = cmath.exp(1j * psi)
+        w2 = w1 * w1
+        curvature = -(z1 * w1 + 4.0 * z2 * w2).real
+        if curvature <= 0.0:
+            break
+        psi += (z1 * w1 + 2.0 * z2 * w2).imag / curvature
+    return psi
+
+
+def _single_restart(x0, config, params, opts):
+    thetas = np.array(x0, dtype=float)
     trace: list[tuple[int, float]] = []
 
-    def wrapped(th):
-        nonlocal evals
+    def measure() -> float:
         value = objective(
-            th, config, params,
+            thetas, config, params,
             estimator=opts.estimator, shots=opts.shots, seed=opts.seed, depth=opts.depth,
         )
-        trace.append((evals, value))
-        evals += 1
+        trace.append((len(trace), value))
         return value
 
-    maxiter = opts.maxiter if opts.maxiter is not None else 400 * x0.size
-    result = minimize(
-        wrapped,
-        x0,
-        method="Nelder-Mead",
-        options={"xatol": XATOL, "fatol": FATOL, "maxiter": maxiter},
-    )
-    return {
-        "energy": float(result.fun),
-        "thetas": np.mod(np.asarray(result.x, dtype=float), FULL_TURN),
-        "evals": evals,
-        "trace": trace,
-        "converged": bool(result.success),
-    }
+    def finish(converged: bool) -> dict:
+        energy = measure()
+        return {
+            "energy": energy,
+            "thetas": np.mod(thetas, FULL_TURN),
+            "evals": len(trace),
+            "trace": trace,
+            "converged": converged,
+        }
+
+    values = np.empty(NODES)
+    previous = math.inf
+    for _ in range(opts.maxiter):
+        for j in range(thetas.size):
+            base = thetas[j]
+            for k in range(NODES):
+                thetas[j] = base + k * FULL_TURN / NODES
+                values[k] = measure()
+            if j == 0:  # values[0] is the energy at the start of the sweep
+                if previous - values[0] < SWEEP_TOL:
+                    thetas[j] = base
+                    return finish(True)
+                previous = values[0]
+            thetas[j] = base + 2.0 * _fit_minimizer(values)
+    return finish(False)
 
 
 def optimize(

@@ -307,6 +307,14 @@ def test_solve_bethe_incomplete_with_exhausted_budget():
     assert excinfo.value.found == 0
 
 
+@pytest.mark.parametrize("field", ["tol", "match_tol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+def test_solver_options_reject_non_finite_or_nonpositive_tolerances(field, value):
+    # a NaN match_tol would make the diagonalization cross-check always pass
+    with pytest.raises(InvalidArgumentError, match=field):
+        SolverOptions(**{field: value})
+
+
 @pytest.mark.parametrize("n", [56, 60, 64])
 def test_solve_bethe_large_n_trigonometric_never_complex(n):
     from lmg import IncompleteSolveError

@@ -11,6 +11,8 @@ import pytest
 from lmg.cli import main
 from lmg.reference import N7_ENERGY
 
+N7_BETHE = ["bethe", "--n", "7", "--v", "0.75", "--w", "0.5", "--sector", "1,0"]
+
 
 def invoke(capsys, *argv):
     code = main(list(argv))
@@ -161,6 +163,9 @@ def test_bethe_rejects_removed_solver_flags(flag):
         ["verify", "--only", "bogus"],
         ["vqe", "--n", "8", "--v", "0.8", "--w", "0.25", "--restarts", "0"],
         ["benchmark", "--n", "3", "--v", "0.9", "--w", "0.3", "--restarts", "0"],
+        [*N7_BETHE, "--match-tol", "nan"],
+        [*N7_BETHE, "--match-tol", "-1"],
+        [*N7_BETHE, "--tol", "inf"],
     ],
 )
 def test_bad_values_give_json_error_not_traceback(argv):
@@ -174,14 +179,17 @@ def test_bad_values_give_json_error_not_traceback(argv):
 
 
 def test_import_does_not_load_the_optimizer():
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, lmg, lmg.cli; print('scipy.optimize' in sys.modules)"],
-        capture_output=True,
-        text=True,
+    # importing lmg loads no scipy; an optimization needs only scipy.linalg
+    script = (
+        "import sys, lmg, lmg.cli\n"
+        "print('scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules)\n"
+        "lmg.optimize(lmg.SectorConfig(3, 0, 0), lmg.make_params(6, 0.9, 0.25),"
+        " lmg.VqeOptions(restarts=1))\n"
+        "print('scipy.optimize' in sys.modules)\n"
     )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "False", "False"]
 
 
 def test_entry_point_runs():

@@ -9,6 +9,7 @@ import pytest
 
 from lmg import (
     AngleSet,
+    FockVector,
     InvalidArgumentError,
     SectorConfig,
     SolverOptions,
@@ -16,7 +17,9 @@ from lmg import (
     benchmark,
     build_circuit,
     build_eigenstate,
+    encode,
     encoded_expectation,
+    linear_angles,
     make_params,
     objective,
     optimize,
@@ -99,10 +102,74 @@ def test_optimize_variational_bound_and_trace():
 
 
 def test_optimize_unconverged_flag():
+    # maxiter caps sweeps over the angles; two sweeps do not meet the tolerance
     p = make_params(6, 1.1, 0.4)
     config = SectorConfig(3, 0, 0)
     result = optimize(config, p, VqeOptions(restarts=1, seed=0, maxiter=2))
     assert not result.converged
+
+
+@pytest.mark.parametrize("maxiter", [0, -1])
+def test_optimize_rejects_nonpositive_maxiter(maxiter):
+    with pytest.raises(InvalidArgumentError):
+        VqeOptions(maxiter=maxiter)
+    p = make_params(6, 0.9, 0.25)
+    with pytest.raises(InvalidArgumentError):
+        optimize(SectorConfig(3, 0, 0), p, VqeOptions(maxiter=maxiter))
+
+
+@pytest.mark.parametrize("depth", ["linear", "log"])
+def test_optimize_cold_n40_reaches_ground(depth):
+    p = make_params(40, 0.75, 0.5)
+    config = SectorConfig(20, 0, 0)
+    assert sector_spectrum(config, p)[0][0] == min(
+        sector_spectrum(c, p)[0][0] for c in sector_configs(40)
+    )
+    result = optimize(config, p, VqeOptions(restarts=3, seed=0, depth=depth))
+    assert result.abs_error <= 1e-6
+    assert result.converged
+
+
+@pytest.mark.parametrize("depth", ["linear", "log"])
+def test_objective_is_degree_two_in_half_angle(depth):
+    # The optimizer's model: along any one angle, the energy is
+    # a0 + a1 cos(t/2) + b1 sin(t/2) + a2 cos t + b2 sin t, so the fit through
+    # the five nodes t + 4 pi k / 5 predicts every other point on that line.
+    p = make_params(20, 0.75, 0.5)
+    config = SectorConfig(10, 0, 0)
+    rng = np.random.default_rng(5)
+
+    def basis(t):
+        t = np.asarray(t, dtype=float) / 2
+        return np.stack([np.ones_like(t), np.cos(t), np.sin(t), np.cos(2 * t), np.sin(2 * t)], -1)
+
+    thetas = rng.uniform(0.0, 4 * math.pi, config.m)
+    for j in range(config.m):
+        def energy(t):
+            shifted = thetas.copy()
+            shifted[j] = t
+            return objective(shifted, config, p, depth=depth)
+
+        nodes = thetas[j] + 4 * math.pi * np.arange(5) / 5
+        coeffs = np.linalg.solve(basis(nodes), [energy(t) for t in nodes])
+        probes = rng.uniform(0.0, 4 * math.pi, 10)
+        predicted = basis(probes) @ coeffs
+        measured = np.array([energy(t) for t in probes])
+        assert np.max(np.abs(predicted - measured)) <= 1e-12, j
+
+
+def test_optimize_sampled_n20_within_five_sigma():
+    p = make_params(20, 0.75, 0.5)
+    config = SectorConfig(10, 0, 0)
+    shots = 10_000
+    result = optimize(
+        config, p, VqeOptions(restarts=3, seed=0, estimator="sampled", shots=shots)
+    )
+    # sigma of the estimator on the exact ground-state circuit, independent seed
+    ground = FockVector(20, config.parity, sector_spectrum(config, p)[1][:, 0])
+    state = run(build_circuit(linear_angles(encode(ground, config))))
+    sigma = sampled_expectation(state, pauli_groups(config, p), shots, 1_000_003)[1]
+    assert result.abs_error <= 5 * sigma
 
 
 def test_optimize_m0_sector():
