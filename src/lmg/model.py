@@ -9,7 +9,8 @@ picture the Hamiltonian acts on states |n_a, n_b> with n_a + n_b = N:
 Only the parity of n_b is conserved, so H splits into two real symmetric
 tridiagonal blocks.  This module holds the parameter bookkeeping, the ladder
 representation of states inside one parity block, the Hamiltonian action, and
-a dense-diagonalization oracle used to validate everything else.
+the exact diagonalization used to validate everything else.  Each block is
+diagonalized densely by ``numpy.linalg.eigh``: O(N^3), about 1 s at N = 4000.
 """
 
 from __future__ import annotations
@@ -242,17 +243,16 @@ def exact_spectrum(params: ModelParams) -> list[tuple[float, FockVector]]:
 def sector_spectrum(config: SectorConfig, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvector columns of one sector's block, ascending.
 
-    Diagonalizes the parity block that the sector lives in; columns carry the
-    canonical sign.
+    Diagonalizes the parity block that the sector lives in, built densely
+    from :func:`ladder_matrix` and passed to ``numpy.linalg.eigh`` (O(N^3),
+    about 1 s at N = 4000); columns carry the canonical sign.
     """
-    from scipy.linalg import eigh_tridiagonal  # deferred: importing lmg should not load it
-
     if config.n != params.n:
         raise InvalidArgumentError(
             f"sector describes {config.n} particles, params describe {params.n}"
         )
     diag, hop = ladder_matrix(params, config.parity)
-    vals, vecs = eigh_tridiagonal(diag, hop)
+    vals, vecs = np.linalg.eigh(np.diag(diag) + np.diag(hop, 1) + np.diag(hop, -1))
     for j in range(vals.size):
         vecs[:, j] = canonical_sign(vecs[:, j])
     return vals, vecs

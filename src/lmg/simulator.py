@@ -3,12 +3,17 @@
 Two execution paths share one gate semantics: a dense tensor path (capped at
 20 qubits) and a sparse dictionary path keyed by basis integers, which is the
 natural representation for the Hamming-weight-1 states the preparation
-circuits live on.  Basis integers read the qubits big-endian: qubit 1 is the
-most significant bit.
+circuits live on.  The sparse path updates its map in place: a controlled
+gate touches only the entries whose control bit is set, and a rotation pairs
+each such entry with its target-flipped partner, so a gate costs one pass
+over the map plus work on the entries it moves.  Basis integers read the
+qubits big-endian: qubit 1 is the most significant bit.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,33 +140,29 @@ def _run_dense(circ: Circuit, amps: np.ndarray) -> np.ndarray:
 
 
 def _run_sparse(circ: Circuit, amps: dict) -> dict:
+    """Apply the gates to a copy of the map; ``x`` rebuilds it, the rest update it in place.
+
+    A rotation creates the partner of a lone entry as an explicit zero.
+    """
     n = circ.num_qubits
     state = dict(amps)
     for gate in circ.gates:
         t_mask = 1 << (n - gate.target)
-        c_mask = 0 if gate.control is None else 1 << (n - gate.control)
         if gate.kind == "x":
             state = {basis ^ t_mask: amp for basis, amp in state.items()}
             continue
+        c_mask = 0 if gate.control is None else 1 << (n - gate.control)
+        active = [basis for basis in state if basis & c_mask == c_mask]
         if gate.kind == "cx":
-            state = {
-                (basis ^ t_mask if basis & c_mask else basis): amp
-                for basis, amp in state.items()
-            }
+            state.update({basis ^ t_mask: state.pop(basis) for basis in active})
             continue
-        cos, sin = np.cos(gate.angle / 2), np.sin(gate.angle / 2)
-        new: dict = {}
-        for basis, amp in state.items():
-            if gate.kind == "cry" and not basis & c_mask:
-                new[basis] = new.get(basis, 0.0) + amp
-                continue
-            if basis & t_mask:
-                new[basis] = new.get(basis, 0.0) + cos * amp
-                new[basis ^ t_mask] = new.get(basis ^ t_mask, 0.0) - sin * amp
-            else:
-                new[basis] = new.get(basis, 0.0) + cos * amp
-                new[basis ^ t_mask] = new.get(basis ^ t_mask, 0.0) + sin * amp
-        state = new
+        cos, sin = float(np.cos(gate.angle / 2)), float(np.sin(gate.angle / 2))
+        for low in dict.fromkeys(basis & ~t_mask for basis in active):
+            high = low | t_mask
+            a0, a1 = state.get(low, 0.0), state.get(high, 0.0)
+            # accumulate from 0.0 so an exact-zero result is +0.0, never -0.0
+            state[low] = 0.0 + cos * a0 - sin * a1
+            state[high] = 0.0 + sin * a0 + cos * a1
     return state
 
 
@@ -286,12 +287,14 @@ class MeasurementGroup:
         return terms
 
 
-def pauli_groups(config: SectorConfig, params: ModelParams) -> list[MeasurementGroup]:
+@functools.lru_cache(maxsize=128)
+def pauli_groups(config: SectorConfig, params: ModelParams) -> tuple[MeasurementGroup, ...]:
     """Measurement decomposition of the encoded tridiagonal Hamiltonian.
 
     One Z-diagonal family plus disjoint even-bond and odd-bond hopping
     families; their expectation values sum to :func:`encoded_expectation`
-    exactly on the one-hot subspace.
+    exactly on the one-hot subspace.  Cached per (config, params), like
+    :func:`lmg.model.ladder_matrix`, so the immutable groups are shared.
     """
     diag, hop = ladder_matrix(params, config.parity)
     size = config.m + 1
@@ -300,12 +303,12 @@ def pauli_groups(config: SectorConfig, params: ModelParams) -> list[MeasurementG
         terms = tuple((k, float(hop[k])) for k in range(start, hop.size, 2))
         if terms:
             groups.append(MeasurementGroup(label, size, terms))
-    return groups
+    return tuple(groups)
 
 
 def sampled_expectation(
     psi: StateVector,
-    groups: list[MeasurementGroup],
+    groups: Sequence[MeasurementGroup],
     shots: int,
     seed: int,
 ) -> tuple[float, float]:

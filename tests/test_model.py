@@ -209,6 +209,24 @@ def test_sector_spectrum_matches_exact_spectrum():
             np.testing.assert_allclose(vecs[:, j], state.amps, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [100, 200, 201])
+def test_sector_spectrum_large_blocks(n):
+    v, w = 0.75, 0.5
+    ham = dense_hamiltonian(n, v, w)
+    scale = max(1.0, np.linalg.norm(ham, 2))
+    p = make_params(n, v, w)
+    for config in sector_configs(n):
+        vals, vecs = sector_spectrum(config, p)
+        size = vals.size
+        assert vecs.shape == (size, size)
+        assert np.all(np.diff(vals) >= 0)
+        assert np.linalg.norm(vecs.T @ vecs - np.eye(size)) <= 1e-12
+        for val, amps in zip(vals, vecs.T):
+            full = embed_ladder(amps, n, config.parity)
+            assert np.linalg.norm(ham @ full - val * full) <= 1e-12 * scale
+            assert amps[np.argmax(np.abs(amps))] > 0
+
+
 def test_expectation_of_eigenvector_is_eigenvalue():
     p = make_params(10, 1.1, 0.4)
     for omega, state in exact_spectrum(p):

@@ -79,6 +79,43 @@ def test_sparse_dense_agreement():
                 )
 
 
+def test_sparse_dense_agreement_general_inputs():
+    # The sparse path is the oracle of the closed-form objective, so it must
+    # stay general: arbitrary inputs, any gate mix, targets above or below
+    # their controls.
+    from lmg import Circuit, Gate
+
+    rng = np.random.default_rng(67)
+    for num_qubits in range(3, 7):
+        dim = 2**num_qubits
+        for trial in range(30):
+            gates = []
+            for _ in range(int(rng.integers(1, 30))):
+                kind = str(rng.choice(["x", "ry", "cry", "cx"]))
+                control, target = (int(q) for q in rng.choice(num_qubits, 2, replace=False) + 1)
+                gates.append(
+                    Gate(
+                        kind,
+                        target=target,
+                        control=control if kind in ("cry", "cx") else None,
+                        angle=float(rng.uniform(-4 * math.pi, 4 * math.pi))
+                        if kind in ("ry", "cry")
+                        else None,
+                    )
+                )
+            circ = Circuit(num_qubits, tuple(gates), tuple((i,) for i in range(len(gates))))
+            populated = dim if trial % 2 else int(rng.integers(1, 4))
+            support = rng.choice(dim, populated, replace=False)
+            amps = np.zeros(dim, dtype=complex)
+            amps[support] = rng.normal(size=populated) + 1j * rng.normal(size=populated)
+            amps /= np.linalg.norm(amps)
+            sparse = run(circ, StateVector(num_qubits, {int(b): amps[b] for b in support}))
+            dense = run(circ, StateVector(num_qubits, amps))
+            assert not sparse.is_dense and dense.is_dense
+            for basis in range(dim):
+                assert abs(sparse.amplitude(basis) - dense.amplitude(basis)) <= 1e-12
+
+
 def test_hamming_weight_confinement():
     rng = np.random.default_rng(61)
     for mode in ("linear", "log"):
@@ -170,6 +207,13 @@ def test_pauli_group_counts():
     assert len(pauli_groups(SectorConfig(0, 1, 1), p2)) == 1
     p21 = make_params(21, 1.0, 0.2)
     assert len(pauli_groups(SectorConfig(10, 1, 0), p21)) == 3
+
+
+def test_pauli_groups_are_built_once_and_immutable():
+    # the sampled objective asks for the groups on every evaluation
+    groups = pauli_groups(SectorConfig(3, 0, 0), make_params(6, 0.9, 0.25))
+    assert isinstance(groups, tuple)
+    assert pauli_groups(SectorConfig(3, 0, 0), make_params(6, 0.9, 0.25)) is groups
 
 
 def test_pauli_groups_sum_to_expectation():
