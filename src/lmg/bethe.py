@@ -37,7 +37,6 @@ from .errors import (
 from .model import ModelParams, SectorConfig, sector_spectrum
 
 __all__ = [
-    "SolverOptions",
     "SpectralSolution",
     "residual",
     "eigenvalue",
@@ -48,28 +47,8 @@ __all__ = [
 
 GUARD = 1e-8  # closest approach of a parameter to a pole or to another parameter
 MAX_ITERATIONS = 60  # Newton steps per solution set
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Tunables for :func:`solve_bethe` (the ``lmg bethe`` flags).
-
-    ``tol`` bounds the accepted residual norm, ``match_tol`` the agreement
-    with the diagonalization oracle (both finite and positive, else
-    InvalidArgumentError), and ``allow_hyperbolic`` opts in to a
-    real-parameter solve when V^2 < W^2.  The pole guard and the Newton step
-    budget are the module constants GUARD and MAX_ITERATIONS.
-    """
-
-    tol: float = 1e-10
-    match_tol: float = 1e-8
-    allow_hyperbolic: bool = False
-
-    def __post_init__(self):
-        for name in ("tol", "match_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise InvalidArgumentError(f"{name} must be finite and positive, got {value!r}")
+TOL = 1e-10  # largest accepted residual component of a polished solution set
+MATCH_TOL = 1e-8  # largest accepted deviation of an eigenvalue from the diagonalization
 
 
 @dataclass(frozen=True)
@@ -178,7 +157,7 @@ def eigenvalue(energies, config: SectorConfig, params: ModelParams) -> float:
     return float(base - (eta / n) * terms.sum())
 
 
-def _require_solvable(config: SectorConfig, params: ModelParams, opts: SolverOptions):
+def _require_solvable(config: SectorConfig, params: ModelParams, allow_hyperbolic: bool):
     if config.n != params.n:
         raise InvalidArgumentError(
             f"sector describes {config.n} particles, params describe {params.n}"
@@ -187,7 +166,7 @@ def _require_solvable(config: SectorConfig, params: ModelParams, opts: SolverOpt
         raise UnsupportedRegimeError(
             "rational instance (V^2 = W^2): eta is undefined, use exact_spectrum"
         )
-    if params.s < 0 and not opts.allow_hyperbolic:
+    if params.s < 0 and not allow_hyperbolic:
         raise UnsupportedRegimeError(
             "hyperbolic instance (V^2 < W^2): pass allow_hyperbolic=True to attempt "
             "a real-parameter solve"
@@ -217,7 +196,7 @@ def _finalize(sets, config, params) -> list[SpectralSolution]:
     return [replace(s, index=j + 1) for j, s in enumerate(sols)]
 
 
-def _newton(start, config, params, opts) -> np.ndarray | None:
+def _newton(start, config, params) -> np.ndarray | None:
     e = np.array(start, dtype=float)
     with np.errstate(all="ignore"):
         if not np.all(np.isfinite(e)) or _singularity(e, params.eta):
@@ -227,7 +206,7 @@ def _newton(start, config, params, opts) -> np.ndarray | None:
             return None
         for _ in range(MAX_ITERATIONS):
             rmax = np.max(np.abs(res), initial=0.0)
-            if rmax <= opts.tol:
+            if rmax <= TOL:
                 return np.sort(e)
             if rmax > 1e8:
                 return None
@@ -249,45 +228,56 @@ def _newton(start, config, params, opts) -> np.ndarray | None:
                 lam *= 0.5
             else:
                 return None
-        if np.max(np.abs(res), initial=0.0) <= opts.tol:
+        if np.max(np.abs(res), initial=0.0) <= TOL:
             return np.sort(e)
     return None
 
 
 def _ladder_weights(config: SectorConfig) -> np.ndarray:
-    """sqrt of the bosonic ladder factors multiplying each symmetric polynomial."""
+    """sqrt of the bosonic ladder factors multiplying each symmetric polynomial.
+
+    The factor of position k is (nu_a + 2(M - k))! (nu_b + 2k)! (nu! = 1 for
+    nu in {0, 1}).  Past N = 170 it overflows a float, so each factorial is
+    split exactly into a mantissa in [0.5, 1] and a power of two.  Only ratios
+    of the weights matter, so all of them share one power-of-two rescaling,
+    which is 1 wherever the plain float product fits.
+    """
     m, nu_a, nu_b = config.m, config.nu_a, config.nu_b
-    return np.array(
-        [
-            math.sqrt(
-                math.factorial(nu_a + 2 * (m - k))
-                / math.factorial(nu_a)
-                * math.factorial(nu_b + 2 * k)
-                / math.factorial(nu_b)
-            )
-            for k in range(m + 1)
-        ]
-    )
+    roots, exponents = [], []
+    for k in range(m + 1):
+        a, c = math.factorial(nu_a + 2 * (m - k)), math.factorial(nu_b + 2 * k)
+        bits_a, bits_c = a.bit_length(), c.bit_length()
+        exponent = bits_a + bits_c
+        # int / int is correctly rounded, so a / 2^bits_a is fl(a) / 2^bits_a;
+        # an odd exponent moves one factor 2 (exactly) into the mantissa
+        roots.append(math.sqrt(a / (1 << bits_a) * (c / (1 << bits_c)) * (1 + exponent % 2)))
+        exponents.append(exponent // 2)
+    shift = max(0, max(exponents) - 1000)
+    return np.ldexp(roots, np.array(exponents) - shift)
 
 
-def _invert_pairons(vec: np.ndarray, config: SectorConfig, params: ModelParams):
+def _invert_pairons(vec: np.ndarray, weights: np.ndarray, params: ModelParams):
     """Candidate pair energies from one exact eigenvector's ladder amplitudes.
 
-    Returns (real_energies, None) or (None, complex_roots) when the recovered
-    Moebius roots leave the real axis.
+    ``weights`` are the sector's :func:`_ladder_weights`.  Returns
+    (real_energies, None), (None, complex_roots) when the recovered Moebius
+    roots leave the real axis, or (None, None) when the amplitudes give no
+    usable polynomial.
     """
-    m = config.m
-    weights = _ladder_weights(config)
-    scaled = vec / weights
-    # Anchor the ratio ladder at the larger end: end components of a Jacobi
-    # eigenvector never vanish exactly, but one end can underflow for extreme
-    # spectra.  Anchoring at the top recovers the reciprocal Moebius roots.
-    if abs(scaled[0]) >= abs(scaled[-1]):
-        elem = scaled / scaled[0]
-        sign = 1.0
-    else:
-        elem = scaled[::-1] / scaled[-1]
-        sign = -1.0
+    m = vec.size - 1
+    with np.errstate(all="ignore"):
+        scaled = vec / weights
+        # Anchor the ratio ladder at the larger end: end components of a Jacobi
+        # eigenvector never vanish exactly, but one end can underflow for extreme
+        # spectra.  Anchoring at the top recovers the reciprocal Moebius roots.
+        if abs(scaled[0]) >= abs(scaled[-1]):
+            elem = scaled / scaled[0]
+            sign = 1.0
+        else:
+            elem = scaled[::-1] / scaled[-1]
+            sign = -1.0
+    if not np.all(np.isfinite(elem)):  # the ratios over- or underflowed
+        return None, None
     coeffs = [(-1) ** k * elem[k] for k in range(m + 1)]
     roots = np.roots(coeffs)
     if np.any(np.abs(roots - 1.0) < 1e-12):
@@ -357,32 +347,35 @@ def solve_m2_simplified(config: SectorConfig, params: ModelParams) -> SpectralSo
 
 
 def solve_bethe(
-    config: SectorConfig, params: ModelParams, options: SolverOptions | None = None
+    config: SectorConfig, params: ModelParams, *, allow_hyperbolic: bool = False
 ) -> list[SpectralSolution]:
     """All M+1 solution sets of a sector, validated against diagonalization.
 
     Set j is seeded by inverting exact eigenvector j into pair energies and
-    polished by damped Newton on the pair-energy equations.  A set that fails
-    to polish, or that polishes onto another set, leaves an eigenvalue of the
-    oracle unmatched.  Raises IncompleteSolveError when the validated list
-    cannot be completed, and ComplexPaironsError when the missing sets are
-    complex (hyperbolic regime only: trigonometric pair energies are real, so
-    non-real roots there are a numerical failure).
+    polished by damped Newton on the pair-energy equations until every
+    residual component is within TOL.  A set that fails to polish, or that
+    polishes onto another set, leaves an eigenvalue of the oracle unmatched;
+    every eigenvalue must match within MATCH_TOL.  Hyperbolic instances
+    (V^2 < W^2) raise UnsupportedRegimeError unless ``allow_hyperbolic``.
+    Raises IncompleteSolveError when the validated list cannot be completed,
+    and ComplexPaironsError when the missing sets are complex (hyperbolic
+    regime only: trigonometric pair energies are real, so non-real roots
+    there are a numerical failure).
     """
-    opts = options or SolverOptions()
-    _require_solvable(config, params, opts)
+    _require_solvable(config, params, allow_hyperbolic)
     m = config.m
     exact_vals, exact_vecs = sector_spectrum(config, params)
 
+    weights = _ladder_weights(config)
     found: list[np.ndarray] = []
     complex_roots = None
     for vec in exact_vecs.T:
-        seed, croots = _invert_pairons(vec, config, params)
+        seed, croots = _invert_pairons(vec, weights, params)
         if seed is None:
             if croots is not None:
                 complex_roots = croots
             continue
-        solved = _newton(seed, config, params, opts)
+        solved = _newton(seed, config, params)
         if solved is not None:
             found.append(solved)
 
@@ -400,7 +393,7 @@ def solve_bethe(
 
     sols = _finalize(found, config, params)
     got = np.array([s.omega for s in sols])
-    if np.max(np.abs(got - exact_vals)) > opts.match_tol:
+    if np.max(np.abs(got - exact_vals)) > MATCH_TOL:
         raise IncompleteSolveError(
             "solution eigenvalues do not reproduce the diagonalization oracle "
             f"(max deviation {np.max(np.abs(got - exact_vals)):.3g})",

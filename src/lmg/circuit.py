@@ -28,7 +28,6 @@ __all__ = [
     "AngleSet",
     "Gate",
     "Circuit",
-    "Encoding",
     "control_slot",
     "encode",
     "decode",
@@ -141,23 +140,6 @@ class Circuit:
     @property
     def two_qubit_layer_count(self) -> int:
         return sum(1 for layer in self.layers if any(self.gates[i].control is not None for i in layer))
-
-
-@dataclass(frozen=True)
-class Encoding:
-    """Bijection between ladder positions and one-hot computational states."""
-
-    config: SectorConfig
-
-    def one_hot(self, k: int) -> int:
-        if not 0 <= k <= self.config.m:
-            raise InvalidArgumentError(f"ladder position {k} outside 0..{self.config.m}")
-        return 1 << k
-
-    def occupations(self, k: int) -> tuple[int, int]:
-        if not 0 <= k <= self.config.m:
-            raise InvalidArgumentError(f"ladder position {k} outside 0..{self.config.m}")
-        return (2 * self.config.m + self.config.nu_a - 2 * k, self.config.nu_b + 2 * k)
 
 
 def encode(psi: FockVector, config: SectorConfig) -> np.ndarray:

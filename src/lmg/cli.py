@@ -8,12 +8,13 @@ exactly, and every command is deterministic given its flags and seeds.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 import numpy as np
 
 from . import __version__
-from .bethe import SolverOptions, solve_bethe
+from .bethe import solve_bethe
 from .circuit import (
     build_circuit,
     encode,
@@ -26,6 +27,7 @@ from .errors import InvalidArgumentError, LmgError
 from .model import (
     SectorConfig,
     exact_spectrum,
+    ladder_occupations,
     make_params,
     sector_configs,
 )
@@ -38,9 +40,8 @@ def _format_float(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _to_json(obj, indent=0) -> str:
+def _to_json(obj) -> str:
     """Deterministic JSON with 17-significant-digit floats and sorted keys."""
-    pad = " " * indent
     if isinstance(obj, dict):
         items = ", ".join(f'"{key}": {_to_json(obj[key])}' for key in sorted(obj))
         return "{" + items + "}"
@@ -58,9 +59,7 @@ def _to_json(obj, indent=0) -> str:
             return "null"
         return _format_float(value)
     if isinstance(obj, str):
-        import json as _json
-
-        return _json.dumps(obj)
+        return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -160,10 +159,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_bethe(args) -> int:
     params = make_params(args.n, args.v, args.w)
     config = _parse_sector(args.sector, args.n)
-    opts = SolverOptions(
-        allow_hyperbolic=args.allow_hyperbolic, tol=args.tol, match_tol=args.match_tol
-    )
-    solutions = solve_bethe(config, params, opts)
+    solutions = solve_bethe(config, params, allow_hyperbolic=args.allow_hyperbolic)
     rows = [
         {
             "index": sol.index,
@@ -190,10 +186,7 @@ def _cmd_bethe(args) -> int:
 def _cmd_state(args) -> int:
     params = make_params(args.n, args.v, args.w)
     omega, state, config = _eigenpair(params, args.index)
-    occupations = [
-        [params.n - state.parity - 2 * k, state.parity + 2 * k]
-        for k in range(state.amps.size)
-    ]
+    occupations = [list(pair) for pair in zip(*ladder_occupations(params.n, state.parity))]
     payload = {
         "index": args.index,
         "omega": omega,
@@ -312,8 +305,7 @@ def _cmd_vqe(args) -> int:
 def _cmd_benchmark(args) -> int:
     params = make_params(args.n, args.v, args.w)
     budgets = tuple(None if b == 0 else b for b in args.shots) if args.shots else ()
-    opts = VqeOptions(restarts=args.restarts, seed=args.seed, shot_budgets=budgets)
-    report = benchmark(params, opts)
+    report = benchmark(params, VqeOptions(restarts=args.restarts, seed=args.seed), budgets)
     text = _to_json(report) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -362,8 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_flags(p)
     p.add_argument("--sector", required=True, help="fiducial occupations, e.g. 1,0")
     p.add_argument("--allow-hyperbolic", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-10, help="residual tolerance")
-    p.add_argument("--match-tol", type=float, default=1e-8, help="oracle match tolerance")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_bethe)
 

@@ -188,15 +188,12 @@ def check_closed_forms():
                 worst = max(worst, abs(sol.omega - omega_ref))
                 built = canonical_sign(build_eigenstate(sol).amps)
                 worst = max(worst, float(np.max(np.abs(built - canonical_sign(vec)))))
-        # N=4 simplified two-pair branch (W = 0)
+        # N=4 simplified two-pair branch (W = 0): its eigenvalue against the
+        # diagonalization, and its pair energies against the coupled equations
         p4 = make_params(4, v, 0.0)
-        sol4 = solve_m2_simplified(SectorConfig(2, 0, 0), p4)
-        worst = max(
-            worst,
-            float(
-                np.max(np.abs(np.array(sol4.energies) - ref.simplified_two_pair_pairons(v, 0)))
-            ),
-        )
+        config4 = SectorConfig(2, 0, 0)
+        sol4 = solve_m2_simplified(config4, p4)
+        worst = max(worst, abs(sol4.omega - sector_spectrum(config4, p4)[0][sol4.index - 1]))
         worst = max(worst, sol4.residual_norm)
     ok = worst < 1e-10
     return ok, f"max closed-form deviation {worst:.2e} (tol 1e-10)"

@@ -21,7 +21,7 @@ evaluations at theta_j + 4pi k/5 (k = 0..4, all measured) fix the five
 coefficients through a real DFT, and theta_j jumps to the polynomial's
 minimizer.  A sweep does this for every angle in turn; a restart stops when
 the energy measured at the start of a sweep falls by less than SWEEP_TOL
-from the previous sweep's start (``converged``), or after ``maxiter``
+from the previous sweep's start (``converged``), or after MAX_SWEEPS
 sweeps.  Its energy is one more evaluation at its final angles, so every
 reported value is a measured one.  Restarts are deterministic, seeded and
 run one after another; a "warm" first restart starts from the angles of the
@@ -61,6 +61,7 @@ __all__ = ["VqeOptions", "VqeResult", "objective", "optimize", "benchmark"]
 FULL_TURN = 4.0 * np.pi  # RY period
 NODES = 5  # evaluations that fix one angle's degree-2 polynomial in theta/2
 SWEEP_TOL = 1e-13  # a restart stops when a sweep lowers its start energy by less
+MAX_SWEEPS = 400  # sweeps over the angles per restart
 _GRID = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)  # shifts in phi = theta/2
 _GRID_WAVES = np.exp(1j * np.outer((1, 2), _GRID))
 _NEWTON_STEPS = 4
@@ -72,12 +73,9 @@ class VqeOptions:
 
     ``restarts`` runs are made (at least 1, else InvalidArgumentError); the
     first starts warm when ``warm``.  ``estimator`` is "exact" or "sampled"
-    (``shots`` per measurement group), ``depth`` the circuit flavor,
-    ``maxiter`` the cap on sweeps over the angles per run (at least 1, else
-    InvalidArgumentError), and ``shot_budgets`` the VQE runs
-    :func:`benchmark` adds (None = exact).  A run is ``converged`` when a
-    sweep lowered its start energy by less than the module constant
-    SWEEP_TOL before the cap.
+    (``shots`` per measurement group) and ``depth`` the circuit flavor.  A
+    run is ``converged`` when a sweep lowered its start energy by less than
+    the module constant SWEEP_TOL within MAX_SWEEPS sweeps.
     """
 
     restarts: int = 10
@@ -86,14 +84,10 @@ class VqeOptions:
     shots: int = 100_000
     warm: bool = False
     depth: str = "linear"
-    maxiter: int = 400
-    shot_budgets: tuple[int | None, ...] = ()
 
     def __post_init__(self):
         if self.restarts < 1:
             raise InvalidArgumentError(f"restarts must be >= 1, got {self.restarts}")
-        if self.maxiter < 1:
-            raise InvalidArgumentError(f"maxiter must be >= 1, got {self.maxiter}")
 
 
 @dataclass(frozen=True)
@@ -190,7 +184,7 @@ def _single_restart(x0, config, params, opts):
 
     values = np.empty(NODES)
     previous = math.inf
-    for _ in range(opts.maxiter):
+    for _ in range(MAX_SWEEPS):
         for j in range(thetas.size):
             base = thetas[j]
             for k in range(NODES):
@@ -272,13 +266,19 @@ def _row_report(j, omega, vec, config, params, solution):
     return row
 
 
-def benchmark(params: ModelParams, options: VqeOptions | None = None) -> dict:
+def benchmark(
+    params: ModelParams,
+    options: VqeOptions | None = None,
+    shot_budgets: tuple[int | None, ...] = (),
+) -> dict:
     """Machine-readable scorecard of the whole pipeline for one instance.
 
     Per sector: exact eigenvalues, pair energies where the solver succeeds,
     preparation fidelity and energy error for both depth modes on every
-    eigenstate, and (when ``shot_budgets`` is set) VQE runs on the global
-    ground state.  Partial failures are recorded per row, not raised.
+    eigenstate, and, for each entry of ``shot_budgets`` (shots, or None for
+    the exact estimator), a cold and a warm VQE run on the global ground
+    state with ``options``.  Partial failures are recorded per row, not
+    raised.
     """
     opts = options or VqeOptions()
     report = {
@@ -315,10 +315,10 @@ def benchmark(params: ModelParams, options: VqeOptions | None = None) -> dict:
             {"config": {"m": config.m, "nu_a": config.nu_a, "nu_b": config.nu_b}, "rows": rows}
         )
 
-    if opts.shot_budgets:
+    if shot_budgets:
         runs = []
         # warm starts verify the pipeline; cold starts are the honest benchmark
-        for budget in opts.shot_budgets:
+        for budget in shot_budgets:
             for warm in (False, True):
                 run_opts = replace(
                     opts, restarts=1 if warm else opts.restarts,

@@ -1,5 +1,7 @@
 """Pair-energy equations: residuals, closed forms, and the full solver."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from lmg import (
     InvalidArgumentError,
     SectorConfig,
     SingularityError,
-    SolverOptions,
     UnsupportedRegimeError,
+    bethe,
     eigenvalue,
     exact_spectrum,
     make_params,
@@ -260,21 +262,19 @@ def test_solve_bethe_rejects_rational_and_hyperbolic_by_default():
 def test_solve_bethe_hyperbolic_real_case():
     # V=0.5, W=1.0 keeps every pair energy real up to N=6.
     p = make_params(6, 0.5, 1.0)
-    opts = SolverOptions(allow_hyperbolic=True)
     got = []
     for config in sector_configs(6):
-        got.extend(s.omega for s in solve_bethe(config, p, opts))
+        got.extend(s.omega for s in solve_bethe(config, p, allow_hyperbolic=True))
     expected = [omega for omega, _ in exact_spectrum(p)]
     np.testing.assert_allclose(sorted(got), expected, atol=1e-8)
 
 
 def test_solve_bethe_hyperbolic_complex_detection():
     p = make_params(**HYPERBOLIC_COMPLEX)
-    opts = SolverOptions(allow_hyperbolic=True)
     raised = False
     for config in sector_configs(p.n):
         try:
-            solve_bethe(config, p, opts)
+            solve_bethe(config, p, allow_hyperbolic=True)
         except ComplexPaironsError:
             raised = True
     assert raised
@@ -283,7 +283,7 @@ def test_solve_bethe_hyperbolic_complex_detection():
 def test_solve_bethe_v_zero_unsupported():
     p = make_params(4, 0.0, 1.0)
     with pytest.raises(UnsupportedRegimeError):
-        solve_bethe(SectorConfig(2, 0, 0), p, SolverOptions(allow_hyperbolic=True))
+        solve_bethe(SectorConfig(2, 0, 0), p, allow_hyperbolic=True)
 
 
 def test_spectral_solution_energies_sorted_and_distinct():
@@ -295,24 +295,55 @@ def test_spectral_solution_energies_sorted_and_distinct():
             assert np.min(np.abs(np.abs(e) - abs(p.eta))) > 1e-8
 
 
-def test_solve_bethe_incomplete_with_exhausted_budget():
+def test_solve_bethe_incomplete_with_exhausted_budget(monkeypatch):
     from lmg import IncompleteSolveError
 
     # an unreachable tolerance: no seed polishes within the Newton step budget
+    monkeypatch.setattr(bethe, "TOL", 1e-300)
     p = make_params(8, 1.05, 0.35)
-    opts = SolverOptions(tol=1e-300)
     with pytest.raises(IncompleteSolveError) as excinfo:
-        solve_bethe(SectorConfig(4, 0, 0), p, opts)
+        solve_bethe(SectorConfig(4, 0, 0), p)
     assert excinfo.value.needed == 5
     assert excinfo.value.found == 0
 
 
-@pytest.mark.parametrize("field", ["tol", "match_tol"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
-def test_solver_options_reject_non_finite_or_nonpositive_tolerances(field, value):
-    # a NaN match_tol would make the diagonalization cross-check always pass
-    with pytest.raises(InvalidArgumentError, match=field):
-        SolverOptions(**{field: value})
+def _float_ladder_weights(config):
+    # the plain float expression the weights reproduce wherever it fits
+    m, nu_a, nu_b = config.m, config.nu_a, config.nu_b
+    return np.array(
+        [
+            math.sqrt(
+                math.factorial(nu_a + 2 * (m - k))
+                / math.factorial(nu_a)
+                * math.factorial(nu_b + 2 * k)
+                / math.factorial(nu_b)
+            )
+            for k in range(m + 1)
+        ]
+    )
+
+
+def test_ladder_weights_bit_equal_to_float_factorials_up_to_n170():
+    for n in range(1, 171):
+        for config in sector_configs(n):
+            got = bethe._ladder_weights(config)
+            want = _float_ladder_weights(config)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), config
+
+
+@pytest.mark.parametrize("n", [171, 200, 400])
+def test_ladder_weights_past_float_factorials(n):
+    with pytest.raises(OverflowError):
+        _float_ladder_weights(sector_configs(n)[0])
+    for config in sector_configs(n):
+        weights = bethe._ladder_weights(config)
+        assert np.all(np.isfinite(weights)) and np.all(weights > 0)
+        # consecutive ratios are exact integer ratios of the factorials
+        k = config.m // 2
+        ratio = (weights[k + 1] / weights[k]) ** 2
+        a = config.nu_a + 2 * (config.m - k)
+        b = config.nu_b + 2 * k
+        assert ratio == pytest.approx((b + 1) * (b + 2) / (a * (a - 1)), rel=1e-13)
 
 
 @pytest.mark.parametrize("n", [56, 60, 64])

@@ -8,7 +8,6 @@ import pytest
 from lmg import (
     AngleSet,
     Circuit,
-    Encoding,
     FockVector,
     Gate,
     InvalidArgumentError,
@@ -24,6 +23,7 @@ from lmg import (
     log_angles,
 )
 from lmg.circuit import one_hot_output
+from lmg.model import ladder_occupations
 from lmg.reference import (
     N7_LINEAR_ANGLES,
     N7_LOG_ANGLES,
@@ -51,12 +51,11 @@ def test_control_slot_sequences():
 
 
 def test_encoding_bijection():
-    enc = Encoding(SectorConfig(3, 1, 0))
-    assert [enc.one_hot(k) for k in range(4)] == [1, 2, 4, 8]
-    assert enc.occupations(0) == (7, 0)
-    assert enc.occupations(3) == (1, 6)
-    with pytest.raises(InvalidArgumentError):
-        enc.one_hot(4)
+    # ladder position k, encoded on one-hot integer 2^k, is |2M + nu_a - 2k, nu_b + 2k>
+    config = SectorConfig(3, 1, 0)
+    n_a, n_b = ladder_occupations(config.n, config.parity)
+    assert list(zip(n_a, n_b)) == [(7, 0), (5, 2), (3, 4), (1, 6)]
+    assert list(n_a + n_b) == [config.n] * (config.m + 1)
 
 
 def test_encode_reference_state():

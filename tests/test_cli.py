@@ -1,5 +1,6 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import argparse
 import json
 import math
 import subprocess
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from lmg.cli import main
+from lmg.cli import build_parser, main
 from lmg.reference import N7_ENERGY
 
 N7_BETHE = ["bethe", "--n", "7", "--v", "0.75", "--w", "0.5", "--sector", "1,0"]
@@ -149,11 +150,80 @@ def test_bad_flags_exit_two():
     assert proc.returncode == 2
 
 
-@pytest.mark.parametrize("flag", ["--seed", "--budget"])
-def test_bethe_rejects_removed_solver_flags(flag):
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        pytest.param("--seed", "5", id="--seed"),
+        pytest.param("--budget", "5", id="--budget"),
+        pytest.param("--match-tol", "nan", id="--match-tol-nan"),
+        pytest.param("--match-tol", "-1", id="--match-tol--1"),
+        pytest.param("--tol", "inf", id="--tol-inf"),
+        pytest.param("--tol", "1e-9", id="--tol-1e-9"),
+        pytest.param("--match-tol", "1e-7", id="--match-tol-1e-7"),
+    ],
+)
+def test_bethe_rejects_removed_solver_flags(flag, value):
     with pytest.raises(SystemExit) as excinfo:
-        main(["bethe", "--n", "7", "--v", "0.75", "--w", "0.5", "--sector", "1,0", flag, "5"])
+        main([*N7_BETHE, flag, value])
     assert excinfo.value.code == 2
+
+
+def test_subcommand_flag_sets():
+    (commands,) = (
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    flags = {
+        name: sorted(
+            opt
+            for action in sub._actions
+            for opt in action.option_strings
+            if opt not in ("-h", "--help")
+        )
+        for name, sub in commands.items()
+    }
+    instance = ["--n", "--v", "--w"]
+    assert flags == {
+        "spectrum": sorted([*instance, "--format"]),
+        "bethe": sorted([*instance, "--sector", "--allow-hyperbolic", "--format"]),
+        "state": sorted([*instance, "--index", "--format"]),
+        "angles": sorted([*instance, "--index", "--depth", "--format"]),
+        "circuit": sorted([*instance, "--index", "--depth", "--format", "--out"]),
+        "simulate": sorted([*instance, "--circuit", "--report-energy", "--sector"]),
+        "vqe": sorted(
+            [*instance, "--sector", "--seed", "--shots", "--restarts", "--warm", "--depth"]
+        ),
+        "benchmark": sorted([*instance, "--shots", "--seed", "--restarts", "--out"]),
+        "verify": ["--list", "--only"],
+    }
+
+
+def test_spectrum_past_float_factorials():
+    # N = 171 is the first size whose ladder factorials overflow a float
+    proc = subprocess.run(
+        [sys.executable, "-m", "lmg.cli", "spectrum", "--n", "171", "--v", "0.75", "--w", "0.5"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    levels = json.loads(proc.stdout)["levels"]
+    assert len(levels) == 172
+    assert [lvl["index"] for lvl in levels] == list(range(1, 173))
+
+
+def test_bethe_past_float_factorials_gives_json_error():
+    proc = subprocess.run(
+        [sys.executable, "-m", "lmg.cli", "bethe", "--n", "171", "--v", "0.75", "--w", "0.5",
+         "--sector", "1,0"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["error"]["type"] == "IncompleteSolveError"
 
 
 @pytest.mark.parametrize(
@@ -163,9 +233,6 @@ def test_bethe_rejects_removed_solver_flags(flag):
         ["verify", "--only", "bogus"],
         ["vqe", "--n", "8", "--v", "0.8", "--w", "0.25", "--restarts", "0"],
         ["benchmark", "--n", "3", "--v", "0.9", "--w", "0.3", "--restarts", "0"],
-        [*N7_BETHE, "--match-tol", "nan"],
-        [*N7_BETHE, "--match-tol", "-1"],
-        [*N7_BETHE, "--tol", "inf"],
     ],
 )
 def test_bad_values_give_json_error_not_traceback(argv):

@@ -12,7 +12,6 @@ from lmg import (
     FockVector,
     InvalidArgumentError,
     SectorConfig,
-    SolverOptions,
     VqeOptions,
     benchmark,
     build_circuit,
@@ -28,6 +27,8 @@ from lmg import (
     sampled_expectation,
     sector_configs,
     sector_spectrum,
+    solve_bethe,
+    vqe,
 )
 from lmg.reference import N7, N7_LINEAR_ANGLES, N7_LINEAR_ENERGY
 
@@ -101,21 +102,13 @@ def test_optimize_variational_bound_and_trace():
     assert result.evaluations == len(result.trace)
 
 
-def test_optimize_unconverged_flag():
-    # maxiter caps sweeps over the angles; two sweeps do not meet the tolerance
+def test_optimize_unconverged_flag(monkeypatch):
+    # MAX_SWEEPS caps sweeps over the angles; two sweeps do not meet the tolerance
+    monkeypatch.setattr(vqe, "MAX_SWEEPS", 2)
     p = make_params(6, 1.1, 0.4)
     config = SectorConfig(3, 0, 0)
-    result = optimize(config, p, VqeOptions(restarts=1, seed=0, maxiter=2))
+    result = optimize(config, p, VqeOptions(restarts=1, seed=0))
     assert not result.converged
-
-
-@pytest.mark.parametrize("maxiter", [0, -1])
-def test_optimize_rejects_nonpositive_maxiter(maxiter):
-    with pytest.raises(InvalidArgumentError):
-        VqeOptions(maxiter=maxiter)
-    p = make_params(6, 0.9, 0.25)
-    with pytest.raises(InvalidArgumentError):
-        optimize(SectorConfig(3, 0, 0), p, VqeOptions(maxiter=maxiter))
 
 
 @pytest.mark.parametrize("depth", ["linear", "log"])
@@ -180,12 +173,18 @@ def test_optimize_m0_sector():
 
 
 def test_settable_values_are_the_run_defining_ones():
-    # solver and simplex internals are module constants, not options
-    assert [f.name for f in dataclasses.fields(SolverOptions)] == [
-        "tol", "match_tol", "allow_hyperbolic",
+    # solver tolerances and the sweep cap are module constants, not options
+    assert list(inspect.signature(solve_bethe).parameters) == [
+        "config", "params", "allow_hyperbolic",
     ]
+    assert inspect.signature(solve_bethe).parameters["allow_hyperbolic"].kind is (
+        inspect.Parameter.KEYWORD_ONLY
+    )
     assert [f.name for f in dataclasses.fields(VqeOptions)] == [
-        "restarts", "seed", "estimator", "shots", "warm", "depth", "maxiter", "shot_budgets",
+        "restarts", "seed", "estimator", "shots", "warm", "depth",
+    ]
+    assert list(inspect.signature(benchmark).parameters) == [
+        "params", "options", "shot_budgets",
     ]
     assert list(inspect.signature(build_eigenstate).parameters) == ["solution"]
 
@@ -253,7 +252,7 @@ def test_benchmark_n1_identity_circuits():
 
 def test_benchmark_attaches_vqe_runs():
     p = make_params(4, 1.0, 0.3)
-    report = benchmark(p, VqeOptions(restarts=2, seed=1, shot_budgets=(None, 3000)))
+    report = benchmark(p, VqeOptions(restarts=2, seed=1), shot_budgets=(None, 3000))
     rows = [row for sector in report["sectors"] for row in sector["rows"]]
     with_vqe = [r for r in rows if "vqe" in r]
     assert len(with_vqe) == 1
