@@ -10,7 +10,8 @@ f(n) and targeted at qubit n+1; the slot function f picks the depth:
     f(n) = n - 2^floor(log2 n) + 1  logarithmic depth (tree fan-out)
 
 Qubit 1 is the leftmost (most significant) bit, so the one-hot integer 2^k
-keeps its set bit on qubit M+1-k.
+keeps its set bit on qubit M+1-k.  A circuit stores only its gates; its
+layer schedule, and so its depth, is derived from them.
 """
 
 from __future__ import annotations
@@ -73,6 +74,15 @@ class AngleSet:
         return len(self.thetas)
 
 
+def _is_finite_real(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 @dataclass(frozen=True)
 class Gate:
     """Single gate record; ``control`` and ``angle`` apply where meaningful."""
@@ -88,9 +98,13 @@ class Gate:
         needs_angle = self.kind in ("ry", "cry")
         if needs_angle != (self.angle is not None):
             raise InvalidArgumentError(f"gate {self.kind!r} angle mismatch")
+        if needs_angle and not _is_finite_real(self.angle):
+            raise InvalidArgumentError(f"gate angle must be a finite real, got {self.angle!r}")
         needs_control = self.kind in ("cry", "cx")
         if needs_control != (self.control is not None):
             raise InvalidArgumentError(f"gate {self.kind!r} control mismatch")
+        if type(self.target) is not int or type(self.control) not in (int, type(None)):
+            raise InvalidArgumentError(f"qubit indices must be ints, got {self.qubits!r}")
         if self.control is not None and self.control == self.target:
             raise InvalidArgumentError("control and target must differ")
 
@@ -101,37 +115,39 @@ class Gate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Immutable gate list with a parallel schedule.
-
-    ``layers`` partitions the gate indices; gates inside one layer act on
-    disjoint qubits.  Qubit indices are 1-based.
-    """
+    """Immutable gate list on qubits 1..num_qubits; ``layers`` derives its schedule."""
 
     num_qubits: int
     gates: tuple[Gate, ...]
-    layers: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.num_qubits < 1:
-            raise InvalidArgumentError("circuit needs at least one qubit")
+        if type(self.num_qubits) is not int or self.num_qubits < 1:
+            raise InvalidArgumentError(f"qubit count must be an int >= 1, got {self.num_qubits!r}")
         gates = tuple(self.gates)
         object.__setattr__(self, "gates", gates)
         for gate in gates:
             for q in gate.qubits:
                 if not 1 <= q <= self.num_qubits:
                     raise InvalidArgumentError(f"qubit index {q} outside 1..{self.num_qubits}")
-        layers = tuple(tuple(layer) for layer in self.layers)
-        object.__setattr__(self, "layers", layers)
-        flat = sorted(i for layer in layers for i in layer)
-        if flat != list(range(len(gates))):
-            raise InvalidArgumentError("layers must partition the gate indices in order")
-        for layer in layers:
-            used: set[int] = set()
-            for i in layer:
-                qubits = set(gates[i].qubits)
-                if used & qubits:
-                    raise InvalidArgumentError("gates within a layer must act on disjoint qubits")
-                used |= qubits
+
+    @property
+    def layers(self) -> tuple[tuple[int, ...], ...]:
+        """As-soon-as-possible schedule: one layer after the last gate on any of its qubits."""
+        depth = [0] * (self.num_qubits + 1)  # layers used so far, per qubit
+        layers: list[list[int]] = []
+        for i, gate in enumerate(self.gates):
+            target, control = gate.target, gate.control
+            level = depth[target]
+            if control is not None:
+                if depth[control] > level:
+                    level = depth[control]
+                depth[control] = level + 1
+            depth[target] = level + 1
+            if level < len(layers):
+                layers[level].append(i)
+            else:
+                layers.append([i])
+        return tuple(map(tuple, layers))
 
     @property
     def two_qubit_gate_count(self) -> int:
@@ -250,26 +266,15 @@ def build_circuit(angles: AngleSet) -> Circuit:
 
     Emits X on qubit 1, then for each n the pair CRY(theta_n) with control
     f(n) and target n+1 followed by CNOT with control n+1 and target f(n).
-    Log mode schedules pairs in parallel blocks of sizes 1, 2, 4, ...; linear
-    mode runs every gate in its own layer.
+    In log mode the pairs of each block n = 2^k .. 2^(k+1) - 1 touch
+    disjoint qubits, so the derived schedule runs each block in two layers.
     """
-    m = len(angles.thetas)
     gates: list[Gate] = [Gate("x", target=1)]
     for n, theta in enumerate(angles.thetas, start=1):
         slot = control_slot(n, angles.mode)
         gates.append(Gate("cry", target=n + 1, control=slot, angle=theta))
         gates.append(Gate("cx", target=slot, control=n + 1))
-    if angles.mode == "linear" or m == 0:
-        layers = [(i,) for i in range(len(gates))]
-    else:
-        layers = [(0,)]
-        block = 1
-        while block <= m:
-            pairs = range(block, min(2 * block, m + 1))
-            layers.append(tuple(2 * n - 1 for n in pairs))
-            layers.append(tuple(2 * n for n in pairs))
-            block *= 2
-    return Circuit(num_qubits=m + 1, gates=tuple(gates), layers=tuple(layers))
+    return Circuit(num_qubits=len(angles.thetas) + 1, gates=tuple(gates))
 
 
 def export_circuit(circ: Circuit, format: str = "json") -> str:
@@ -286,7 +291,7 @@ def export_circuit(circ: Circuit, format: str = "json") -> str:
                 }
                 for g in circ.gates
             ],
-            "layers": [list(layer) for layer in circ.layers],
+            "layers": circ.layers,
         }
         return json.dumps(payload, sort_keys=True)
     if format == "qasm":
@@ -305,10 +310,10 @@ def export_circuit(circ: Circuit, format: str = "json") -> str:
 
 
 def import_circuit(text: str) -> Circuit:
-    """Rebuild a circuit from its JSON serialization."""
+    """Rebuild a circuit from its JSON serialization, whose layers must be its schedule."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int too long to parse
         raise InvalidArgumentError(f"not valid circuit JSON: {exc}") from exc
     try:
         gates = tuple(
@@ -320,7 +325,10 @@ def import_circuit(text: str) -> Circuit:
             )
             for entry in payload["gates"]
         )
-        layers = tuple(tuple(layer) for layer in payload["layers"])
-        return Circuit(num_qubits=payload["num_qubits"], gates=gates, layers=layers)
+        circ = Circuit(num_qubits=payload["num_qubits"], gates=gates)
+        layers = payload["layers"]
     except (KeyError, TypeError) as exc:
         raise InvalidArgumentError(f"malformed circuit JSON: {exc}") from exc
+    if layers != [list(layer) for layer in circ.layers]:
+        raise InvalidArgumentError("layers must be the as-soon-as-possible schedule of the gates")
+    return circ

@@ -85,6 +85,26 @@ def _emit_csv(rows: list[dict]) -> None:
         sys.stdout.write(",".join(cells) + "\n")
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidArgumentError(f"cannot read {path}: {exc}") from exc
+
+
+def _write_text(path: str | None, text: str) -> None:
+    """Write ``text`` to the file ``path``, or to stdout when no path is given."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise InvalidArgumentError(f"cannot write {path}: {exc}") from exc
+
+
 def _parse_sector(text: str, n: int) -> SectorConfig:
     try:
         nu_a, nu_b = (int(part) for part in text.split(","))
@@ -227,17 +247,12 @@ def _cmd_circuit(args) -> int:
     params = make_params(args.n, args.v, args.w)
     _, _, _, _, angles = _angles_for(params, args.index, args.depth)
     text = export_circuit(build_circuit(angles), args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    _write_text(args.out, text if text.endswith("\n") else text + "\n")
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    with open(args.circuit, encoding="utf-8") as handle:
-        circ = import_circuit(handle.read())
+    circ = import_circuit(_read_text(args.circuit))
     state = run(circ)
     block = state.one_hot_block()
     payload = {
@@ -306,12 +321,7 @@ def _cmd_benchmark(args) -> int:
     params = make_params(args.n, args.v, args.w)
     budgets = tuple(None if b == 0 else b for b in args.shots) if args.shots else ()
     report = benchmark(params, VqeOptions(restarts=args.restarts, seed=args.seed), budgets)
-    text = _to_json(report) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(args.out, _to_json(report) + "\n")
     return 0
 
 

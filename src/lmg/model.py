@@ -53,7 +53,6 @@ class ModelParams:
     g: float
     eta: float
     s: int
-    gap: float = 1.0
 
     @property
     def rational(self) -> bool:
@@ -113,10 +112,7 @@ def sector_configs(n: int) -> list[SectorConfig]:
     if n < 1:
         raise InvalidArgumentError(f"particle number must be >= 1, got {n!r}")
     if n % 2 == 0:
-        configs = [SectorConfig(n // 2, 0, 0)]
-        if n >= 2:
-            configs.append(SectorConfig(n // 2 - 1, 1, 1))
-        return configs
+        return [SectorConfig(n // 2, 0, 0), SectorConfig(n // 2 - 1, 1, 1)]
     return [SectorConfig((n - 1) // 2, 0, 1), SectorConfig((n - 1) // 2, 1, 0)]
 
 

@@ -111,7 +111,7 @@ def check_n7_angles():
 
 
 def check_n20_ground():
-    """Twenty-particle ground state: amplitudes, angles, linearized angles."""
+    """Twenty-particle ground state: amplitudes, angles, linearized angles, log angles."""
     p = make_params(**ref.N20)
     omega, state = exact_spectrum(p)[0]
     amps = state.amps
@@ -125,10 +125,12 @@ def check_n20_ground():
     worst_lin = max(
         abs((math.pi - 2 * amps[11 - j]) - angles.thetas[j - 1]) for j in (1, 2, 3, 4)
     )
-    ok = ok_amps and ok_ang and worst_lin < 1e-4
+    # the reference log angles, in another sign gauge, prepare the same state
+    fid = fidelity(run(build_circuit(AngleSet(ref.N20_LOG_ANGLES, "log"))), amps)
+    ok = ok_amps and ok_ang and worst_lin < 1e-4 and fid >= 1 - 1e-9
     return ok, (
         f"max amplitude rel err {np.max(rel):.2e}; angle deviation {worst_ang:.2e}; "
-        f"linearized-angle deviation {worst_lin:.2e}"
+        f"linearized-angle deviation {worst_lin:.2e}; reference-gauge fidelity {fid:.12f}"
     )
 
 

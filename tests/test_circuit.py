@@ -1,5 +1,6 @@
 """Circuit IR, encodings, angle computation, exporters."""
 
+import json
 import math
 
 import numpy as np
@@ -183,12 +184,48 @@ def test_gate_and_layer_invariants(mode):
         assert circ.two_qubit_layer_count == expected_layers
 
 
+def old_block_layers(m, mode):
+    # the schedule build_circuit used to write out by hand
+    if mode == "linear" or m == 0:
+        return tuple((i,) for i in range(2 * m + 1))
+    layers = [(0,)]
+    block = 1
+    while block <= m:
+        pairs = range(block, min(2 * block, m + 1))
+        layers.append(tuple(2 * n - 1 for n in pairs))
+        layers.append(tuple(2 * n for n in pairs))
+        block *= 2
+    return tuple(layers)
+
+
+@pytest.mark.parametrize("mode", ["linear", "log"])
+def test_derived_layers_equal_the_block_schedule(mode):
+    for m in range(65):
+        circ = build_circuit(AngleSet((0.5,) * m, mode))
+        assert circ.layers == old_block_layers(m, mode)
+
+
+def circuit_json(layers):
+    return json.dumps(
+        {
+            "num_qubits": 2,
+            "gates": [
+                {"kind": "x", "target": 1},
+                {"kind": "cry", "angle": 0.5, "control": 1, "target": 2},
+            ],
+            "layers": layers,
+        }
+    )
+
+
 def test_circuit_validation_rejects_bad_layers():
-    gates = (Gate("x", target=1), Gate("cry", target=2, control=1, angle=0.5))
+    assert import_circuit(circuit_json([[0], [1]])).layers == ((0,), (1,))
     with pytest.raises(InvalidArgumentError):
-        Circuit(num_qubits=2, gates=gates, layers=((0, 1),))  # overlapping qubits
+        import_circuit(circuit_json([[0, 1]]))  # overlapping qubits
     with pytest.raises(InvalidArgumentError):
-        Circuit(num_qubits=2, gates=gates, layers=((0,),))  # missing gate
+        import_circuit(circuit_json([[0]]))  # missing gate
+    with pytest.raises(InvalidArgumentError):
+        import_circuit(circuit_json([[0], [], [1]]))  # a valid schedule, but not ASAP
     with pytest.raises(InvalidArgumentError):
         Gate("cx", target=1, control=1)
 
@@ -224,10 +261,24 @@ def test_export_unknown_format():
 
 
 def test_import_rejects_malformed():
-    with pytest.raises(InvalidArgumentError):
-        import_circuit("not json")
-    with pytest.raises(InvalidArgumentError):
-        import_circuit("{}")
+    def one_gate(num_qubits, gate):
+        return f'{{"num_qubits": {num_qubits}, "gates": [{gate}], "layers": [[0]]}}'
+
+    for text in (
+        "not json",
+        "{}",
+        '{"num_qubits": 1, "gates": [{"kind": "x", "target": 1}]}',  # no layers
+        one_gate(1, '{"kind": "x", "target": true}'),
+        one_gate(2, '{"kind": "x", "target": 1.5}'),
+        one_gate("2.0", '{"kind": "x", "target": 1}'),
+        one_gate(1, '{"kind": "ry", "angle": "0.5", "target": 1}'),
+        one_gate(1, '{"kind": "ry", "angle": NaN, "target": 1}'),
+        one_gate(1, '{"kind": "ry", "angle": 1e400, "target": 1}'),
+        one_gate(1, '{"kind": "ry", "angle": 1' + "0" * 400 + ', "target": 1}'),
+        one_gate(1, '{"kind": "ry", "angle": 1' + "0" * 5000 + ', "target": 1}'),
+    ):
+        with pytest.raises(InvalidArgumentError):
+            import_circuit(text)
 
 
 def test_single_pair_angle_pairon_relation_w0():
@@ -258,9 +309,13 @@ def test_json_round_trip_mixed_gate_kinds():
         Gate("ry", target=1, angle=0.125),
         Gate("cry", target=3, control=1, angle=-2.5),
         Gate("cx", target=2, control=3),
+        Gate("ry", target=1, angle=2),
     )
-    circ = Circuit(num_qubits=3, gates=gates, layers=((0, 1), (2,), (3,)))
-    assert import_circuit(export_circuit(circ, "json")) == circ
+    circ = Circuit(num_qubits=3, gates=gates)
+    assert circ.layers == ((0, 1), (2,), (3, 4))
+    text = export_circuit(circ, "json")
+    assert '"angle": 2,' in text  # integer angles are kept, not converted
+    assert import_circuit(text) == circ
 
 
 def test_log_angles_refuse_angles_that_miss_the_target(monkeypatch):

@@ -3,8 +3,10 @@
 import argparse
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,18 @@ from lmg.cli import build_parser, main
 from lmg.reference import N7_ENERGY
 
 N7_BETHE = ["bethe", "--n", "7", "--v", "0.75", "--w", "0.5", "--sector", "1,0"]
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def python(*args):
+    """Run a fresh interpreter that imports the package from this source tree."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def invoke(capsys, *argv):
@@ -142,11 +156,7 @@ def test_invalid_sector_is_computation_error(capsys):
 
 
 def test_bad_flags_exit_two():
-    proc = subprocess.run(
-        [sys.executable, "-m", "lmg.cli", "spectrum", "--n", "7"],
-        capture_output=True,
-        text=True,
-    )
+    proc = python("-m", "lmg.cli", "spectrum", "--n", "7")
     assert proc.returncode == 2
 
 
@@ -201,11 +211,7 @@ def test_subcommand_flag_sets():
 
 def test_spectrum_past_float_factorials():
     # N = 171 is the first size whose ladder factorials overflow a float
-    proc = subprocess.run(
-        [sys.executable, "-m", "lmg.cli", "spectrum", "--n", "171", "--v", "0.75", "--w", "0.5"],
-        capture_output=True,
-        text=True,
-    )
+    proc = python("-m", "lmg.cli", "spectrum", "--n", "171", "--v", "0.75", "--w", "0.5")
     assert proc.returncode == 0
     assert proc.stderr == ""
     levels = json.loads(proc.stdout)["levels"]
@@ -214,11 +220,8 @@ def test_spectrum_past_float_factorials():
 
 
 def test_bethe_past_float_factorials_gives_json_error():
-    proc = subprocess.run(
-        [sys.executable, "-m", "lmg.cli", "bethe", "--n", "171", "--v", "0.75", "--w", "0.5",
-         "--sector", "1,0"],
-        capture_output=True,
-        text=True,
+    proc = python(
+        "-m", "lmg.cli", "bethe", "--n", "171", "--v", "0.75", "--w", "0.5", "--sector", "1,0"
     )
     assert proc.returncode == 1
     assert proc.stdout == ""
@@ -233,12 +236,18 @@ def test_bethe_past_float_factorials_gives_json_error():
         ["verify", "--only", "bogus"],
         ["vqe", "--n", "8", "--v", "0.8", "--w", "0.25", "--restarts", "0"],
         ["benchmark", "--n", "3", "--v", "0.9", "--w", "0.3", "--restarts", "0"],
+        ["simulate", "--circuit", "{tmp}/missing.json"],
+        ["simulate", "--circuit", "{tmp}"],
+        ["simulate", "--circuit", "{tmp}/binary.json"],
+        ["circuit", "--n", "3", "--v", "0.9", "--w", "0.3", "--index", "1",
+         "--out", "{tmp}/missing/x.json"],
+        ["benchmark", "--n", "3", "--v", "0.9", "--w", "0.3", "--restarts", "1",
+         "--out", "{tmp}/missing/x.json"],
     ],
 )
-def test_bad_values_give_json_error_not_traceback(argv):
-    proc = subprocess.run(
-        [sys.executable, "-m", "lmg.cli", *argv], capture_output=True, text=True
-    )
+def test_bad_values_give_json_error_not_traceback(argv, tmp_path):
+    (tmp_path / "binary.json").write_bytes(bytes(range(128, 256)))
+    proc = python("-m", "lmg.cli", *(arg.replace("{tmp}", str(tmp_path)) for arg in argv))
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     payload = json.loads(proc.stderr)
@@ -255,15 +264,13 @@ def test_import_does_not_load_the_optimizer():
         "lmg.optimize(lmg.SectorConfig(3, 0, 0), p, lmg.VqeOptions(restarts=1))\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    proc = python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
 
 def test_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "lmg.cli", "--version"], capture_output=True, text=True
-    )
+    proc = python("-m", "lmg.cli", "--version")
     assert proc.returncode == 0
     assert "lmg" in proc.stdout
 

@@ -103,7 +103,7 @@ def test_sparse_dense_agreement_general_inputs():
                         else None,
                     )
                 )
-            circ = Circuit(num_qubits, tuple(gates), tuple((i,) for i in range(len(gates))))
+            circ = Circuit(num_qubits, tuple(gates))
             populated = dim if trial % 2 else int(rng.integers(1, 4))
             support = rng.choice(dim, populated, replace=False)
             amps = np.zeros(dim, dtype=complex)
@@ -341,7 +341,6 @@ def test_plain_ry_gate_supported_in_both_paths():
     circ = Circuit(
         num_qubits=2,
         gates=(Gate("ry", target=1, angle=0.9), Gate("ry", target=2, angle=-1.7)),
-        layers=((0,), (1,)),
     )
     sparse = run(circ, StateVector.zeros(2))
     dense = run(circ, StateVector.zeros(2, dense=True))

@@ -9,8 +9,10 @@ import pytest
 
 from lmg import (
     AngleSet,
+    Circuit,
     FockVector,
     InvalidArgumentError,
+    ModelParams,
     SectorConfig,
     VqeOptions,
     benchmark,
@@ -187,6 +189,9 @@ def test_settable_values_are_the_run_defining_ones():
         "params", "options", "shot_budgets",
     ]
     assert list(inspect.signature(build_eigenstate).parameters) == ["solution"]
+    # energies are in units of the gap, and a circuit's layers derive from its gates
+    assert [f.name for f in dataclasses.fields(ModelParams)] == ["n", "v", "w", "g", "eta", "s"]
+    assert [f.name for f in dataclasses.fields(Circuit)] == ["num_qubits", "gates"]
 
 
 @pytest.mark.parametrize("restarts", [0, -1])
