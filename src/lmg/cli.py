@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .model import (
     ladder_occupations,
     make_params,
     sector_configs,
+    sector_spectrum,
 )
 from .simulator import encoded_expectation, run
 from .verify import available_checks, run_checks
@@ -115,38 +117,26 @@ def _parse_sector(text: str, n: int) -> SectorConfig:
     return SectorConfig((n - nu_a - nu_b) // 2, nu_a, nu_b)
 
 
-def _sector_dict(config: SectorConfig) -> dict:
-    return {"m": config.m, "nu_a": config.nu_a, "nu_b": config.nu_b}
-
-
 def _spectrum_rows(params) -> list[dict]:
-    bethe_by_parity: dict[int, list] = {}
-    if not params.rational:
-        for config in sector_configs(params.n):
-            try:
-                bethe_by_parity[config.parity] = list(solve_bethe(config, params))
-            except LmgError:
-                bethe_by_parity[config.parity] = []
+    """One row per level: each sector's levels with its Bethe solutions, then
+    all of them ordered as in :func:`lmg.model.exact_spectrum` and numbered."""
     rows = []
-    counters = {0: 0, 1: 0}
-    config_by_parity = {c.parity: c for c in sector_configs(params.n)}
-    for index, (omega, state) in enumerate(exact_spectrum(params), start=1):
-        config = config_by_parity[state.parity]
-        row = {
-            "index": index,
-            "omega_exact": omega,
-            "m": config.m,
-            "nu_a": config.nu_a,
-            "nu_b": config.nu_b,
-            "sector_index": counters[state.parity] + 1,
-        }
-        sols = bethe_by_parity.get(state.parity, [])
-        if counters[state.parity] < len(sols):
-            sol = sols[counters[state.parity]]
-            row["omega_bethe"] = sol.omega
-            row["bethe_residual"] = sol.residual_norm
-        counters[state.parity] += 1
-        rows.append(row)
+    for config in sector_configs(params.n):
+        solutions = []
+        if not params.rational:
+            try:
+                solutions = list(solve_bethe(config, params))
+            except LmgError:
+                pass
+        for j, omega in enumerate(sector_spectrum(config, params)[0]):
+            row = {**asdict(config), "omega_exact": float(omega), "sector_index": j + 1}
+            if j < len(solutions):
+                row["omega_bethe"] = solutions[j].omega
+                row["bethe_residual"] = solutions[j].residual_norm
+            rows.append(row)
+    rows.sort(key=lambda row: (row["omega_exact"], row["nu_b"]))
+    for index, row in enumerate(rows, start=1):
+        row["index"] = index
     return rows
 
 
@@ -155,8 +145,7 @@ def _eigenpair(params, index: int):
     if not 1 <= index <= len(pairs):
         raise InvalidArgumentError(f"--index must lie in 1..{len(pairs)}, got {index}")
     omega, state = pairs[index - 1]
-    config = next(c for c in sector_configs(params.n) if c.parity == state.parity)
-    return omega, state, config
+    return omega, state, state.sector
 
 
 def _angles_for(params, index: int, depth: str):
@@ -199,7 +188,7 @@ def _cmd_bethe(args) -> int:
             flat.append(entry)
         _emit_csv(flat)
     else:
-        _emit_json({"sector": _sector_dict(config), "solutions": rows})
+        _emit_json({"sector": asdict(config), "solutions": rows})
     return 0
 
 
@@ -210,7 +199,7 @@ def _cmd_state(args) -> int:
     payload = {
         "index": args.index,
         "omega": omega,
-        "sector": _sector_dict(config),
+        "sector": asdict(config),
         "amplitudes": list(state.amps),
         "occupations": occupations,
     }
@@ -232,7 +221,7 @@ def _cmd_angles(args) -> int:
     payload = {
         "index": args.index,
         "omega": omega,
-        "sector": _sector_dict(config),
+        "sector": asdict(config),
         "depth": args.depth,
         "thetas": list(angles.thetas),
     }
@@ -270,16 +259,20 @@ def _cmd_simulate(args) -> int:
             config = _parse_sector(args.sector, args.n)
         elif leftover in (0, 2):
             config = SectorConfig(m, leftover // 2, leftover // 2)
-        else:
+        elif leftover == 1:
             raise InvalidArgumentError(
                 "odd-particle circuits need --sector to pick (nu_a, nu_b)"
+            )
+        else:
+            raise InvalidArgumentError(
+                f"a circuit of {m + 1} qubits fits no sector of N={args.n}"
             )
         if config.m != m:
             raise InvalidArgumentError(
                 f"circuit has {m + 1} qubits but the sector needs {config.m + 1}"
             )
         payload["energy"] = encoded_expectation(state, config, params)
-        payload["sector"] = _sector_dict(config)
+        payload["sector"] = asdict(config)
     _emit_json(payload)
     return 0
 
@@ -289,9 +282,7 @@ def _cmd_vqe(args) -> int:
     if args.sector is not None:
         config = _parse_sector(args.sector, args.n)
     else:
-        pairs = exact_spectrum(params)
-        parity = pairs[0][1].parity
-        config = next(c for c in sector_configs(args.n) if c.parity == parity)
+        config = exact_spectrum(params)[0][1].sector
     opts = VqeOptions(
         restarts=args.restarts,
         seed=args.seed,
@@ -303,7 +294,7 @@ def _cmd_vqe(args) -> int:
     result = optimize(config, params, opts)
     _emit_json(
         {
-            "sector": _sector_dict(config),
+            "sector": asdict(config),
             "estimator": result.estimator,
             "seed": result.seed,
             "best_energy": result.best_energy,

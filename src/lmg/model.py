@@ -161,7 +161,8 @@ class FockVector:
     """Real amplitudes over one parity ladder of the two-mode Fock space.
 
     Entry k is the coefficient of |n - parity - 2k, parity + 2k>, so the
-    array spans the whole conserved-parity block of an n-quantum state.
+    array spans the whole conserved-parity block of an n-quantum state:
+    the ladder of the sector :attr:`sector`.
     """
 
     n: int
@@ -193,6 +194,16 @@ class FockVector:
         if nrm == 0.0:
             raise InvalidArgumentError("cannot normalize the zero vector")
         return FockVector(self.n, self.parity, self.amps / nrm)
+
+    @property
+    def sector(self) -> SectorConfig:
+        """The sector whose ladder the vector spans.
+
+        nu_b = parity and nu_a = (n - parity) mod 2.  The ground sector of an
+        instance is ``exact_spectrum(params)[0][1].sector``.
+        """
+        nu_a = (self.n - self.parity) % 2
+        return SectorConfig((self.n - self.parity) // 2, nu_a, self.parity)
 
     @staticmethod
     def fiducial(nu_a: int, nu_b: int) -> "FockVector":

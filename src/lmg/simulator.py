@@ -98,8 +98,20 @@ class StateVector:
         return float(np.sqrt(sum(abs(a) ** 2 for a in self.amps.values())))
 
     def one_hot_block(self) -> np.ndarray:
-        """Amplitudes on the one-hot integers 2^0 .. 2^(n-1)."""
-        return np.array([self.amplitude(1 << k) for k in range(self.num_qubits)])
+        """Amplitudes on the one-hot integers 2^0 .. 2^(n-1).
+
+        A sparse map is read once: each entry with exactly one set bit lands
+        at index ``basis.bit_length() - 1``, so the cost grows with the map,
+        not with the square of the qubit count.
+        """
+        if self.is_dense:
+            return np.array([self.amplitude(1 << k) for k in range(self.num_qubits)])
+        block = [0j] * self.num_qubits
+        for basis, amp in self.amps.items():
+            k = basis.bit_length() - 1
+            if 0 <= k < self.num_qubits and not basis & (basis - 1):
+                block[k] = complex(amp)
+        return np.array(block)
 
     def one_hot_leakage(self) -> float:
         """Squared weight living outside the Hamming-weight-1 subspace."""
@@ -314,12 +326,14 @@ def sampled_expectation(
 ) -> tuple[float, float]:
     """Finite-shot estimate of <H> with its standard error.
 
-    Each group is measured with ``shots`` projective samples from a seeded
-    generator, so the estimate is deterministic given (state, shots, seed)
-    and unbiased over seeds.
+    Each group is measured with ``shots`` projective samples from a
+    generator seeded with the non-negative ``seed``, so the estimate is
+    deterministic given (state, shots, seed) and unbiased over seeds.
     """
     if shots < 1:
         raise InvalidArgumentError(f"shots must be >= 1, got {shots}")
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
     if not groups:
         raise InvalidArgumentError("need at least one measurement group")
     weights = psi.one_hot_block()

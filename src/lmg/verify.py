@@ -244,7 +244,7 @@ def check_vqe():
     ok = True
     for n, v, w in ((5, 0.9, 0.3), (8, 0.8, 0.25)):
         p = make_params(n, v, w)
-        config = min(sector_configs(n), key=lambda c: sector_spectrum(c, p)[0][0])
+        config = exact_spectrum(p)[0][1].sector
         cold = optimize(config, p, VqeOptions(restarts=10, seed=7))
         ok &= cold.abs_error < 1e-6
         details.append(f"cold N={n}: |dE|={cold.abs_error:.1e}")

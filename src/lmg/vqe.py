@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .model import (
     FockVector,
     ModelParams,
     SectorConfig,
+    exact_spectrum,
     ladder_energy,
     sector_configs,
     sector_spectrum,
@@ -72,10 +73,11 @@ class VqeOptions:
     """Optimizer settings; all randomness flows from ``seed``.
 
     ``restarts`` runs are made (at least 1, else InvalidArgumentError); the
-    first starts warm when ``warm``.  ``estimator`` is "exact" or "sampled"
-    (``shots`` per measurement group) and ``depth`` the circuit flavor.  A
-    run is ``converged`` when a sweep lowered its start energy by less than
-    the module constant SWEEP_TOL within MAX_SWEEPS sweeps.
+    first starts warm when ``warm``.  ``seed`` must be non-negative, else
+    InvalidArgumentError.  ``estimator`` is "exact" or "sampled" (``shots``
+    per measurement group) and ``depth`` the circuit flavor.  A run is
+    ``converged`` when a sweep lowered its start energy by less than the
+    module constant SWEEP_TOL within MAX_SWEEPS sweeps.
     """
 
     restarts: int = 10
@@ -88,6 +90,8 @@ class VqeOptions:
     def __post_init__(self):
         if self.restarts < 1:
             raise InvalidArgumentError(f"restarts must be >= 1, got {self.restarts}")
+        if self.seed < 0:
+            raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -160,9 +164,14 @@ def _fit_minimizer(values: np.ndarray) -> float:
     return psi
 
 
-def _single_restart(x0, config, params, opts):
+def _single_restart(x0, config, params, opts, trace):
+    """One restart from the start angles ``x0``; returns (energy, angles, converged).
+
+    Every evaluation is appended to ``trace`` as (evaluation index, value).
+    An M = 0 sector has no angle to move, so its one evaluation, at the end,
+    is converged.
+    """
     thetas = np.array(x0, dtype=float)
-    trace: list[tuple[int, float]] = []
 
     def measure() -> float:
         value = objective(
@@ -171,16 +180,6 @@ def _single_restart(x0, config, params, opts):
         )
         trace.append((len(trace), value))
         return value
-
-    def finish(converged: bool) -> dict:
-        energy = measure()
-        return {
-            "energy": energy,
-            "thetas": np.mod(thetas, FULL_TURN),
-            "evals": len(trace),
-            "trace": trace,
-            "converged": converged,
-        }
 
     values = np.empty(NODES)
     previous = math.inf
@@ -193,10 +192,10 @@ def _single_restart(x0, config, params, opts):
             if j == 0:  # values[0] is the energy at the start of the sweep
                 if previous - values[0] < SWEEP_TOL:
                     thetas[j] = base
-                    return finish(True)
+                    return measure(), np.mod(thetas, FULL_TURN), True
                 previous = values[0]
             thetas[j] = base + 2.0 * _fit_minimizer(values)
-    return finish(False)
+    return measure(), np.mod(thetas, FULL_TURN), not thetas.size
 
 
 def optimize(
@@ -205,46 +204,33 @@ def optimize(
     """Minimize the sector energy over the circuit angles.
 
     Deterministic for fixed options: restart r draws its start point from
-    generator seed (seed, r); results merge as the seed-ordered minimum.
+    generator seed (seed, r); the result is the first restart of lowest
+    energy, and ``trace`` numbers the evaluations of all restarts in order.
     The exact reference energy is the sector's lowest eigenvalue.  An M = 0
-    sector has no angles: its one evaluation is the result.
+    sector has one start point, the empty angle list, so it runs one restart
+    of one evaluation.
     """
     opts = options or VqeOptions()
     exact_energy = float(sector_spectrum(config, params)[0][0])
-    m = config.m
-    estimator_label = opts.estimator if opts.estimator == "exact" else f"sampled({opts.shots})"
-
-    outcomes = []
-    if m == 0:
-        energy = objective((), config, params, estimator=opts.estimator,
-                           shots=opts.shots, seed=opts.seed, depth=opts.depth)
-        outcomes.append(
-            {"energy": energy, "thetas": (), "evals": 1, "trace": [(0, energy)], "converged": True}
-        )
-    else:
-        for restart in range(opts.restarts):
-            if opts.warm and restart == 0:
-                x0 = _warm_start(config, params, opts.depth)
-            else:
-                x0 = np.random.default_rng((opts.seed, restart)).uniform(0.0, FULL_TURN, m)
-            outcomes.append(_single_restart(x0, config, params, opts))
-
     trace: list[tuple[int, float]] = []
-    offset = 0
-    for outcome in outcomes:
-        trace.extend((offset + i, value) for i, value in outcome["trace"])
-        offset += outcome["evals"]
-    best = min(outcomes, key=lambda o: o["energy"])
+    outcomes = []
+    for restart in range(opts.restarts if config.m else 1):
+        if opts.warm and restart == 0:
+            x0 = _warm_start(config, params, opts.depth)
+        else:
+            x0 = np.random.default_rng((opts.seed, restart)).uniform(0.0, FULL_TURN, config.m)
+        outcomes.append(_single_restart(x0, config, params, opts, trace))
+    energy, thetas, _ = min(outcomes, key=lambda outcome: outcome[0])
     return VqeResult(
-        best_thetas=AngleSet(tuple(best["thetas"]), opts.depth),
-        best_energy=best["energy"],
+        best_thetas=AngleSet(tuple(thetas), opts.depth),
+        best_energy=energy,
         exact_energy=exact_energy,
-        abs_error=abs(best["energy"] - exact_energy),
-        evaluations=offset,
+        abs_error=abs(energy - exact_energy),
+        evaluations=len(trace),
         trace=tuple(trace),
         seed=opts.seed,
-        estimator=estimator_label,
-        converged=any(o["converged"] for o in outcomes),
+        estimator=opts.estimator if opts.estimator == "exact" else f"sampled({opts.shots})",
+        converged=any(converged for _, _, converged in outcomes),
     )
 
 
@@ -276,23 +262,16 @@ def benchmark(
     Per sector: exact eigenvalues, pair energies where the solver succeeds,
     preparation fidelity and energy error for both depth modes on every
     eigenstate, and, for each entry of ``shot_budgets`` (shots, or None for
-    the exact estimator), a cold and a warm VQE run on the global ground
-    state with ``options``.  Partial failures are recorded per row, not
-    raised.
+    the exact estimator), a cold and a warm VQE run with ``options`` on the
+    ground sector, ``exact_spectrum(params)[0][1].sector`` (the even-parity
+    sector on an exact tie), attached to that sector's first row.  Partial
+    failures are recorded per row, not raised.
     """
     opts = options or VqeOptions()
-    report = {
-        "params": {
-            "n": params.n, "v": params.v, "w": params.w,
-            "g": params.g, "eta": params.eta, "s": params.s,
-        },
-        "sectors": [],
-    }
-    ground: tuple[float, SectorConfig] | None = None  # every N >= 1 has a sector
+    ground = exact_spectrum(params)[0][1].sector
+    report = {"params": asdict(params), "sectors": []}
     for config in sector_configs(params.n):
         vals, vecs = sector_spectrum(config, params)
-        if ground is None or vals[0] < ground[0]:
-            ground = (float(vals[0]), config)
         solutions: list = [None] * vals.size
         bethe_error = None
         if not params.rational:
@@ -311,35 +290,33 @@ def benchmark(
             if bethe_error is not None:
                 row["error"] = bethe_error
             rows.append(row)
-        report["sectors"].append(
-            {"config": {"m": config.m, "nu_a": config.nu_a, "nu_b": config.nu_b}, "rows": rows}
-        )
-
-    if shot_budgets:
-        runs = []
-        # warm starts verify the pipeline; cold starts are the honest benchmark
-        for budget in shot_budgets:
-            for warm in (False, True):
-                run_opts = replace(
-                    opts, restarts=1 if warm else opts.restarts,
-                    estimator="exact" if budget is None else "sampled",
-                    shots=budget or 0, warm=warm,
-                )
-                result = optimize(ground[1], params, run_opts)
-                runs.append(
-                    {
-                        "shots": budget,
-                        "mode": "warm" if warm else "cold",
-                        "estimator": result.estimator,
-                        "best_energy": result.best_energy,
-                        "exact_energy": result.exact_energy,
-                        "abs_error": result.abs_error,
-                        "evaluations": result.evaluations,
-                        "converged": result.converged,
-                    }
-                )
-        ground_key = {"m": ground[1].m, "nu_a": ground[1].nu_a, "nu_b": ground[1].nu_b}
-        for sector in report["sectors"]:
-            if sector["config"] == ground_key:
-                sector["rows"][0]["vqe"] = runs
+        report["sectors"].append({"config": asdict(config), "rows": rows})
+        if config == ground and shot_budgets:
+            rows[0]["vqe"] = _vqe_runs(ground, params, opts, shot_budgets)
     return report
+
+
+def _vqe_runs(config, params, opts, shot_budgets) -> list[dict]:
+    # warm starts verify the pipeline; cold starts are the honest benchmark
+    runs = []
+    for budget in shot_budgets:
+        for warm in (False, True):
+            run_opts = replace(
+                opts, restarts=1 if warm else opts.restarts,
+                estimator="exact" if budget is None else "sampled",
+                shots=budget or 0, warm=warm,
+            )
+            result = optimize(config, params, run_opts)
+            runs.append(
+                {
+                    "shots": budget,
+                    "mode": "warm" if warm else "cold",
+                    "estimator": result.estimator,
+                    "best_energy": result.best_energy,
+                    "exact_energy": result.exact_energy,
+                    "abs_error": result.abs_error,
+                    "evaluations": result.evaluations,
+                    "converged": result.converged,
+                }
+            )
+    return runs

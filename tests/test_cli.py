@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lmg import AngleSet, build_circuit, export_circuit
 from lmg.cli import build_parser, main
 from lmg.reference import N7_ENERGY
 
@@ -243,10 +244,19 @@ def test_bethe_past_float_factorials_gives_json_error():
          "--out", "{tmp}/missing/x.json"],
         ["benchmark", "--n", "3", "--v", "0.9", "--w", "0.3", "--restarts", "1",
          "--out", "{tmp}/missing/x.json"],
+        ["vqe", "--n", "4", "--v", "0.8", "--w", "0.2", "--seed", "-1"],
+        ["benchmark", "--n", "4", "--v", "0.8", "--w", "0.2", "--seed", "-1", "--shots", "0"],
+        ["simulate", "--circuit", "{tmp}/five.json", "--report-energy",
+         "--n", "4", "--v", "0.75", "--w", "0.5"],
+        ["simulate", "--circuit", "{tmp}/five.json", "--report-energy",
+         "--n", "20", "--v", "0.75", "--w", "0.5"],
     ],
 )
 def test_bad_values_give_json_error_not_traceback(argv, tmp_path):
     (tmp_path / "binary.json").write_bytes(bytes(range(128, 256)))
+    (tmp_path / "five.json").write_text(
+        export_circuit(build_circuit(AngleSet((1.0, 2.0, 3.0, 4.0), "linear")))
+    )
     proc = python("-m", "lmg.cli", *(arg.replace("{tmp}", str(tmp_path)) for arg in argv))
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
@@ -312,6 +322,21 @@ def test_angles_csv(capsys):
     assert len(lines) == 4
 
 
+def test_ground_sector_on_a_tie_is_one_rule(capsys):
+    # both sectors of (3, 0, -1.5) have ground energy -2.25; the even-parity one wins
+    instance = ("--n", "3", "--v", "0", "--w", "-1.5")
+    want = {"m": 1, "nu_a": 1, "nu_b": 0}
+    _, out, _ = invoke(capsys, "spectrum", *instance)
+    assert [lvl["omega_exact"] for lvl in json.loads(out)["levels"][:2]] == [-2.25, -2.25]
+    _, out, _ = invoke(capsys, "state", *instance, "--index", "1")
+    assert json.loads(out)["sector"] == want
+    _, out, _ = invoke(capsys, "vqe", *instance, "--restarts", "1")
+    assert json.loads(out)["sector"] == want
+    _, out, _ = invoke(capsys, "benchmark", *instance, "--shots", "0", "--restarts", "1")
+    sectors = json.loads(out)["sectors"]
+    assert [s["config"] for s in sectors if "vqe" in s["rows"][0]] == [want]
+
+
 def test_simulate_requires_sector_for_odd_particles(tmp_path, capsys):
     path = tmp_path / "c.json"
     code, _, _ = invoke(capsys, "circuit", "--n", "7", "--v", "0.75", "--w", "0.5",
@@ -321,3 +346,19 @@ def test_simulate_requires_sector_for_odd_particles(tmp_path, capsys):
                           "--n", "7", "--v", "0.75", "--w", "0.5")
     assert code == 1
     assert "sector" in err
+    assert "odd-particle" in err
+
+
+@pytest.mark.parametrize("n", [4, 20])
+def test_simulate_circuit_that_fits_no_sector(n, tmp_path, capsys):
+    # five qubits hold M = 4 pairs: N - 2M is -4 or 12, so no (nu_a, nu_b) fits
+    path = tmp_path / "c.json"
+    code, _, _ = invoke(capsys, "circuit", "--n", "8", "--v", "0.75", "--w", "0.5",
+                        "--index", "1", "--out", str(path))
+    assert code == 0
+    code, _, err = invoke(capsys, "simulate", "--circuit", str(path), "--report-energy",
+                          "--n", str(n), "--v", "0.75", "--w", "0.5")
+    assert code == 1
+    assert json.loads(err)["error"]["message"] == (
+        f"a circuit of 5 qubits fits no sector of N={n}"
+    )

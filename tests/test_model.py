@@ -89,6 +89,15 @@ def test_fock_vector_validation():
         fv.amps[0] = 2.0  # amplitudes are read-only
 
 
+def test_fock_vector_sector_is_the_sector_of_its_parity():
+    for n in range(1, 41):
+        by_parity = {c.parity: c for c in sector_configs(n)}
+        for _, state in exact_spectrum(make_params(n, 0.75, 0.5)):
+            assert state.sector == by_parity[state.parity]
+    for nu_a, nu_b in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        assert FockVector.fiducial(nu_a, nu_b).sector == SectorConfig(0, nu_a, nu_b)
+
+
 def test_apply_hamiltonian_diagonal_when_v_zero():
     p = make_params(6, 0.0, 0.8)
     for k in range(4):

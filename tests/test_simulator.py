@@ -1,6 +1,7 @@
 """Simulator: gate semantics, product-form conformance, energy estimators."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -122,6 +123,27 @@ def test_hamming_weight_confinement():
         for m in range(1, 13):
             circ = build_circuit(AngleSet(tuple(rng.uniform(0, 4 * math.pi, m)), mode))
             assert run(circ).one_hot_leakage() < 1e-12
+
+
+def test_one_hot_block_of_a_wide_sparse_state_is_fast():
+    # one pass over the map: looking up every 2^k would hash 300,000 big integers
+    n = 300_000
+    state = StateVector(n, {1 << 123_456: -0.0 - 0.5j, 3 << 7: 1.0 + 0.0j})
+    start = time.perf_counter()
+    block = state.one_hot_block()
+    assert time.perf_counter() - start < 0.5
+    assert block.shape == (n,) and block.dtype == complex
+    assert np.flatnonzero(block).tolist() == [123_456]
+    assert math.copysign(1.0, block[123_456].real) == -1.0 and block[123_456].imag == -0.5
+    assert math.copysign(1.0, block[0].real) == 1.0 and block[0].imag == 0.0
+
+
+def test_one_hot_block_sparse_equals_dense():
+    rng = np.random.default_rng(3)
+    amps = rng.standard_normal(2**6) + 1j * rng.standard_normal(2**6)
+    amps[[0, 4, 5]] = 0.0
+    sparse = StateVector(6, {b: complex(a) for b, a in enumerate(amps) if b != 4})
+    assert np.array_equal(sparse.one_hot_block(), StateVector(6, amps).one_hot_block())
 
 
 def test_run_dimension_mismatch():
@@ -279,6 +301,8 @@ def test_sampled_expectation_input_validation():
     groups = pauli_groups(SectorConfig(1, 0, 0), p)
     with pytest.raises(InvalidArgumentError):
         sampled_expectation(state, groups, shots=0, seed=0)
+    with pytest.raises(InvalidArgumentError, match="seed"):
+        sampled_expectation(state, groups, shots=10, seed=-1)
 
 
 def test_run_composes_with_solver_states():

@@ -168,10 +168,19 @@ def test_optimize_sampled_n20_within_five_sigma():
 
 
 def test_optimize_m0_sector():
+    # no angles: every restart would start at the empty list, so one restart runs
     p = make_params(2, 0.75, 0.4)
-    result = optimize(SectorConfig(0, 1, 1), p)
-    assert result.abs_error < 1e-14
-    assert result.best_thetas.thetas == ()
+    config = SectorConfig(0, 1, 1)
+    for estimator in ("exact", "sampled"):
+        energy = objective((), config, p, estimator=estimator, shots=100)
+        for warm in (False, True):
+            opts = VqeOptions(restarts=5, warm=warm, estimator=estimator, shots=100)
+            result = optimize(config, p, opts)
+            assert result.abs_error < 1e-14
+            assert result.best_thetas.thetas == ()
+            assert result.evaluations == 1
+            assert result.converged
+            assert result.trace == ((0, energy),)
 
 
 def test_settable_values_are_the_run_defining_ones():
@@ -201,6 +210,11 @@ def test_optimize_rejects_nonpositive_restarts(restarts):
     p = make_params(6, 0.9, 0.25)
     with pytest.raises(InvalidArgumentError):
         optimize(SectorConfig(3, 0, 0), p, VqeOptions(restarts=restarts))
+
+
+def test_optimize_rejects_negative_seed():
+    with pytest.raises(InvalidArgumentError, match="seed"):
+        VqeOptions(seed=-1)
 
 
 @pytest.mark.parametrize("depth", ["linear", "log"])
