@@ -11,13 +11,16 @@ with simple poles at E = +/-eta and at coinciding parameters.  The sector
 carries exactly M+1 distinct real solution sets in the trigonometric regime
 (V^2 > W^2); each set yields one eigenvalue through a closed formula.
 
-The solver seeds each solution set from the matching exact eigenvector: the
-ladder amplitudes are fixed multiples of the elementary symmetric polynomials
-in the Moebius variables x_l = (E_l + eta)/(E_l - eta), so the roots of one
-polynomial recover the E_l, which damped Newton then polishes.  The roots are
-therefore seeded from the diagonalization; the residual of the pair-energy
-equations and the closed-form eigenvalue stay independent of it, and every
-returned list is validated against the diagonalization.
+:func:`solve_bethe` is the one solver, for every M.  It seeds each solution
+set from the matching exact eigenvector: the ladder amplitudes are fixed
+multiples of the elementary symmetric polynomials in the Moebius variables
+x_l = (E_l + eta)/(E_l - eta), so the roots of one polynomial recover the
+E_l, which damped Newton then polishes.  The roots are therefore seeded from
+the diagonalization; the residual of the pair-energy equations and the
+closed-form eigenvalue stay independent of it, and every returned list is
+validated against the diagonalization.  The small-M closed forms (the
+single-pair quadratic, the decoupled W = 0 pair) live in
+:mod:`lmg.reference` as oracles that check this solver.
 """
 
 from __future__ import annotations
@@ -40,8 +43,6 @@ __all__ = [
     "SpectralSolution",
     "residual",
     "eigenvalue",
-    "solve_m1",
-    "solve_m2_simplified",
     "solve_bethe",
 ]
 
@@ -287,63 +288,6 @@ def _invert_pairons(vec: np.ndarray, weights: np.ndarray, params: ModelParams):
     if np.any(np.abs(energies.imag) > 1e-6 * scale):
         return None, energies
     return np.sort(energies.real), None
-
-
-def solve_m1(config: SectorConfig, params: ModelParams) -> list[SpectralSolution]:
-    """Both analytic roots of the single-pair (M = 1) quadratic.
-
-    Clearing denominators of the M = 1 residual gives
-    A E^2 + B E + C = 0 with A = 1 - eta g s (nu_a - nu_b),
-    B = -2 eta V (1 + nu_a + nu_b)/N, C = -eta^2 - eta g (nu_a - nu_b).
-    """
-    if config.m != 1:
-        raise InvalidArgumentError(f"solve_m1 requires M = 1, got M = {config.m}")
-    if params.rational:
-        raise UnsupportedRegimeError("analytic roots are undefined at V^2 = W^2")
-    if config.n != params.n:
-        raise InvalidArgumentError("sector/params particle mismatch")
-    nu_a, nu_b = config.nu_a, config.nu_b
-    g, eta, s, v, n = params.g, params.eta, params.s, params.v, params.n
-    a = 1.0 - eta * g * s * (nu_a - nu_b)
-    b = -2.0 * eta * v * (1 + nu_a + nu_b) / n
-    c = -eta * eta - eta * g * (nu_a - nu_b)
-    if abs(a) < 1e-12 * max(1.0, abs(b), abs(c)):
-        raise IncompleteSolveError(
-            "leading coefficient vanished: one pair energy diverges (V + W near N)",
-            found=1,
-            needed=2,
-        )
-    disc = b * b - 4.0 * a * c
-    if disc < 0:
-        raise ComplexPaironsError(f"M=1 quadratic has complex roots (discriminant {disc:g})")
-    sq = math.sqrt(disc)
-    roots = sorted([(-b - sq) / (2 * a), (-b + sq) / (2 * a)])
-    return _finalize([np.array([r]) for r in roots], config, params)
-
-
-def solve_m2_simplified(config: SectorConfig, params: ModelParams) -> SpectralSolution:
-    """The decoupled analytic solution set for M = 2, W = 0, nu_a = nu_b.
-
-    The two pair energies are the roots of E^2 + 2V(1+2nu) E / N - 1 = 0,
-    whose product is -1; the cross term of the coupled equations then cancels
-    and each equation reduces to that same quadratic.  This is one of the
-    three solution sets of the sector (the remaining two stay coupled).
-    """
-    if config.m != 2:
-        raise InvalidArgumentError(f"simplified M = 2 form requires M = 2, got {config.m}")
-    if params.w != 0.0 or config.nu_a != config.nu_b:
-        raise UnsupportedRegimeError(
-            "simplified M = 2 form requires W = 0 and nu_a = nu_b; use solve_bethe"
-        )
-    if config.n != params.n:
-        raise InvalidArgumentError("sector/params particle mismatch")
-    nu, v, n = config.nu_a, params.v, params.n
-    sq = math.sqrt(v * v * (1 + 2 * nu) ** 2 + n * n)
-    pair = np.array([(-v * (1 + 2 * nu) - sq) / n, (-v * (1 + 2 * nu) + sq) / n])
-    sol = _finalize([pair], config, params)[0]
-    vals, _ = sector_spectrum(config, params)
-    rank = int(np.argmin(np.abs(vals - sol.omega))) + 1
-    return replace(sol, index=rank)
 
 
 def solve_bethe(

@@ -31,7 +31,6 @@ __all__ = [
     "Circuit",
     "control_slot",
     "encode",
-    "decode",
     "linear_angles",
     "log_angles",
     "one_hot_output",
@@ -166,14 +165,6 @@ def encode(psi: FockVector, config: SectorConfig) -> np.ndarray:
             f"({config.m}, {config.nu_a}, {config.nu_b})"
         )
     return psi.amps.copy()
-
-
-def decode(target, config: SectorConfig) -> FockVector:
-    """Inverse of :func:`encode`."""
-    t = np.asarray(target, dtype=float)
-    if t.shape != (config.m + 1,):
-        raise InvalidArgumentError(f"target must have length {config.m + 1}, got {t.shape}")
-    return FockVector(config.n, config.parity, t)
 
 
 def _check_unit_target(target) -> np.ndarray:

@@ -69,10 +69,12 @@ def _emit_json(payload) -> None:
     sys.stdout.write(_to_json(payload) + "\n")
 
 
-def _emit_csv(rows: list[dict]) -> None:
-    if not rows:
-        return
-    keys = sorted({key for row in rows for key in row})
+def _emit_csv(rows: list[dict], columns: tuple[str, ...] = ()) -> None:
+    """Header of sorted keys, then one line per row.
+
+    ``columns`` names keys that head the table even when ``rows`` is empty.
+    """
+    keys = sorted({*columns, *(key for row in rows for key in row)})
     sys.stdout.write(",".join(keys) + "\n")
     for row in rows:
         cells = []
@@ -226,7 +228,8 @@ def _cmd_angles(args) -> int:
         "thetas": list(angles.thetas),
     }
     if args.format == "csv":
-        _emit_csv([{"j": j + 1, "theta": t} for j, t in enumerate(angles.thetas)])
+        rows = [{"j": j + 1, "theta": t} for j, t in enumerate(angles.thetas)]
+        _emit_csv(rows, columns=("j", "theta"))
     else:
         _emit_json(payload)
     return 0

@@ -4,6 +4,8 @@ Applying the operator  (a+)^2/(E + eta) + (b+)^2/(E - eta)  once per
 spectral parameter to a fiducial state |nu_a, nu_b> produces an
 (unnormalized) eigenstate whose ladder support has exactly M+1 points.
 The factors commute, so the result is independent of application order.
+The W = 0 closed form of one such step, ``extend_state``, lives in
+:mod:`lmg.reference` as an oracle for :func:`apply_pair_factor`.
 """
 
 from __future__ import annotations
@@ -11,10 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from .bethe import SpectralSolution
-from .errors import InvalidArgumentError, SingularityError, UnsupportedRegimeError
-from .model import FockVector, ModelParams, SectorConfig, canonical_sign
+from .errors import InvalidArgumentError, SingularityError
+from .model import FockVector, canonical_sign
 
-__all__ = ["apply_pair_factor", "build_eigenstate", "extend_state"]
+__all__ = ["apply_pair_factor", "build_eigenstate"]
 
 _POLE_GUARD = 1e-10
 
@@ -56,42 +58,3 @@ def build_eigenstate(solution: SpectralSolution) -> FockVector:
         )
     return FockVector(state.n, state.parity, canonical_sign(state.amps))
 
-
-def extend_state(
-    psi: FockVector, energy: float, config: SectorConfig, params: ModelParams
-) -> FockVector:
-    """Closed-form normalized (M+1)-level state from an M-level one.
-
-    Valid in the W = 0, nu_a = nu_b regime, where eta = -1: with ladder
-    helpers w(j,i) = 2M + nu - 2j + i and x(j,i) = nu + 2j + i the new
-    amplitudes are d_j sqrt(w(j,1) w(j,2))/(E-1) shifted into slot j plus
-    d_j sqrt(x(j,1) x(j,2))/(E+1) into slot j+1, divided by the norm
-    gamma^(1/2).  Must agree with apply_pair_factor plus normalization.
-    """
-    if params.w != 0.0 or config.nu_a != config.nu_b:
-        raise UnsupportedRegimeError("closed-form extension requires W = 0 and nu_a = nu_b")
-    nu = config.nu_a
-    if psi.parity != nu or psi.n != 2 * config.m + 2 * nu:
-        raise InvalidArgumentError(
-            f"input must be an M-level state over fiducial |{nu},{nu}>, got "
-            f"({psi.n} quanta, parity {psi.parity}) for M = {config.m}"
-        )
-    if abs(energy - 1.0) < _POLE_GUARD or abs(energy + 1.0) < _POLE_GUARD:
-        raise SingularityError(f"pair energy {energy:.6g} sits on a pole (eta = -1)")
-    m = config.m
-    d = psi.amps
-    j = np.arange(m + 1)
-
-    def w(i):
-        return 2 * m + nu - 2 * j + i
-
-    def x(i):
-        return nu + 2 * j + i
-
-    lower = d * np.sqrt(w(1) * w(2)) / (energy - 1.0)
-    upper = d * np.sqrt(x(1) * x(2)) / (energy + 1.0)
-    out = np.zeros(m + 2)
-    out[:-1] = lower
-    out[1:] += upper
-    gamma = float(np.sum(lower**2) + np.sum(upper**2) + 2.0 * np.sum(lower[1:] * upper[:-1]))
-    return FockVector(psi.n + 2, nu, out / np.sqrt(gamma))

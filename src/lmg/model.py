@@ -185,10 +185,6 @@ class FockVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    @property
-    def normalized(self) -> bool:
-        return abs(self.amps @ self.amps - 1.0) <= 1e-12
-
     def normalize(self) -> "FockVector":
         nrm = self.norm
         if nrm == 0.0:

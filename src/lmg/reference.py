@@ -1,10 +1,12 @@
 """Frozen reference values backing the bundled self-checks.
 
 The seven-particle and twenty-particle instances at V = 3/4, W = 1/2, plus
-closed forms for the two-, three- and four-particle models and the literal
-product-form circuit outputs for up to five gate pairs.  The closed forms
-are cross-checked against exact diagonalization by the test suite, so they
-serve as independent oracles for the solver and the state builder.
+closed forms: the two- and three-particle eigenpairs, the single-pair (M = 1)
+quadratic, the decoupled W = 0 pair energies, the W = 0 one-step state
+extension, and the literal product-form circuit outputs for up to five gate
+pairs.  The closed forms are cross-checked against exact diagonalization by
+the test suite, so they serve as independent oracles for the solver and the
+state builder; only the self-checks and the tests call them.
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .errors import InvalidArgumentError, SingularityError, UnsupportedRegimeError
+from .model import FockVector, ModelParams, SectorConfig, make_params
 
 # ---------------------------------------------------------------------------
 # Seven particles, V = 0.75, W = 0.5: ground sector (M, nu_a, nu_b) = (3, 1, 0)
@@ -74,8 +79,6 @@ def n2_pairons(v: float, w: float) -> tuple[float, float]:
     W enters only through eta; the eigenstate coefficients do not depend on
     it at all.
     """
-    from .model import make_params
-
     eta = make_params(2, v, w).eta
     q = math.sqrt(v * v + 4.0)
     return tuple(sorted(((eta / 2) * (v + q), (eta / 2) * (v - q))))
@@ -131,23 +134,72 @@ def n3_states(v: float, w: float) -> dict[tuple[int, int], list[tuple[float, np.
     return out
 
 
-def simplified_two_pair_pairons(v: float, nu: int) -> tuple[float, float]:
-    """The decoupled W = 0 solution set for two pairs on fiducial |nu, nu>.
+def single_pair_pairons(config: SectorConfig, params: ModelParams) -> tuple[float, float]:
+    """Both roots of the single-pair quadratic of an M = 1 sector, ascending.
 
-    Both energies are roots of E^2 + 2V(1+2nu) E / N - 1 = 0 with
-    N = 4 + 2 nu, so their product is -1 and the coupled term cancels.
-    For nu = 0 this reads E = (-V -/+ sqrt(V^2 + 16))/4.
+    Clearing denominators of the M = 1 pair-energy equation gives
+    A E^2 + B E + C = 0 with A = 1 - eta g s (nu_a - nu_b),
+    B = -2 eta V (1 + nu_a + nu_b)/N, C = -eta^2 - eta g (nu_a - nu_b).
     """
-    n = 4 + 2 * nu
+    nu_a, nu_b = config.nu_a, config.nu_b
+    g, eta, s, v, n = params.g, params.eta, params.s, params.v, params.n
+    a = 1.0 - eta * g * s * (nu_a - nu_b)
+    b = -2.0 * eta * v * (1 + nu_a + nu_b) / n
+    c = -eta * eta - eta * g * (nu_a - nu_b)
+    sq = math.sqrt(b * b - 4.0 * a * c)
+    return tuple(sorted(((-b - sq) / (2 * a), (-b + sq) / (2 * a))))
+
+
+def w0_pairons(v: float, n: int, nu: int) -> tuple[float, float]:
+    """The decoupled W = 0 pair energies on fiducial |nu, nu>, ascending.
+
+    Both are roots of E^2 + 2V(1+2nu) E / N - 1 = 0, so their product is -1.
+    With N = 2 + 2nu they are the two single-pair (M = 1) solution sets; with
+    N = 4 + 2nu they form one two-pair (M = 2) solution set, whose coupled
+    term cancels.  For N = 4, nu = 0 this reads E = (-V -/+ sqrt(V^2 + 16))/4.
+    """
     sq = math.sqrt(v * v * (1 + 2 * nu) ** 2 + n * n)
     return ((-v * (1 + 2 * nu) - sq) / n, (-v * (1 + 2 * nu) + sq) / n)
 
 
-def single_pair_pairons_w0(v: float, nu: int) -> tuple[float, float]:
-    """Single-pair (M = 1) energies at W = 0 on fiducial |nu, nu>, N = 2 + 2nu."""
-    n = 2 + 2 * nu
-    sq = math.sqrt(v * v * (1 + 2 * nu) ** 2 + n * n)
-    return ((-v * (1 + 2 * nu) - sq) / n, (-v * (1 + 2 * nu) + sq) / n)
+def extend_state(
+    psi: FockVector, energy: float, config: SectorConfig, params: ModelParams
+) -> FockVector:
+    """Closed-form normalized (M+1)-level state from an M-level one.
+
+    Valid in the W = 0, nu_a = nu_b regime, where eta = -1: with ladder
+    helpers w(j,i) = 2M + nu - 2j + i and x(j,i) = nu + 2j + i the new
+    amplitudes are d_j sqrt(w(j,1) w(j,2))/(E-1) shifted into slot j plus
+    d_j sqrt(x(j,1) x(j,2))/(E+1) into slot j+1, divided by the norm
+    gamma^(1/2).  Must agree with apply_pair_factor plus normalization.
+    """
+    if params.w != 0.0 or config.nu_a != config.nu_b:
+        raise UnsupportedRegimeError("closed-form extension requires W = 0 and nu_a = nu_b")
+    nu = config.nu_a
+    if psi.parity != nu or psi.n != 2 * config.m + 2 * nu:
+        raise InvalidArgumentError(
+            f"input must be an M-level state over fiducial |{nu},{nu}>, got "
+            f"({psi.n} quanta, parity {psi.parity}) for M = {config.m}"
+        )
+    if abs(energy - 1.0) < 1e-10 or abs(energy + 1.0) < 1e-10:
+        raise SingularityError(f"pair energy {energy:.6g} sits on a pole (eta = -1)")
+    m = config.m
+    d = psi.amps
+    j = np.arange(m + 1)
+
+    def w(i):
+        return 2 * m + nu - 2 * j + i
+
+    def x(i):
+        return nu + 2 * j + i
+
+    lower = d * np.sqrt(w(1) * w(2)) / (energy - 1.0)
+    upper = d * np.sqrt(x(1) * x(2)) / (energy + 1.0)
+    out = np.zeros(m + 2)
+    out[:-1] = lower
+    out[1:] += upper
+    gamma = float(np.sum(lower**2) + np.sum(upper**2) + 2.0 * np.sum(lower[1:] * upper[:-1]))
+    return FockVector(psi.n + 2, nu, out / np.sqrt(gamma))
 
 
 # ---------------------------------------------------------------------------

@@ -82,11 +82,6 @@ class StateVector:
         """|0...0>: the circuits' standard input (the X prep gate acts on it)."""
         return cls.one_hot(num_qubits, 0, dense=dense)
 
-    @classmethod
-    def fiducial(cls, num_qubits: int, dense: bool = False) -> "StateVector":
-        """|1> on qubit 1, |0> elsewhere: the state right after the prep gate."""
-        return cls.one_hot(num_qubits, 1 << (num_qubits - 1), dense=dense)
-
     def amplitude(self, basis: int) -> complex:
         if self.is_dense:
             return complex(self.amps[basis])
@@ -265,38 +260,6 @@ class MeasurementGroup:
             values.append(0.0)
             probs.append(probs_all[k])
         return np.asarray(values), np.asarray(probs)
-
-    def expectation(self, weights: np.ndarray) -> float:
-        values, probs = self.outcomes(weights)
-        return float(values @ probs)
-
-    def pauli_terms(self) -> list[tuple[str, float]]:
-        """The family as explicit Pauli strings (qubit 1 = leftmost character).
-
-        Ladder position k lives on qubit size-k, so |2^k> has its set bit at
-        string index size-1-k.  The Z family is sum_k d_k (I - Z_k)/2; each
-        bond contributes (t/2)(X X + Y Y) on its two wires.
-        """
-        def slot(position: int) -> int:
-            return self.size - 1 - position
-
-        terms: list[tuple[str, float]] = []
-        if self.label == "z":
-            constant = sum(d for _, d in self.terms) / 2.0
-            if constant:
-                terms.append(("I" * self.size, constant))
-            for k, d in self.terms:
-                label = ["I"] * self.size
-                label[slot(k)] = "Z"
-                terms.append(("".join(label), -d / 2.0))
-            return terms
-        for k, strength in self.terms:
-            for op in ("X", "Y"):
-                label = ["I"] * self.size
-                label[slot(k)] = op
-                label[slot(k + 1)] = op
-                terms.append(("".join(label), strength / 2.0))
-        return terms
 
 
 @functools.lru_cache(maxsize=128)

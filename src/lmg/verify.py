@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reference as ref
-from .bethe import solve_bethe, solve_m1, solve_m2_simplified
+from .bethe import eigenvalue, residual, solve_bethe
 from .circuit import AngleSet, build_circuit, encode, linear_angles, log_angles
 from .eigenstates import build_eigenstate
 from .errors import InvalidArgumentError, LmgError
@@ -163,7 +163,14 @@ def check_completeness():
 
 
 def check_closed_forms():
-    """Two-, three- and four-particle closed forms match the pipeline."""
+    """The solver against the two- and three-particle closed forms.
+
+    ``solve_bethe`` (hyperbolic instances allowed) must reproduce both
+    eigenpairs of every N = 2 and N = 3 sector and the N = 2 pair energies.
+    The decoupled W = 0 pair of N = 4 is checked on its own: its eigenvalue
+    must be a level of the diagonalization, and it must solve the coupled
+    pair-energy equations.
+    """
     rng = np.random.default_rng(77)
     worst = 0.0
     for _ in range(10):
@@ -173,7 +180,7 @@ def check_closed_forms():
             w *= 0.5
         # N=2: both eigenstates and the quadratic's roots
         p2 = make_params(2, v, w)
-        sols = solve_m1(SectorConfig(1, 0, 0), p2)
+        sols = solve_bethe(SectorConfig(1, 0, 0), p2, allow_hyperbolic=True)
         for sol, (omega_shiftless, vec) in zip(sols, ref.n2_states(v)):
             built = canonical_sign(build_eigenstate(sol).amps)
             worst = max(worst, float(np.max(np.abs(built - canonical_sign(vec)))))
@@ -185,18 +192,20 @@ def check_closed_forms():
         closed3 = ref.n3_states(v, w)
         for config in sector_configs(3):
             for sol, (omega_ref, vec) in zip(
-                solve_m1(config, p3), closed3[(config.nu_a, config.nu_b)]
+                solve_bethe(config, p3, allow_hyperbolic=True),
+                closed3[(config.nu_a, config.nu_b)],
             ):
                 worst = max(worst, abs(sol.omega - omega_ref))
                 built = canonical_sign(build_eigenstate(sol).amps)
                 worst = max(worst, float(np.max(np.abs(built - canonical_sign(vec)))))
-        # N=4 simplified two-pair branch (W = 0): its eigenvalue against the
-        # diagonalization, and its pair energies against the coupled equations
+        # N=4 decoupled two-pair set (W = 0): its eigenvalue against the
+        # nearest level of the diagonalization, and the coupled equations
         p4 = make_params(4, v, 0.0)
         config4 = SectorConfig(2, 0, 0)
-        sol4 = solve_m2_simplified(config4, p4)
-        worst = max(worst, abs(sol4.omega - sector_spectrum(config4, p4)[0][sol4.index - 1]))
-        worst = max(worst, sol4.residual_norm)
+        pair = ref.w0_pairons(v, 4, 0)
+        omega4 = eigenvalue(pair, config4, p4)
+        worst = max(worst, float(np.min(np.abs(sector_spectrum(config4, p4)[0] - omega4))))
+        worst = max(worst, float(np.max(np.abs(residual(pair, config4, p4)))))
     ok = worst < 1e-10
     return ok, f"max closed-form deviation {worst:.2e} (tol 1e-10)"
 

@@ -2,7 +2,7 @@
 
 These rebuild the physics from raw operator matrix elements over the full
 (N+1)-dimensional two-mode basis, with no code shared with the package's
-ladder representation.
+ladder representation, and spell the measurement groups out as Pauli strings.
 """
 
 import math
@@ -62,3 +62,32 @@ def pair_product_state(energies, nu_a: int, nu_b: int, eta: float) -> np.ndarray
 
 def rayleigh(ham: np.ndarray, vec: np.ndarray) -> float:
     return float(vec @ ham @ vec / (vec @ vec))
+
+
+def pauli_terms(group) -> list[tuple[str, float]]:
+    """A measurement group as explicit Pauli strings (qubit 1 = leftmost character).
+
+    Ladder position k lives on qubit size-k, so |2^k> has its set bit at
+    string index size-1-k.  The Z family is sum_k d_k (I - Z_k)/2; each
+    bond contributes (t/2)(X X + Y Y) on its two wires.
+    """
+    def slot(position: int) -> int:
+        return group.size - 1 - position
+
+    terms: list[tuple[str, float]] = []
+    if group.label == "z":
+        constant = sum(d for _, d in group.terms) / 2.0
+        if constant:
+            terms.append(("I" * group.size, constant))
+        for k, d in group.terms:
+            label = ["I"] * group.size
+            label[slot(k)] = "Z"
+            terms.append(("".join(label), -d / 2.0))
+        return terms
+    for k, strength in group.terms:
+        for op in ("X", "Y"):
+            label = ["I"] * group.size
+            label[slot(k)] = op
+            label[slot(k + 1)] = op
+            terms.append(("".join(label), strength / 2.0))
+    return terms

@@ -1,5 +1,6 @@
 """Pair-energy equations: residuals, closed forms, and the full solver."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,8 +20,6 @@ from lmg import (
     sector_configs,
     sector_spectrum,
     solve_bethe,
-    solve_m1,
-    solve_m2_simplified,
 )
 from lmg.reference import (
     HYPERBOLIC_COMPLEX,
@@ -28,8 +27,8 @@ from lmg.reference import (
     N7_ENERGY,
     N7_PAIRONS,
     n2_pairons,
-    simplified_two_pair_pairons,
-    single_pair_pairons_w0,
+    single_pair_pairons,
+    w0_pairons,
 )
 
 N7_CONFIG = SectorConfig(3, 1, 0)
@@ -108,7 +107,7 @@ def test_residual_rejects_rational():
 
 def test_solve_m1_reference_roots():
     p = make_params(2, 0.75, 0.0)
-    sols = solve_m1(SectorConfig(1, 0, 0), p)
+    sols = solve_bethe(SectorConfig(1, 0, 0), p)
     roots = sorted(e for s in sols for e in s.energies)
     assert roots[0] == pytest.approx(-1.4430005, abs=1e-6)
     assert roots[1] == pytest.approx(0.6930005, abs=1e-6)
@@ -119,12 +118,14 @@ def test_solve_m1_reference_roots():
 def test_solve_m1_closed_form_w0():
     for nu, n in ((0, 2), (1, 4)):
         p = make_params(n, 0.85, 0.0)
-        sols = solve_m1(SectorConfig(1, nu, nu), p)
+        sols = solve_bethe(SectorConfig(1, nu, nu), p)
         got = sorted(e for s in sols for e in s.energies)
-        np.testing.assert_allclose(got, single_pair_pairons_w0(0.85, nu), atol=1e-12)
+        np.testing.assert_allclose(got, w0_pairons(0.85, n, nu), atol=1e-12)
 
 
 def test_solve_m1_eigenvalues_match_oracle():
+    # the quadratic's roots give the sector's levels through the eigenvalue
+    # formula, and the solver labels its two sets by increasing eigenvalue
     rng = np.random.default_rng(4)
     for _ in range(8):
         v = rng.uniform(0.3, 1.4)
@@ -134,56 +135,65 @@ def test_solve_m1_eigenvalues_match_oracle():
                 if config.m != 1:
                     continue
                 p = make_params(n, v, w)
-                sols = solve_m1(config, p)
                 vals, _ = sector_spectrum(config, p)
-                np.testing.assert_allclose([s.omega for s in sols], vals, atol=1e-10)
-                assert [s.index for s in sols] == [1, 2]
-
-
-def test_solve_m1_requires_m1():
-    p = make_params(4, 1.0, 0.0)
-    with pytest.raises(InvalidArgumentError):
-        solve_m1(SectorConfig(2, 0, 0), p)
+                roots = single_pair_pairons(config, p)
+                omegas = sorted(eigenvalue([e], config, p) for e in roots)
+                np.testing.assert_allclose(omegas, vals, atol=1e-10)
+                assert [s.index for s in solve_bethe(config, p)] == [1, 2]
 
 
 def test_solve_m2_simplified_closed_form():
+    # checks on the decoupled pair that do not reuse its formula: it solves
+    # the coupled M = 2 equations, its product is -1 (so the cross term
+    # cancels), and its eigenvalue is one of the solver's
     rng = np.random.default_rng(9)
     for nu, n in ((0, 4), (1, 6)):
         for _ in range(10):
             v = rng.uniform(0.25, 1.6)
             p = make_params(n, v, 0.0)
-            sol = solve_m2_simplified(SectorConfig(2, nu, nu), p)
-            np.testing.assert_allclose(
-                sol.energies, sorted(simplified_two_pair_pairons(v, nu)), atol=1e-10
-            )
-            assert sol.residual_norm < 1e-12
-            assert abs(sol.energies[0] * sol.energies[1] + 1.0) < 1e-12
+            config = SectorConfig(2, nu, nu)
+            pair = w0_pairons(v, n, nu)
+            assert np.max(np.abs(residual(pair, config, p))) <= 1e-12
+            assert pair[0] * pair[1] == pytest.approx(-1.0, abs=1e-12)
+            omega = eigenvalue(pair, config, p)
+            assert min(abs(s.omega - omega) for s in solve_bethe(config, p)) < 1e-10
 
 
 def test_solve_m2_simplified_n4_values():
-    # V=1: E = (-1 -/+ sqrt(17))/4
-    p = make_params(4, 1.0, 0.0)
-    sol = solve_m2_simplified(SectorConfig(2, 0, 0), p)
+    # V=1: E = (-1 -/+ sqrt(17))/4 is one of the solver's three sets
     sq = np.sqrt(17.0)
-    np.testing.assert_allclose(sol.energies, [(-1 - sq) / 4, (-1 + sq) / 4], atol=1e-14)
+    want = [(-1 - sq) / 4, (-1 + sq) / 4]
+    np.testing.assert_allclose(w0_pairons(1.0, 4, 0), want, atol=1e-14)
+    sols = solve_bethe(SectorConfig(2, 0, 0), make_params(4, 1.0, 0.0))
+    assert min(np.max(np.abs(np.array(s.energies) - want)) for s in sols) < 1e-12
 
 
 def test_solve_m2_simplified_contained_in_solve_bethe():
     for v in (0.6, 1.0, 1.45):
         p = make_params(4, v, 0.0)
         config = SectorConfig(2, 0, 0)
-        closed = solve_m2_simplified(config, p)
+        closed = np.array(w0_pairons(v, 4, 0))
         full = solve_bethe(config, p)
-        gaps = [
-            np.max(np.abs(np.array(s.energies) - np.array(closed.energies))) for s in full
-        ]
+        gaps = [np.max(np.abs(np.array(s.energies) - closed)) for s in full]
         assert min(gaps) < 1e-10
 
 
-def test_solve_m2_simplified_rejects_w_nonzero():
-    p = make_params(4, 1.0, 0.2)
-    with pytest.raises(UnsupportedRegimeError):
-        solve_m2_simplified(SectorConfig(2, 0, 0), p)
+def test_closed_forms_check_runs_solve_bethe(monkeypatch):
+    from lmg import verify
+
+    (clean,) = verify.run_checks(["closed-forms"])
+    assert clean.passed
+    solve = verify.solve_bethe
+
+    def perturbed(*args, **kwargs):
+        return [
+            dataclasses.replace(s, energies=tuple(e + 1e-6 for e in s.energies))
+            for s in solve(*args, **kwargs)
+        ]
+
+    monkeypatch.setattr(verify, "solve_bethe", perturbed)
+    (broken,) = verify.run_checks(["closed-forms"])
+    assert not broken.passed
 
 
 def test_eigenvalue_empty_sector_formula():
@@ -212,19 +222,22 @@ def test_solve_bethe_n7_ground_solution():
 
 
 def test_solve_bethe_agrees_with_solve_m1():
+    # against the M = 1 quadratic, on trigonometric and hyperbolic instances
     rng = np.random.default_rng(31)
-    for _ in range(6):
+    for _ in range(12):
         v = rng.uniform(0.3, 1.3)
-        w = rng.uniform(-0.8, 0.8) * v
+        w = rng.uniform(-1.4, 1.4)
+        if abs(v * v - w * w) < 1e-3:
+            continue
         for n in (2, 3):
             for config in sector_configs(n):
                 if config.m != 1:
                     continue
                 p = make_params(n, v, w)
-                analytic = solve_m1(config, p)
-                numeric = solve_bethe(config, p)
-                for a, b in zip(analytic, numeric):
-                    np.testing.assert_allclose(a.energies, b.energies, atol=1e-10)
+                numeric = [s.energies[0] for s in solve_bethe(config, p, allow_hyperbolic=True)]
+                np.testing.assert_allclose(
+                    sorted(numeric), single_pair_pairons(config, p), atol=1e-10
+                )
 
 
 def test_solve_bethe_n10_omegas_match_spectrum():

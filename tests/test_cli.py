@@ -322,6 +322,14 @@ def test_angles_csv(capsys):
     assert len(lines) == 4
 
 
+def test_angles_csv_without_angles_prints_the_header(capsys):
+    # N = 1 has M = 0: no rotation angles, but the table still has its columns
+    code, out, _ = invoke(capsys, "angles", "--n", "1", "--v", "1", "--w", "0",
+                          "--index", "1", "--format", "csv")
+    assert code == 0
+    assert out == "j,theta\n"
+
+
 def test_ground_sector_on_a_tie_is_one_rule(capsys):
     # both sectors of (3, 0, -1.5) have ground energy -2.25; the even-parity one wins
     instance = ("--n", "3", "--v", "0", "--w", "-1.5")

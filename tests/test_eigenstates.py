@@ -15,14 +15,12 @@ from lmg import (
     apply_hamiltonian,
     apply_pair_factor,
     build_eigenstate,
-    extend_state,
     make_params,
     sector_configs,
     solve_bethe,
-    solve_m1,
 )
 from lmg.model import canonical_sign
-from lmg.reference import N7, N7_STATE, n2_states, n3_states
+from lmg.reference import N7, N7_STATE, extend_state, n2_states, n3_states, w0_pairons
 from oracles import pair_product_state
 
 
@@ -103,7 +101,7 @@ def test_build_eigenstate_n2_closed_form():
         if abs(v * v - w * w) < 1e-3:
             continue
         p = make_params(2, v, w)
-        sols = solve_m1(config, p)
+        sols = solve_bethe(config, p, allow_hyperbolic=True)
         closed = n2_states(v)
         for sol, (omega_shiftless, vec) in zip(sols, closed):
             built = build_eigenstate(sol)
@@ -116,7 +114,8 @@ def test_build_eigenstate_n2_w_independence():
     reference = None
     for w in (0.0, 0.35, -0.6, 1.4):
         p = make_params(2, 0.75, w)
-        states = [build_eigenstate(s).amps for s in solve_m1(config, p)]
+        sols = solve_bethe(config, p, allow_hyperbolic=True)
+        states = [build_eigenstate(s).amps for s in sols]
         if reference is None:
             reference = states
         else:
@@ -134,7 +133,7 @@ def test_build_eigenstate_n3_closed_forms():
         p = make_params(3, v, w)
         closed = n3_states(v, w)
         for config in sector_configs(3):
-            sols = solve_m1(config, p)
+            sols = solve_bethe(config, p, allow_hyperbolic=True)
             for sol, (omega_ref, vec) in zip(sols, closed[(config.nu_a, config.nu_b)]):
                 assert sol.omega == pytest.approx(omega_ref, abs=1e-10)
                 assert aligned(build_eigenstate(sol).amps, vec)
@@ -199,10 +198,8 @@ def test_extend_state_equals_factor_path():
 
 def test_extend_state_n4_two_pair_fixture():
     # Extending the M=1 state by the second root matches the two-factor build.
-    from lmg.reference import simplified_two_pair_pairons
-
     p4 = make_params(4, 1.0, 0.0)
-    e1, e2 = simplified_two_pair_pairons(1.0, 0)
+    e1, e2 = w0_pairons(1.0, 4, 0)
     base = apply_pair_factor(FockVector.fiducial(0, 0), e1, -1.0).normalize()
     ext = extend_state(base, e2, SectorConfig(1, 0, 0), p4)
     direct = apply_pair_factor(base, e2, -1.0).normalize()
@@ -223,6 +220,6 @@ def test_extend_state_regime_errors():
 
 def test_build_eigenstate_quanta_check():
     p2 = make_params(2, 0.75, 0.0)
-    sols = solve_m1(SectorConfig(1, 0, 0), p2)
+    sols = solve_bethe(SectorConfig(1, 0, 0), p2)
     with pytest.raises(InvalidArgumentError):
         build_eigenstate(dataclasses.replace(sols[0], params=make_params(4, 0.75, 0.0)))

@@ -84,7 +84,7 @@ def test_fock_vector_validation():
     with pytest.raises(InvalidArgumentError):
         FockVector(4, 2, np.ones(3))  # bad parity
     fv = FockVector(4, 0, np.array([1.0, 0.0, 0.0]))
-    assert fv.normalized
+    assert fv.norm == 1.0
     with pytest.raises(ValueError):
         fv.amps[0] = 2.0  # amplitudes are read-only
 

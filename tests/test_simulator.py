@@ -32,11 +32,18 @@ from lmg.reference import (
     linear_product_form,
     log_product_form,
 )
+from oracles import pauli_terms
 
 
 def normalized(values):
     arr = np.asarray(values, dtype=float)
     return arr / np.linalg.norm(arr)
+
+
+def group_mean(group, weights):
+    """Exact mean of one measurement group on normalized ladder weights."""
+    values, probs = group.outcomes(weights)
+    return float(values @ probs)
 
 
 def test_run_single_pair_output():
@@ -156,7 +163,7 @@ def test_dense_cap():
     with pytest.raises(InvalidArgumentError):
         StateVector.zeros(21, dense=True)
     # sparse path has no such cap
-    state = StateVector.fiducial(25)
+    state = StateVector.one_hot(25, 1 << 24)
     assert state.norm() == 1.0
 
 
@@ -246,7 +253,7 @@ def test_pauli_groups_sum_to_expectation():
         config = SectorConfig(m, 1, 0)
         target = normalized(rng.standard_normal(m + 1))
         state = StateVector(m + 1, {1 << k: complex(target[k]) for k in range(m + 1)})
-        total = sum(g.expectation(target) for g in pauli_groups(config, p))
+        total = sum(group_mean(g, target) for g in pauli_groups(config, p))
         assert total == pytest.approx(encoded_expectation(state, config, p), abs=1e-10)
 
 
@@ -255,7 +262,7 @@ def test_pauli_groups_two_level_exact():
     config = SectorConfig(1, 0, 0)
     target = normalized([0.6, -0.8])
     state = StateVector(2, {0b01: 0.6, 0b10: -0.8})
-    total = sum(g.expectation(target) for g in pauli_groups(config, p))
+    total = sum(group_mean(g, target) for g in pauli_groups(config, p))
     assert total == pytest.approx(encoded_expectation(state, config, p), abs=1e-12)
 
 
@@ -294,7 +301,7 @@ def test_sampled_expectation_converges_to_exact():
 
 
 def test_sampled_expectation_input_validation():
-    state = StateVector.fiducial(2)
+    state = StateVector.one_hot(2, 0b10)
     with pytest.raises(InvalidArgumentError):
         sampled_expectation(state, [], shots=10, seed=0)
     p = make_params(2, 0.75, 0.0)
@@ -343,7 +350,7 @@ def test_pauli_terms_rebuild_encoded_hamiltonian():
         size = config.m + 1
         total = np.zeros((2**size, 2**size), dtype=complex)
         for group in pauli_groups(config, p):
-            for label, coeff in group.pauli_terms():
+            for label, coeff in pauli_terms(group):
                 total += coeff * matrix(label)
         diag, hop = ladder_matrix(p, config.parity)
         # one-hot integer 2^k sits at dense index 2^k
