@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,13 +45,17 @@ GATE_KINDS = ("x", "ry", "cry", "cx")
 
 
 def control_slot(n: int, mode: str) -> int:
-    """Control-qubit index f(n) for gate pair n (1-based)."""
+    """Control-qubit index f(n) for gate pair n (an int, 1-based)."""
     if n < 1:
         raise InvalidArgumentError(f"gate pair index must be >= 1, got {n}")
     if mode == "linear":
         return n
     if mode == "log":
-        return n - 2 ** int(math.floor(math.log2(n))) + 1
+        try:
+            top = 1 << (n.bit_length() - 1)  # exact 2^floor(log2 n), unlike float log2
+        except AttributeError:
+            raise InvalidArgumentError(f"gate pair index must be an int, got {n!r}") from None
+        return n - top + 1
     raise InvalidArgumentError(f"unknown depth mode {mode!r}")
 
 
@@ -82,30 +87,50 @@ def _is_finite_real(value) -> bool:
         return False
 
 
-@dataclass(frozen=True)
-class Gate:
-    """Single gate record; ``control`` and ``angle`` apply where meaningful."""
+def _check_gate(kind, target, control, angle) -> None:
+    """Raise InvalidArgumentError unless the four fields make a valid gate."""
+    if kind not in GATE_KINDS:
+        raise InvalidArgumentError(f"unknown gate kind {kind!r}")
+    needs_angle = kind in ("ry", "cry")
+    if needs_angle != (angle is not None):
+        raise InvalidArgumentError(f"gate {kind!r} angle mismatch")
+    if needs_angle and not _is_finite_real(angle):
+        raise InvalidArgumentError(f"gate angle must be a finite real, got {angle!r}")
+    needs_control = kind in ("cry", "cx")
+    if needs_control != (control is not None):
+        raise InvalidArgumentError(f"gate {kind!r} control mismatch")
+    if type(target) is not int or type(control) not in (int, type(None)):
+        qubits = (target,) if control is None else (control, target)
+        raise InvalidArgumentError(f"qubit indices must be ints, got {qubits!r}")
+    if control is not None and control == target:
+        raise InvalidArgumentError("control and target must differ")
 
+
+class _GateFields(NamedTuple):
     kind: str
     target: int
     control: int | None = None
     angle: float | None = None
 
-    def __post_init__(self):
-        if self.kind not in GATE_KINDS:
-            raise InvalidArgumentError(f"unknown gate kind {self.kind!r}")
-        needs_angle = self.kind in ("ry", "cry")
-        if needs_angle != (self.angle is not None):
-            raise InvalidArgumentError(f"gate {self.kind!r} angle mismatch")
-        if needs_angle and not _is_finite_real(self.angle):
-            raise InvalidArgumentError(f"gate angle must be a finite real, got {self.angle!r}")
-        needs_control = self.kind in ("cry", "cx")
-        if needs_control != (self.control is not None):
-            raise InvalidArgumentError(f"gate {self.kind!r} control mismatch")
-        if type(self.target) is not int or type(self.control) not in (int, type(None)):
-            raise InvalidArgumentError(f"qubit indices must be ints, got {self.qubits!r}")
-        if self.control is not None and self.control == self.target:
-            raise InvalidArgumentError("control and target must differ")
+
+class Gate(_GateFields):
+    """Single gate record; ``control`` and ``angle`` apply where meaningful.
+
+    A named tuple, so it is cheap to build and compares equal to a plain
+    tuple with the same fields.  The constructor (and ``_make``/``_replace``)
+    refuses an invalid gate; code that has already checked its fields may
+    build one with ``tuple.__new__(Gate, fields)``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, target: int, control: int | None = None, angle: float | None = None):
+        _check_gate(kind, target, control, angle)
+        return tuple.__new__(cls, (kind, target, control, angle))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -124,18 +149,22 @@ class Circuit:
             raise InvalidArgumentError(f"qubit count must be an int >= 1, got {self.num_qubits!r}")
         gates = tuple(self.gates)
         object.__setattr__(self, "gates", gates)
+        n = self.num_qubits
         for gate in gates:
-            for q in gate.qubits:
-                if not 1 <= q <= self.num_qubits:
-                    raise InvalidArgumentError(f"qubit index {q} outside 1..{self.num_qubits}")
+            if not isinstance(gate, Gate):
+                raise InvalidArgumentError(f"circuit gates must be Gate records, got {gate!r}")
+            _, target, control, _ = gate
+            if control is not None and not 1 <= control <= n:
+                raise InvalidArgumentError(f"qubit index {control} outside 1..{n}")
+            if not 1 <= target <= n:
+                raise InvalidArgumentError(f"qubit index {target} outside 1..{n}")
 
     @property
     def layers(self) -> tuple[tuple[int, ...], ...]:
         """As-soon-as-possible schedule: one layer after the last gate on any of its qubits."""
         depth = [0] * (self.num_qubits + 1)  # layers used so far, per qubit
         layers: list[list[int]] = []
-        for i, gate in enumerate(self.gates):
-            target, control = gate.target, gate.control
+        for i, (_, target, control, _) in enumerate(self.gates):
             level = depth[target]
             if control is not None:
                 if depth[control] > level:
@@ -232,8 +261,8 @@ def log_angles(target) -> AngleSet:
     """
     c = _check_unit_target(target)
     m = c.size - 1
-    amps = c.astype(float).copy()
-    thetas = np.zeros(m)
+    amps = c.tolist()
+    thetas = [0.0] * m
     for n in range(m, 0, -1):
         src = m + 1 - control_slot(n, "log")
         dst = m - n
@@ -245,7 +274,7 @@ def log_angles(target) -> AngleSet:
         thetas[n - 1] = 2.0 * math.atan2(amps[dst] / radius, amps[src] / radius)
         amps[src] = radius
         amps[dst] = 0.0
-    angles = AngleSet(tuple(thetas), "log")
+    angles = AngleSet(thetas, "log")
     reached = one_hot_output(angles)
     if float(np.max(np.abs(reached - c))) > 1e-12:
         raise NumericFailureError("log-depth angles do not reproduce the target")
@@ -259,43 +288,42 @@ def build_circuit(angles: AngleSet) -> Circuit:
     f(n) and target n+1 followed by CNOT with control n+1 and target f(n).
     In log mode the pairs of each block n = 2^k .. 2^(k+1) - 1 touch
     disjoint qubits, so the derived schedule runs each block in two layers.
+    The angles are finite floats (``AngleSet`` checks them) and f(n) <= n,
+    so every gate is valid by construction and skips the ``Gate`` checks.
     """
-    gates: list[Gate] = [Gate("x", target=1)]
+    new, mode = tuple.__new__, angles.mode
+    gates = [new(Gate, ("x", 1, None, None))]
     for n, theta in enumerate(angles.thetas, start=1):
-        slot = control_slot(n, angles.mode)
-        gates.append(Gate("cry", target=n + 1, control=slot, angle=theta))
-        gates.append(Gate("cx", target=slot, control=n + 1))
+        slot = control_slot(n, mode)
+        gates.append(new(Gate, ("cry", n + 1, slot, theta)))
+        gates.append(new(Gate, ("cx", slot, n + 1, None)))
     return Circuit(num_qubits=len(angles.thetas) + 1, gates=tuple(gates))
 
 
 def export_circuit(circ: Circuit, format: str = "json") -> str:
     """Serialize a circuit; JSON round-trips bit-exactly, QASM-3 is one-way."""
     if format == "json":
-        payload = {
-            "num_qubits": circ.num_qubits,
-            "gates": [
-                {
-                    "kind": g.kind,
-                    **({"angle": g.angle} if g.angle is not None else {}),
-                    **({"control": g.control} if g.control is not None else {}),
-                    "target": g.target,
-                }
-                for g in circ.gates
-            ],
-            "layers": circ.layers,
-        }
+        gates = []
+        for kind, target, control, angle in circ.gates:
+            entry = {"kind": kind, "target": target}
+            if angle is not None:
+                entry["angle"] = angle
+            if control is not None:
+                entry["control"] = control
+            gates.append(entry)
+        payload = {"num_qubits": circ.num_qubits, "gates": gates, "layers": circ.layers}
         return json.dumps(payload, sort_keys=True)
     if format == "qasm":
         lines = ["OPENQASM 3;", f"qubit[{circ.num_qubits}] q;"]
-        for g in circ.gates:
-            if g.kind == "x":
-                lines.append(f"x q[{g.target - 1}];")
-            elif g.kind == "ry":
-                lines.append(f"ry({g.angle:.17g}) q[{g.target - 1}];")
-            elif g.kind == "cry":
-                lines.append(f"ctrl @ ry({g.angle:.17g}) q[{g.control - 1}], q[{g.target - 1}];")
-            elif g.kind == "cx":
-                lines.append(f"cx q[{g.control - 1}], q[{g.target - 1}];")
+        for kind, target, control, angle in circ.gates:
+            if kind == "x":
+                lines.append(f"x q[{target - 1}];")
+            elif kind == "ry":
+                lines.append(f"ry({angle:.17g}) q[{target - 1}];")
+            elif kind == "cry":
+                lines.append(f"ctrl @ ry({angle:.17g}) q[{control - 1}], q[{target - 1}];")
+            elif kind == "cx":
+                lines.append(f"cx q[{control - 1}], q[{target - 1}];")
         return "\n".join(lines) + "\n"
     raise InvalidArgumentError(f"unknown export format {format!r}")
 
@@ -307,15 +335,11 @@ def import_circuit(text: str) -> Circuit:
     except ValueError as exc:  # JSONDecodeError, or an int too long to parse
         raise InvalidArgumentError(f"not valid circuit JSON: {exc}") from exc
     try:
-        gates = tuple(
-            Gate(
-                kind=entry["kind"],
-                target=entry["target"],
-                control=entry.get("control"),
-                angle=entry.get("angle"),
-            )
-            for entry in payload["gates"]
-        )
+        gates = []
+        for entry in payload["gates"]:
+            fields = (entry["kind"], entry["target"], entry.get("control"), entry.get("angle"))
+            _check_gate(*fields)
+            gates.append(tuple.__new__(Gate, fields))
         circ = Circuit(num_qubits=payload["num_qubits"], gates=gates)
         layers = payload["layers"]
     except (KeyError, TypeError) as exc:

@@ -69,12 +69,18 @@ def _emit_json(payload) -> None:
     sys.stdout.write(_to_json(payload) + "\n")
 
 
+def _column_order(key: str) -> tuple[str, int, str]:
+    """Sort key by stem, then numeric suffix, so ``e2`` precedes ``e10``."""
+    stem = key.rstrip("0123456789")
+    return stem, int(key[len(stem):]) if len(stem) < len(key) else -1, key
+
+
 def _emit_csv(rows: list[dict], columns: tuple[str, ...] = ()) -> None:
-    """Header of sorted keys, then one line per row.
+    """Header of sorted keys (numeric suffixes in number order), then one line per row.
 
     ``columns`` names keys that head the table even when ``rows`` is empty.
     """
-    keys = sorted({*columns, *(key for row in rows for key in row)})
+    keys = sorted({*columns, *(key for row in rows for key in row)}, key=_column_order)
     sys.stdout.write(",".join(keys) + "\n")
     for row in rows:
         cells = []

@@ -3,10 +3,11 @@
 Two execution paths share one gate semantics: a dense tensor path (capped at
 20 qubits) and a sparse dictionary path keyed by basis integers, which is the
 natural representation for the Hamming-weight-1 states the preparation
-circuits live on.  The sparse path updates its map in place: a controlled
-gate touches only the entries whose control bit is set, and a rotation pairs
-each such entry with its target-flipped partner, so a gate costs one pass
-over the map plus work on the entries it moves.  Basis integers read the
+circuits live on.  The sparse path updates its map in place and indexes it
+by set bit: a controlled gate visits only the entries whose control bit is
+set, and a rotation pairs each such entry with its target-flipped partner,
+so a preparation circuit runs in time linear in its gates (an ``x`` or an
+uncontrolled rotation still visits the whole map).  Basis integers read the
 qubits big-endian: qubit 1 is the most significant bit.
 """
 
@@ -146,27 +147,76 @@ def _run_dense(circ: Circuit, amps: np.ndarray) -> np.ndarray:
     return psi.reshape(-1)
 
 
+def _hold(holders: dict, basis: int) -> None:
+    """Append ``basis`` to the entries of each of its set bits."""
+    rest = basis
+    while rest:
+        bit = rest & -rest
+        holders.setdefault(bit, {})[basis] = None
+        rest ^= bit
+
+
+def _release(holders: dict, basis: int) -> None:
+    """Remove ``basis`` from the entries of each of its set bits."""
+    rest = basis
+    while rest:
+        bit = rest & -rest
+        del holders[bit][basis]
+        rest ^= bit
+
+
+def _index(state: dict) -> dict[int, dict[int, None]]:
+    """Map each bit mask to the bases that have it set, in map order."""
+    holders: dict[int, dict[int, None]] = {}
+    for basis in state:
+        if basis < 0:  # its set bits never run out
+            raise InvalidArgumentError(f"basis integer {basis} outside the register")
+        _hold(holders, basis)
+    return holders
+
+
+_MISSING = object()
+
+
 def _run_sparse(circ: Circuit, amps: dict) -> dict:
     """Apply the gates to a copy of the map; ``x`` rebuilds it, the rest update it in place.
 
-    A rotation creates the partner of a lone entry as an explicit zero.
+    ``holders`` indexes the map by set bit, each bit's bases in map order, so
+    a controlled gate visits only the bases holding its control bit; an
+    uncontrolled rotation visits the whole map.  Every insertion into the map
+    appends (and is indexed) and every removal is unindexed, which keeps the
+    index in map order.  A rotation creates the partner of a lone entry as an
+    explicit zero.
     """
     n = circ.num_qubits
     state = dict(amps)
-    for gate in circ.gates:
-        t_mask = 1 << (n - gate.target)
-        if gate.kind == "x":
+    holders = _index(state)
+    for kind, target, control, angle in circ.gates:
+        t_mask = 1 << (n - target)
+        if kind == "x":
             state = {basis ^ t_mask: amp for basis, amp in state.items()}
+            holders = _index(state)
             continue
-        c_mask = 0 if gate.control is None else 1 << (n - gate.control)
-        active = [basis for basis in state if basis & c_mask == c_mask]
-        if gate.kind == "cx":
-            state.update({basis ^ t_mask: state.pop(basis) for basis in active})
+        active = list(state if control is None else holders.get(1 << (n - control), ()))
+        if kind == "cx":
+            # pop every active entry before re-inserting any: a flipped basis is itself active
+            moved = [(basis, state.pop(basis)) for basis in active]
+            for basis in active:
+                _release(holders, basis)
+            for basis, amp in moved:
+                state[basis ^ t_mask] = amp
+                _hold(holders, basis ^ t_mask)
             continue
-        cos, sin = float(np.cos(gate.angle / 2)), float(np.sin(gate.angle / 2))
+        cos, sin = float(np.cos(angle / 2)), float(np.sin(angle / 2))
         for low in dict.fromkeys(basis & ~t_mask for basis in active):
             high = low | t_mask
-            a0, a1 = state.get(low, 0.0), state.get(high, 0.0)
+            a0, a1 = state.get(low, _MISSING), state.get(high, _MISSING)
+            if a0 is _MISSING:
+                a0 = 0.0
+                _hold(holders, low)
+            if a1 is _MISSING:
+                a1 = 0.0
+                _hold(holders, high)
             # accumulate from 0.0 so an exact-zero result is +0.0, never -0.0
             state[low] = 0.0 + cos * a0 - sin * a1
             state[high] = 0.0 + sin * a0 + cos * a1

@@ -2,7 +2,8 @@
 
 These rebuild the physics from raw operator matrix elements over the full
 (N+1)-dimensional two-mode basis, with no code shared with the package's
-ladder representation, and spell the measurement groups out as Pauli strings.
+ladder representation, spell the measurement groups out as Pauli strings,
+and keep the scan-based sparse simulator the indexed one must match.
 """
 
 import math
@@ -91,3 +92,33 @@ def pauli_terms(group) -> list[tuple[str, float]]:
             label[slot(k + 1)] = op
             terms.append(("".join(label), strength / 2.0))
     return terms
+
+
+def scan_run_sparse(circ, amps: dict) -> dict:
+    """Sparse gate application that scans the whole map for each gate's entries.
+
+    The package's simulator indexes its map by set bit instead; both must give
+    the same keys, in the same order, with the same amplitude bits.  ``x``
+    rebuilds the map, the rest update it in place, and a rotation creates the
+    partner of a lone entry as an explicit zero.
+    """
+    n = circ.num_qubits
+    state = dict(amps)
+    for gate in circ.gates:
+        t_mask = 1 << (n - gate.target)
+        if gate.kind == "x":
+            state = {basis ^ t_mask: amp for basis, amp in state.items()}
+            continue
+        c_mask = 0 if gate.control is None else 1 << (n - gate.control)
+        active = [basis for basis in state if basis & c_mask == c_mask]
+        if gate.kind == "cx":
+            state.update({basis ^ t_mask: state.pop(basis) for basis in active})
+            continue
+        cos, sin = float(np.cos(gate.angle / 2)), float(np.sin(gate.angle / 2))
+        for low in dict.fromkeys(basis & ~t_mask for basis in active):
+            high = low | t_mask
+            a0, a1 = state.get(low, 0.0), state.get(high, 0.0)
+            # accumulate from 0.0 so an exact-zero result is +0.0, never -0.0
+            state[low] = 0.0 + cos * a0 - sin * a1
+            state[high] = 0.0 + sin * a0 + cos * a1
+    return state

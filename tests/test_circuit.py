@@ -50,6 +50,17 @@ def test_control_slot_sequences():
     assert [control_slot(n, "log") for n in range(1, 11)] == [1, 1, 2, 1, 2, 3, 4, 1, 2, 3]
 
 
+def test_log_control_slot_is_exact_beyond_float_precision():
+    # log2 of 2**k - 1 rounds up to k once 2**k - 1 has more bits than a double holds
+    for k in (50, 60):
+        n = 2**k - 1
+        assert control_slot(n, "log") == n - 2 ** (k - 1) + 1
+        assert control_slot(n + 1, "log") == 1
+    for bad in (3.0, np.int64(3)):
+        with pytest.raises(InvalidArgumentError):
+            control_slot(bad, "log")
+
+
 def test_encoding_bijection():
     # ladder position k, encoded on one-hot integer 2^k, is |2M + nu_a - 2k, nu_b + 2k>
     config = SectorConfig(3, 1, 0)
@@ -265,9 +276,72 @@ def test_import_rejects_malformed():
         one_gate(1, '{"kind": "ry", "angle": 1e400, "target": 1}'),
         one_gate(1, '{"kind": "ry", "angle": 1' + "0" * 400 + ', "target": 1}'),
         one_gate(1, '{"kind": "ry", "angle": 1' + "0" * 5000 + ', "target": 1}'),
+        one_gate(1, '{"kind": "x", "target": 2}'),  # qubit out of range
+        one_gate(2, '{"kind": "x", "target": 0}'),
+        one_gate(2, '{"kind": "cx", "control": 3, "target": 1}'),
+        one_gate(2, '{"kind": "cx", "control": 2, "target": 2}'),  # control == target
+        one_gate(2, '{"kind": "cx", "target": 2}'),  # no control
+        one_gate(2, '{"kind": "h", "target": 2}'),
+        one_gate(2, '["x", 1]'),
+        '{"num_qubits": 2, "gates": {"kind": "x"}, "layers": [[0]]}',
     ):
         with pytest.raises(InvalidArgumentError):
             import_circuit(text)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        ("h", 1),
+        ("x", 1, None, 0.5),
+        ("ry", 1),
+        ("ry", 1, None, "0.5"),
+        ("ry", 1, None, True),
+        ("ry", 1, None, math.inf),
+        ("cry", 2, None, 0.5),
+        ("x", 2, 1),
+        ("x", 1.0),
+        ("x", True),
+        ("cx", 2, 1.0),
+        ("cx", 1, 1),
+    ],
+)
+def test_gate_refusals(fields):
+    with pytest.raises(InvalidArgumentError):
+        Gate(*fields)
+
+
+def test_gate_is_a_named_tuple_record():
+    gate = Gate("cry", target=3, control=1, angle=-2.5)
+    assert gate == ("cry", 3, 1, -2.5)
+    assert gate.qubits == (1, 3) and Gate("x", target=2).qubits == (2,)
+    assert repr(Gate("x", target=2)) == "Gate(kind='x', target=2, control=None, angle=None)"
+    assert gate._replace(angle=0.5) == Gate("cry", target=3, control=1, angle=0.5)
+    with pytest.raises(InvalidArgumentError):
+        gate._replace(control=3)
+    with pytest.raises(InvalidArgumentError):
+        Gate._make(("cx", 1, 1, None))
+
+
+def test_circuit_refuses_what_is_not_a_gate():
+    for stray in (("x", 1, None, None), None, "x"):
+        with pytest.raises(InvalidArgumentError):
+            Circuit(num_qubits=2, gates=(Gate("x", target=1), stray))
+    for gate in (Gate("x", target=3), Gate("cx", target=1, control=3), Gate("x", target=0)):
+        with pytest.raises(InvalidArgumentError):
+            Circuit(num_qubits=2, gates=(gate,))
+
+
+@pytest.mark.parametrize("mode", ["linear", "log"])
+def test_built_gates_equal_checked_gates(mode):
+    # build_circuit skips the Gate checks; the gates must be those the checked constructor makes
+    rng = np.random.default_rng(47)
+    for m in (0, 1, 2, 5, 16, 37):
+        circ = build_circuit(AngleSet(tuple(rng.uniform(-6, 6, m)), mode))
+        checked = tuple(Gate(*gate) for gate in circ.gates)
+        assert circ.gates == checked
+        assert all(type(gate) is Gate for gate in circ.gates)
+        assert [repr(g) for g in circ.gates] == [repr(g) for g in checked]
 
 
 def test_single_pair_angle_pairon_relation_w0():

@@ -56,6 +56,14 @@ def test_spectrum_csv(capsys):
     assert "omega_exact" in lines[0]
 
 
+def test_bethe_csv_orders_pair_energy_columns_by_index(capsys):
+    code, out, _ = invoke(capsys, "bethe", "--n", "22", "--v", ".75", "--w", ".5",
+                          "--sector", "0,0", "--format", "csv")
+    assert code == 0
+    header = out.splitlines()[0].split(",")
+    assert header == [f"e{i}" for i in range(1, 12)] + ["index", "omega", "residual_norm"]
+
+
 def test_bethe_n7_ground_sector(capsys):
     code, out, _ = invoke(capsys, "bethe", "--n", "7", "--v", "0.75", "--w", "0.5",
                           "--sector", "1,0")
