@@ -35,6 +35,7 @@ __all__ = [
     "linear_angles",
     "log_angles",
     "one_hot_output",
+    "one_hot_split",
     "build_circuit",
     "export_circuit",
     "import_circuit",
@@ -248,6 +249,41 @@ def one_hot_output(angles: AngleSet) -> np.ndarray:
         amps[src] = math.cos(theta / 2.0) * moving
         amps[dst] += math.sin(theta / 2.0) * moving
     return amps
+
+
+def one_hot_split(angles: AngleSet, j: int) -> np.ndarray:
+    """Rows (r, p, q) of the one-hot output, split by angle ``j`` (0-based).
+
+    With phi = theta_j/2 and the other angles fixed, :func:`one_hot_output`
+    is r + cos(phi) p + sin(phi) q, and r, p and q have disjoint supports.
+    Gate pair j+1 splits the amplitude of one slot into a kept part (factor
+    cos phi) and a moved part (factor sin phi); every later pair moves
+    amplitude only from a slot to a fresh one, so p holds what descends from
+    the kept part, q what descends from the moved part, and r the rest.  Runs
+    the moves of ``one_hot_output`` once, with pair j+1's factors set to 1
+    and each slot's owner (r, p or q) carried along: O(M).
+    """
+    thetas, mode = angles.thetas, angles.mode
+    m = len(thetas)
+    if not 0 <= j < m:
+        raise InvalidArgumentError(f"angle index must lie in 0..{m - 1}, got {j}")
+    amps = [0.0] * (m + 1)
+    amps[m] = 1.0
+    owner = [0] * (m + 1)
+    for n, theta in enumerate(thetas, start=1):
+        src = m + 1 - control_slot(n, mode)
+        dst = m - n  # no earlier pair writes this slot
+        moving = amps[src]
+        if n == j + 1:
+            owner[src], owner[dst] = 1, 2
+            amps[dst] = moving
+        else:
+            amps[src] = math.cos(theta / 2.0) * moving
+            amps[dst] = math.sin(theta / 2.0) * moving
+            owner[dst] = owner[src]
+    parts = np.zeros((3, m + 1))
+    parts[owner, np.arange(m + 1)] = amps
+    return parts
 
 
 def log_angles(target) -> AngleSet:

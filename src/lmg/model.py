@@ -139,21 +139,26 @@ def ladder_matrix(params: ModelParams, parity: int) -> tuple[np.ndarray, np.ndar
     return diag, hop
 
 
-def ladder_energy(w: np.ndarray, params: ModelParams, parity: int) -> float:
+def ladder_energy(w: np.ndarray, params: ModelParams, parity: int) -> float | np.ndarray:
     """<H> of (real or complex) ladder amplitudes ``w``, over their weight.
 
     Evaluates the tridiagonal block directly:
     sum_k d_k |w_k|^2 + 2 sum_k t_k Re(w_k* w_{k+1}), divided by sum_k |w_k|^2.
+    ``w`` is one state, giving a float, or a 2-D array with one state per
+    row, giving one energy per row; each row's energy has the bits of the
+    one-state call on that row.
     """
     diag, hop = ladder_matrix(params, parity)
+    w = np.asarray(w)
     probs = np.abs(w) ** 2
-    weight = float(np.sum(probs))
-    if weight == 0.0:
+    weight = probs.sum(axis=-1)
+    if not np.all(weight):
         raise InvalidArgumentError("state has no weight on the ladder")
-    value = float(np.sum(diag * probs))
+    value = (diag * probs).sum(axis=-1)
     if hop.size:
-        value += 2.0 * float(np.sum(hop * np.real(np.conj(w[:-1]) * w[1:])))
-    return value / weight
+        value = value + 2.0 * (hop * (w[..., :-1].conj() * w[..., 1:]).real).sum(axis=-1)
+    energy = value / weight
+    return float(energy) if energy.ndim == 0 else energy
 
 
 @dataclass(frozen=True)

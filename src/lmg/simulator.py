@@ -111,7 +111,10 @@ class StateVector:
 
     def one_hot_leakage(self) -> float:
         """Squared weight living outside the Hamming-weight-1 subspace."""
-        block = self.one_hot_block()
+        return self._leakage(self.one_hot_block())
+
+    def _leakage(self, block: np.ndarray) -> float:
+        """Squared weight outside ``block``, this state's own one-hot block."""
         return self.norm() ** 2 - float(np.sum(np.abs(block) ** 2))
 
 
@@ -257,12 +260,13 @@ def _one_hot_weights(psi: StateVector, config: SectorConfig) -> np.ndarray:
         raise InvalidArgumentError(
             f"sector needs {config.m + 1} qubits, state has {psi.num_qubits}"
         )
-    leak = psi.one_hot_leakage()
+    block = psi.one_hot_block()
+    leak = psi._leakage(block)
     if leak > LEAKAGE_TOL:
         raise LeakageError(
             f"state leaks {leak:.3e} probability outside the one-hot subspace"
         )
-    return psi.one_hot_block()
+    return block
 
 
 def encoded_expectation(psi: StateVector, config: SectorConfig, params: ModelParams) -> float:

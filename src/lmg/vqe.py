@@ -16,14 +16,17 @@ polynomial of degree 2 in phi = theta_j/2,
     E = a0 + a1 cos phi + b1 sin phi + a2 cos 2phi + b2 sin 2phi,
 
 because the amplitudes are linear in cos phi and sin phi and the energy is
-quadratic in the amplitudes.  Five
-evaluations at theta_j + 4pi k/5 (k = 0..4, all measured) fix the five
-coefficients through a real DFT, and theta_j jumps to the polynomial's
-minimizer.  A sweep does this for every angle in turn; a restart stops when
-the energy measured at the start of a sweep falls by less than SWEEP_TOL
-from the previous sweep's start (``converged``), or after MAX_SWEEPS
-sweeps.  Its energy is one more evaluation at its final angles, so every
-reported value is a measured one.  Restarts are deterministic, seeded and
+quadratic in the amplitudes.  Five node values at theta_j + 4pi k/5
+(k = 0..4) fix the five coefficients through a real DFT, and theta_j jumps
+to the polynomial's minimizer.  Exact node energies come from one split of
+the one-hot output per angle (:func:`lmg.circuit.one_hot_split`: the
+amplitudes are r + cos phi p + sin phi q), so an angle costs one O(M) pass
+instead of five; sampled nodes are measured, each with its own shots.  A
+sweep does this for every angle in turn; a restart stops when the energy at
+the start of a sweep falls by less than SWEEP_TOL from the previous sweep's
+start (``converged``), or after MAX_SWEEPS sweeps.  Its energy is one
+``objective`` call at its final angles, so every reported value is a full
+evaluation.  Restarts are deterministic, seeded and
 run one after another; a "warm" first restart starts from the angles of the
 known target state, cold restarts draw uniformly from [0, 4pi)^M.
 """
@@ -37,7 +40,16 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import bethe
-from .circuit import AngleSet, build_circuit, encode, linear_angles, log_angles, one_hot_output
+from .circuit import (
+    MODES,
+    AngleSet,
+    build_circuit,
+    encode,
+    linear_angles,
+    log_angles,
+    one_hot_output,
+    one_hot_split,
+)
 from .errors import InvalidArgumentError, LmgError
 from .model import (
     FockVector,
@@ -75,7 +87,8 @@ class VqeOptions:
     ``restarts`` runs are made (at least 1, else InvalidArgumentError); the
     first starts warm when ``warm``.  ``seed`` must be non-negative, else
     InvalidArgumentError.  ``estimator`` is "exact" or "sampled" (``shots``
-    per measurement group) and ``depth`` the circuit flavor.  A run is
+    per measurement group, at least 1) and ``depth`` the circuit flavor,
+    "linear" or "log"; other values raise InvalidArgumentError.  A run is
     ``converged`` when a sweep lowered its start energy by less than the
     module constant SWEEP_TOL within MAX_SWEEPS sweeps.
     """
@@ -92,6 +105,12 @@ class VqeOptions:
             raise InvalidArgumentError(f"restarts must be >= 1, got {self.restarts}")
         if self.seed < 0:
             raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
+        if self.estimator not in ("exact", "sampled"):
+            raise InvalidArgumentError(f"unknown estimator {self.estimator!r}")
+        if self.depth not in MODES:
+            raise InvalidArgumentError(f"unknown depth mode {self.depth!r}")
+        if self.estimator == "sampled" and self.shots < 1:
+            raise InvalidArgumentError(f"shots must be >= 1, got {self.shots}")
 
 
 @dataclass(frozen=True)
@@ -164,10 +183,26 @@ def _fit_minimizer(values: np.ndarray) -> float:
     return psi
 
 
+def _node_energies(thetas, j: int, config: SectorConfig, params: ModelParams, depth: str):
+    """Exact energies at the nodes theta_j + 4pi k/5 (k = 0..NODES-1) of angle ``j``.
+
+    One split of the one-hot output (:func:`lmg.circuit.one_hot_split`)
+    gives every node state as r + cos(phi_k) p + sin(phi_k) q, and one
+    ``ladder_energy`` call scores all of them.
+    """
+    base = thetas[j]
+    factors = [(1.0, math.cos(half), math.sin(half))
+               for half in ((base + k * FULL_TURN / NODES) / 2.0 for k in range(NODES))]
+    states = np.array(factors) @ one_hot_split(AngleSet(thetas, depth), j)
+    return ladder_energy(states, params, config.parity)
+
+
 def _single_restart(x0, config, params, opts, trace):
     """One restart from the start angles ``x0``; returns (energy, angles, converged).
 
-    Every evaluation is appended to ``trace`` as (evaluation index, value).
+    Every node value and the final evaluation are appended to ``trace`` as
+    (evaluation index, value).  Exact node values come from
+    :func:`_node_energies`, sampled ones from one ``objective`` call each.
     An M = 0 sector has no angle to move, so its one evaluation, at the end,
     is converged.
     """
@@ -181,20 +216,30 @@ def _single_restart(x0, config, params, opts, trace):
         trace.append((len(trace), value))
         return value
 
-    values = np.empty(NODES)
+    def measured_nodes(j: int) -> np.ndarray:
+        base = thetas[j]
+        values = np.empty(NODES)
+        for k in range(NODES):
+            thetas[j] = base + k * FULL_TURN / NODES
+            values[k] = measure()
+        thetas[j] = base
+        return values
+
+    def split_nodes(j: int) -> np.ndarray:
+        values = _node_energies(thetas, j, config, params, opts.depth)
+        trace.extend(enumerate(values.tolist(), start=len(trace)))
+        return values
+
+    node_values = split_nodes if opts.estimator == "exact" else measured_nodes
     previous = math.inf
     for _ in range(MAX_SWEEPS):
         for j in range(thetas.size):
-            base = thetas[j]
-            for k in range(NODES):
-                thetas[j] = base + k * FULL_TURN / NODES
-                values[k] = measure()
+            values = node_values(j)
             if j == 0:  # values[0] is the energy at the start of the sweep
                 if previous - values[0] < SWEEP_TOL:
-                    thetas[j] = base
                     return measure(), np.mod(thetas, FULL_TURN), True
                 previous = values[0]
-            thetas[j] = base + 2.0 * _fit_minimizer(values)
+            thetas[j] += 2.0 * _fit_minimizer(values)
     return measure(), np.mod(thetas, FULL_TURN), not thetas.size
 
 

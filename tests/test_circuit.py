@@ -22,7 +22,7 @@ from lmg import (
     linear_angles,
     log_angles,
 )
-from lmg.circuit import one_hot_output
+from lmg.circuit import one_hot_output, one_hot_split
 from lmg.model import ladder_occupations
 from lmg.reference import (
     N7_LINEAR_ANGLES,
@@ -388,3 +388,26 @@ def test_log_angles_refuse_angles_that_miss_the_target(monkeypatch):
     monkeypatch.setattr(lmg.circuit, "one_hot_output", lambda angles: np.zeros(5))
     with pytest.raises(NumericFailureError):
         log_angles(target)
+
+
+@pytest.mark.parametrize("mode", ["linear", "log"])
+def test_one_hot_split_recombines_to_the_output(mode):
+    # angle j enters every slot's amplitude through at most one factor,
+    # cos(theta_j/2) or sin(theta_j/2), so the output is r + cos p + sin q
+    rng = np.random.default_rng(83)
+    for m in (1, 2, 3, 7, 8, 33):
+        angles = AngleSet(tuple(rng.uniform(0.0, 4 * math.pi, m)), mode)
+        output = one_hot_output(angles)
+        for j in range(m):
+            r, p, q = one_hot_split(angles, j)
+            support = np.stack([r, p, q]) != 0
+            assert np.all(support.sum(axis=0) <= 1), (m, j)
+            half = angles.thetas[j] / 2
+            recombined = r + math.cos(half) * p + math.sin(half) * q
+            assert np.max(np.abs(recombined - output)) <= 1e-15, (m, j)
+
+
+@pytest.mark.parametrize("j", [-1, 3])
+def test_one_hot_split_refuses_an_angle_index_out_of_range(j):
+    with pytest.raises(InvalidArgumentError, match="angle index"):
+        one_hot_split(AngleSet((0.1, 0.2, 0.3), "linear"), j)

@@ -19,9 +19,12 @@ from lmg import (
     pauli_groups,
     run,
     sampled_expectation,
+    sector_configs,
     sector_spectrum,
     solve_bethe,
 )
+from lmg.model import ladder_energy
+from lmg.simulator import LEAKAGE_TOL
 from lmg.reference import (
     N7,
     N7_ENERGY,
@@ -283,6 +286,34 @@ def test_encoded_expectation_leakage_error():
     bad = StateVector(2, np.array([0.0, 0.8, 0.0, 0.6], dtype=complex))  # weight on |11>
     with pytest.raises(LeakageError):
         encoded_expectation(bad, SectorConfig(1, 0, 0), p)
+
+
+def test_encoded_expectation_reads_the_block_once_with_the_two_pass_bits(monkeypatch):
+    # one block serves the leakage check and the energy; the values keep the
+    # bits of checking one_hot_leakage, then scoring a second one_hot_block
+    rng = np.random.default_rng(59)
+    states = []
+    for _ in range(20):
+        n = int(rng.integers(2, 13))
+        config = sector_configs(n)[int(rng.integers(0, 2))]
+        if config.m == 0:
+            config = sector_configs(n)[0]
+        angles = AngleSet(tuple(rng.uniform(0.0, 4 * math.pi, config.m)), "log")
+        state = run(build_circuit(angles), StateVector.zeros(config.m + 1, dense=n % 2 == 0))
+        states.append((state, config, make_params(n, 0.75, rng.uniform(-1.0, 1.0))))
+    expected = []
+    for state, config, p in states:
+        assert state.one_hot_leakage() <= LEAKAGE_TOL
+        expected.append(ladder_energy(state.one_hot_block(), p, config.parity))
+    built = []
+    block = StateVector.one_hot_block
+    monkeypatch.setattr(StateVector, "one_hot_block", lambda self: built.append(1) or block(self))
+    values = [encoded_expectation(state, config, p) for state, config, p in states]
+    assert [v.hex() for v in values] == [e.hex() for e in expected]
+    assert len(built) == len(states)
+    leaking = StateVector(3, {0b001: 0.8 + 0j, 0b011: 0.6 + 0j})
+    with pytest.raises(LeakageError, match="leaks 3.600e-01 probability"):
+        encoded_expectation(leaking, SectorConfig(2, 0, 0), make_params(4, 0.75, 0.5))
 
 
 def test_encoded_expectation_matches_fock_expectation():

@@ -32,6 +32,8 @@ from lmg import (
     solve_bethe,
     vqe,
 )
+from lmg.circuit import one_hot_split
+from lmg.model import ladder_energy
 from lmg.reference import N7, N7_LINEAR_ANGLES, N7_LINEAR_ENERGY
 
 
@@ -153,6 +155,65 @@ def test_objective_is_degree_two_in_half_angle(depth):
         assert np.max(np.abs(predicted - measured)) <= 1e-12, j
 
 
+@pytest.mark.parametrize("depth", ["linear", "log"])
+def test_split_node_energies_equal_objective(depth):
+    # the five exact node values of an angle come from one split of the
+    # output; each must be the objective at that node's angles
+    rng = np.random.default_rng(29)
+    for m in (1, 2, 3, 7, 8, 33):
+        p = make_params(2 * m, 0.75, 0.5)
+        config = SectorConfig(m, 0, 0)
+        thetas = rng.uniform(0.0, 4 * math.pi, m)
+        for j in range(m):
+            energies = vqe._node_energies(thetas, j, config, p, depth)
+            for k in range(vqe.NODES):
+                node = thetas.copy()
+                node[j] += k * vqe.FULL_TURN / vqe.NODES
+                assert abs(energies[k] - objective(node, config, p, depth=depth)) <= 1e-13
+            # one energy per row, each with the bits of the one-state call
+            r, pp, q = one_hot_split(AngleSet(tuple(thetas), depth), j)
+            halves = (thetas[j] + 4 * math.pi * np.arange(5) / 5) / 2
+            states = r + np.outer(np.cos(halves), pp) + np.outer(np.sin(halves), q)
+            phases = np.exp(1j * rng.uniform(0.0, 2 * math.pi, states.shape))
+            for rows in (states, states * phases):
+                assert ladder_energy(rows, p, config.parity).tolist() == [
+                    ladder_energy(row, p, config.parity) for row in rows
+                ]
+
+
+@pytest.mark.parametrize("estimator", ["exact", "sampled"])
+def test_exact_nodes_need_no_objective_call(monkeypatch, estimator):
+    # exact restarts call objective only for their final energy; sampled
+    # ones measure each of an angle's five nodes, then the final energy
+    calls, fits, outcomes = [], [], []
+    for name, log in (("objective", calls), ("_fit_minimizer", fits),
+                      ("_single_restart", outcomes)):
+        def counted(*args, _fn=getattr(vqe, name), _log=log, **kwargs):
+            result = _fn(*args, **kwargs)
+            _log.append(result)
+            return result
+        monkeypatch.setattr(vqe, name, counted)
+    restarts = 3
+    p = make_params(8, 0.8, 0.25)
+    opts = VqeOptions(restarts=restarts, seed=7, estimator=estimator, shots=2000)
+    result = optimize(SectorConfig(4, 0, 0), p, opts)
+    assert len(outcomes) == restarts
+    # a visit that ends a converged restart fits nothing
+    visits = len(fits) + sum(converged for _, _, converged in outcomes)
+    assert result.evaluations == len(result.trace) == vqe.NODES * visits + restarts
+    assert len(calls) == (restarts if estimator == "exact" else result.evaluations)
+    assert result.trace[-1][1] == calls[-1]
+
+
+@pytest.mark.parametrize("depth", ["linear", "log"])
+def test_optimize_one_cold_restart_at_n160_reaches_ground(depth):
+    p = make_params(160, 0.75, 0.5)
+    config = SectorConfig(80, 0, 0)
+    result = optimize(config, p, VqeOptions(restarts=1, seed=0, depth=depth))
+    assert result.converged
+    assert result.abs_error <= 1e-10
+
+
 def test_optimize_sampled_n20_within_five_sigma():
     p = make_params(20, 0.75, 0.5)
     config = SectorConfig(10, 0, 0)
@@ -215,6 +276,18 @@ def test_optimize_rejects_nonpositive_restarts(restarts):
 def test_optimize_rejects_negative_seed():
     with pytest.raises(InvalidArgumentError, match="seed"):
         VqeOptions(seed=-1)
+
+
+@pytest.mark.parametrize("settings, message", [
+    (dict(estimator="noisy"), "unknown estimator"),
+    (dict(depth="deep"), "unknown depth mode"),
+    (dict(estimator="sampled", shots=0), "shots must be >= 1"),
+])
+def test_vqe_options_refuse_bad_settings(settings, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        VqeOptions(**settings)
+    # shots mean nothing to the exact estimator
+    assert VqeOptions(estimator="exact", shots=0).shots == 0
 
 
 @pytest.mark.parametrize("depth", ["linear", "log"])
