@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -24,7 +25,7 @@ from .circuit import (
     linear_angles,
     log_angles,
 )
-from .errors import InvalidArgumentError, LmgError
+from .errors import InvalidArgumentError, LmgError, NumericFailureError
 from .model import (
     SectorConfig,
     exact_spectrum,
@@ -43,7 +44,10 @@ def _format_float(value: float) -> str:
 
 
 def _to_json(obj) -> str:
-    """Deterministic JSON with 17-significant-digit floats and sorted keys."""
+    """Deterministic JSON with 17-significant-digit floats and sorted keys.
+
+    NaN is written as null; an infinite value raises NumericFailureError.
+    """
     if isinstance(obj, dict):
         items = ", ".join(f'"{key}": {_to_json(obj[key])}' for key in sorted(obj))
         return "{" + items + "}"
@@ -59,6 +63,8 @@ def _to_json(obj) -> str:
         value = float(obj)
         if value != value:
             return "null"
+        if math.isinf(value):
+            raise NumericFailureError(f"result {value} cannot be written as JSON")
         return _format_float(value)
     if isinstance(obj, str):
         return json.dumps(obj)

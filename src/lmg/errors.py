@@ -35,4 +35,4 @@ class LeakageError(LmgError):
 
 
 class NumericFailureError(LmgError):
-    """An iterative routine exhausted its budget without converging."""
+    """An iterative routine did not converge, or a result is not a finite number."""

@@ -128,12 +128,22 @@ def ladder_matrix(params: ModelParams, parity: int) -> tuple[np.ndarray, np.ndar
     """Diagonal and sub-diagonal of the Hamiltonian block on one parity ladder.
 
     Cached per (params, parity), so both arrays are shared and read-only.
+    Raises InvalidArgumentError when the block's Gershgorin bound
+    max_k (|d_k| + |t_(k-1)| + |t_k|) overflows to infinity.
     """
     na, nb = ladder_occupations(params.n, parity)
-    diag = (nb - na) / 2 + (params.w / params.n) * ((na + nb) / 2 + na * nb)
-    hop = (params.v / (2 * params.n)) * np.sqrt(
-        na[:-1] * (na[:-1] - 1) * (nb[:-1] + 1) * (nb[:-1] + 2)
-    )
+    with np.errstate(over="ignore"):
+        diag = (nb - na) / 2 + (params.w / params.n) * ((na + nb) / 2 + na * nb)
+        hop = (params.v / (2 * params.n)) * np.sqrt(
+            na[:-1] * (na[:-1] - 1) * (nb[:-1] + 1) * (nb[:-1] + 2)
+        )
+        edges = np.abs(np.concatenate(([0.0], hop, [0.0])))
+        bound = np.max(np.abs(diag) + edges[:-1] + edges[1:])
+    if not np.isfinite(bound):
+        raise InvalidArgumentError(
+            f"Hamiltonian block of N={params.n}, V={params.v!r}, W={params.w!r} overflows: "
+            "its Gershgorin bound is not finite"
+        )
     diag.flags.writeable = False
     hop.flags.writeable = False
     return diag, hop

@@ -286,34 +286,36 @@ class MeasurementGroup:
 
     ``label`` is ``"z"`` for the diagonal family (terms are (position,
     energy) pairs) or ``"bond-even"``/``"bond-odd"`` for hopping families
-    (terms are (left position, coupling) pairs).
+    (terms are (left position, coupling) pairs).  A group measures in a real
+    basis built once: e_k for ``"z"``; per bond (e_k +- e_(k+1))/sqrt 2 with
+    values +-coupling, then value 0 on e_k for each position no bond covers.
     """
 
     label: str
     size: int
     terms: tuple[tuple[int, float], ...]
 
-    def outcomes(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Measurement values and probabilities for normalized ladder weights."""
-        probs_all = np.abs(weights) ** 2
+    @functools.cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Outcome values and the measured basis, one row per outcome; read-only."""
+        unit = np.eye(self.size)
         if self.label == "z":
-            values = np.zeros(self.size)
+            values, basis = np.zeros(self.size), unit
             for k, d in self.terms:
                 values[k] = d
-            return values, probs_all
-        values = []
-        probs = []
-        covered = np.zeros(self.size, dtype=bool)
-        for k, strength in self.terms:
-            plus = (weights[k] + weights[k + 1]) / np.sqrt(2)
-            minus = (weights[k] - weights[k + 1]) / np.sqrt(2)
-            values.extend([strength, -strength])
-            probs.extend([abs(plus) ** 2, abs(minus) ** 2])
-            covered[k] = covered[k + 1] = True
-        for k in np.flatnonzero(~covered):
-            values.append(0.0)
-            probs.append(probs_all[k])
-        return np.asarray(values), np.asarray(probs)
+        else:
+            pairs = [(sign * t, (unit[k] + sign * unit[k + 1]) / np.sqrt(2))
+                     for k, t in self.terms for sign in (1.0, -1.0)]
+            covered = {j for k, _ in self.terms for j in (k, k + 1)}
+            pairs += [(0.0, unit[k]) for k in range(self.size) if k not in covered]
+            values, basis = np.array([v for v, _ in pairs]), np.array([row for _, row in pairs])
+        values.flags.writeable = basis.flags.writeable = False
+        return values, basis
+
+    def outcomes(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Measurement values and probabilities for normalized ladder weights."""
+        values, basis = self._table
+        return values, np.abs(basis @ weights) ** 2
 
 
 @functools.lru_cache(maxsize=128)

@@ -18,11 +18,12 @@ polynomial of degree 2 in phi = theta_j/2,
 because the amplitudes are linear in cos phi and sin phi and the energy is
 quadratic in the amplitudes.  Five node values at theta_j + 4pi k/5
 (k = 0..4) fix the five coefficients through a real DFT, and theta_j jumps
-to the polynomial's minimizer.  Exact node energies come from one split of
-the one-hot output per angle (:func:`lmg.circuit.one_hot_split`: the
+to the polynomial's minimizer.  The five node states come from one split
+of the one-hot output per angle (:func:`lmg.circuit.one_hot_split`: the
 amplitudes are r + cos phi p + sin phi q), so an angle costs one O(M) pass
-instead of five; sampled nodes are measured, each with its own shots.  A
-sweep does this for every angle in turn; a restart stops when the energy at
+instead of five.  The exact estimator scores the five rows in one
+``ladder_energy`` call; the sampled one measures each row with the run's
+seed and shots, as ``objective`` does at that node's angles.  A sweep does this for every angle in turn; a restart stops when the energy at
 the start of a sweep falls by less than SWEEP_TOL from the previous sweep's
 start (``converged``), or after MAX_SWEEPS sweeps.  Its energy is one
 ``objective`` call at its final angles, so every reported value is a full
@@ -147,12 +148,23 @@ def objective(
     angles = thetas if isinstance(thetas, AngleSet) else AngleSet(tuple(thetas), depth)
     if len(angles) != config.m:
         raise InvalidArgumentError(f"sector needs {config.m} angles, got {len(angles)}")
-    amps = one_hot_output(angles)
+    states = one_hot_output(angles)[None, :]
+    return float(_energies(states, config, params, estimator, shots, seed)[0])
+
+
+def _energies(states, config, params, estimator, shots, seed) -> np.ndarray:
+    """Energy of each row of ``states`` (one-hot amplitudes) under the estimator.
+
+    Exact rows are scored by one ``ladder_energy`` call; each sampled row is
+    measured with ``shots`` per group from the same ``seed``.
+    """
     if estimator == "exact":
-        return ladder_energy(amps, params, config.parity)
+        return ladder_energy(states, params, config.parity)
     if estimator == "sampled":
-        state = StateVector(config.m + 1, {1 << k: complex(a) for k, a in enumerate(amps)})
-        return sampled_expectation(state, pauli_groups(config, params), shots, seed)[0]
+        groups = pauli_groups(config, params)
+        psis = [StateVector(config.m + 1, {1 << k: complex(a) for k, a in enumerate(row)})
+                for row in states]
+        return np.array([sampled_expectation(psi, groups, shots, seed)[0] for psi in psis])
     raise InvalidArgumentError(f"unknown estimator {estimator!r}")
 
 
@@ -183,58 +195,40 @@ def _fit_minimizer(values: np.ndarray) -> float:
     return psi
 
 
-def _node_energies(thetas, j: int, config: SectorConfig, params: ModelParams, depth: str):
-    """Exact energies at the nodes theta_j + 4pi k/5 (k = 0..NODES-1) of angle ``j``.
+def _node_states(thetas, j: int, depth: str) -> np.ndarray:
+    """One-hot amplitudes at the nodes theta_j + 4pi k/5 (k = 0..NODES-1) of angle ``j``.
 
     One split of the one-hot output (:func:`lmg.circuit.one_hot_split`)
-    gives every node state as r + cos(phi_k) p + sin(phi_k) q, and one
-    ``ladder_energy`` call scores all of them.
+    gives every node state as the row r + cos(phi_k) p + sin(phi_k) q.
     """
     base = thetas[j]
     factors = [(1.0, math.cos(half), math.sin(half))
                for half in ((base + k * FULL_TURN / NODES) / 2.0 for k in range(NODES))]
-    states = np.array(factors) @ one_hot_split(AngleSet(thetas, depth), j)
-    return ladder_energy(states, params, config.parity)
+    return np.array(factors) @ one_hot_split(AngleSet(thetas, depth), j)
 
 
 def _single_restart(x0, config, params, opts, trace):
     """One restart from the start angles ``x0``; returns (energy, angles, converged).
 
     Every node value and the final evaluation are appended to ``trace`` as
-    (evaluation index, value).  Exact node values come from
-    :func:`_node_energies`, sampled ones from one ``objective`` call each.
+    (evaluation index, value).  An angle's five node states come from
+    :func:`_node_states` and are scored together by the run's estimator.
     An M = 0 sector has no angle to move, so its one evaluation, at the end,
     is converged.
     """
     thetas = np.array(x0, dtype=float)
 
     def measure() -> float:
-        value = objective(
-            thetas, config, params,
-            estimator=opts.estimator, shots=opts.shots, seed=opts.seed, depth=opts.depth,
-        )
+        value = objective(thetas, config, params, opts.estimator, opts.shots, opts.seed, opts.depth)
         trace.append((len(trace), value))
         return value
 
-    def measured_nodes(j: int) -> np.ndarray:
-        base = thetas[j]
-        values = np.empty(NODES)
-        for k in range(NODES):
-            thetas[j] = base + k * FULL_TURN / NODES
-            values[k] = measure()
-        thetas[j] = base
-        return values
-
-    def split_nodes(j: int) -> np.ndarray:
-        values = _node_energies(thetas, j, config, params, opts.depth)
-        trace.extend(enumerate(values.tolist(), start=len(trace)))
-        return values
-
-    node_values = split_nodes if opts.estimator == "exact" else measured_nodes
     previous = math.inf
     for _ in range(MAX_SWEEPS):
         for j in range(thetas.size):
-            values = node_values(j)
+            values = _energies(_node_states(thetas, j, opts.depth), config, params,
+                               opts.estimator, opts.shots, opts.seed)
+            trace.extend(enumerate(values.tolist(), start=len(trace)))
             if j == 0:  # values[0] is the energy at the start of the sweep
                 if previous - values[0] < SWEEP_TOL:
                     return measure(), np.mod(thetas, FULL_TURN), True

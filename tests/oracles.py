@@ -2,8 +2,9 @@
 
 These rebuild the physics from raw operator matrix elements over the full
 (N+1)-dimensional two-mode basis, with no code shared with the package's
-ladder representation, spell the measurement groups out as Pauli strings,
-and keep the scan-based sparse simulator the indexed one must match.
+ladder representation, spell the measurement groups out as Pauli strings
+and term by term, and keep the scan-based sparse simulator the indexed one
+must match.
 """
 
 import math
@@ -92,6 +93,33 @@ def pauli_terms(group) -> list[tuple[str, float]]:
             label[slot(k + 1)] = op
             terms.append(("".join(label), strength / 2.0))
     return terms
+
+
+def outcomes_by_terms(group, weights) -> tuple[np.ndarray, np.ndarray]:
+    """A group's measurement values and probabilities, built term by term.
+
+    The Z family reads |w_k|^2 with value d_k.  Each bond (k, t) gives
+    outcomes +t and -t with probabilities |w_k +- w_(k+1)|^2 / 2, in that
+    order; the positions no bond covers follow with value 0.
+    """
+    probs_all = np.abs(weights) ** 2
+    if group.label == "z":
+        values = np.zeros(group.size)
+        for k, d in group.terms:
+            values[k] = d
+        return values, probs_all
+    values, probs = [], []
+    covered = np.zeros(group.size, dtype=bool)
+    for k, strength in group.terms:
+        plus = (weights[k] + weights[k + 1]) / np.sqrt(2)
+        minus = (weights[k] - weights[k + 1]) / np.sqrt(2)
+        values.extend([strength, -strength])
+        probs.extend([abs(plus) ** 2, abs(minus) ** 2])
+        covered[k] = covered[k + 1] = True
+    for k in np.flatnonzero(~covered):
+        values.append(0.0)
+        probs.append(probs_all[k])
+    return np.asarray(values), np.asarray(probs)
 
 
 def scan_run_sparse(circ, amps: dict) -> dict:

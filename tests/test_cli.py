@@ -12,11 +12,21 @@ import numpy as np
 import pytest
 
 from lmg import AngleSet, build_circuit, export_circuit
-from lmg.cli import build_parser, main
+from lmg.cli import _to_json, build_parser, main
+from lmg.errors import NumericFailureError
 from lmg.reference import N7_ENERGY
 
 N7_BETHE = ["bethe", "--n", "7", "--v", "0.75", "--w", "0.5", "--sector", "1,0"]
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _refuse_constant(name):
+    raise ValueError(f"CLI JSON holds the non-standard constant {name}")
+
+
+def parse_json(text):
+    """Parse CLI output as strict JSON: NaN, Infinity and -Infinity are refused."""
+    return json.loads(text, parse_constant=_refuse_constant)
 
 
 def python(*args):
@@ -39,7 +49,7 @@ def invoke(capsys, *argv):
 def test_spectrum_n7(capsys):
     code, out, err = invoke(capsys, "spectrum", "--n", "7", "--v", "0.75", "--w", "0.5")
     assert code == 0 and err == ""
-    payload = json.loads(out)
+    payload = parse_json(out)
     levels = payload["levels"]
     assert len(levels) == 8
     assert levels[0]["omega_exact"] == pytest.approx(N7_ENERGY, abs=1e-9)
@@ -68,7 +78,7 @@ def test_bethe_n7_ground_sector(capsys):
     code, out, _ = invoke(capsys, "bethe", "--n", "7", "--v", "0.75", "--w", "0.5",
                           "--sector", "1,0")
     assert code == 0
-    payload = json.loads(out)
+    payload = parse_json(out)
     ground = payload["solutions"][0]
     np.testing.assert_allclose(ground["pairons"], (0.701066, 1.33363, 1.94591), atol=1e-5)
 
@@ -77,7 +87,7 @@ def test_state_and_angles_consistency(capsys):
     code, out, _ = invoke(capsys, "state", "--n", "7", "--v", "0.75", "--w", "0.5",
                           "--index", "1")
     assert code == 0
-    state = json.loads(out)
+    state = parse_json(out)
     assert state["sector"] == {"m": 3, "nu_a": 1, "nu_b": 0}
     assert state["occupations"][0] == [7, 0]
     amps = np.array(state["amplitudes"])
@@ -86,7 +96,7 @@ def test_state_and_angles_consistency(capsys):
     code, out, _ = invoke(capsys, "angles", "--n", "7", "--v", "0.75", "--w", "0.5",
                           "--index", "1", "--depth", "linear")
     assert code == 0
-    angles = json.loads(out)
+    angles = parse_json(out)
     # the angles prepare the canonical-sign eigenstate: check via the product form
     thetas = angles["thetas"]
     reached = [math.cos(thetas[0] / 2)]
@@ -101,7 +111,7 @@ def test_circuit_export_and_simulate_round_trip(tmp_path, capsys):
     code, out, _ = invoke(capsys, "simulate", "--circuit", str(path), "--report-energy",
                           "--n", "7", "--v", "0.75", "--w", "0.5", "--sector", "1,0")
     assert code == 0
-    payload = json.loads(out)
+    payload = parse_json(out)
     assert payload["leakage"] < 1e-12
     assert payload["energy"] == pytest.approx(N7_ENERGY, abs=1e-9)
 
@@ -119,7 +129,7 @@ def test_vqe_command(capsys):
     code, out, _ = invoke(capsys, "vqe", "--n", "4", "--v", "1.0", "--w", "0.3",
                           "--seed", "5", "--restarts", "4")
     assert code == 0
-    payload = json.loads(out)
+    payload = parse_json(out)
     assert payload["estimator"] == "exact"
     assert payload["abs_error"] < 1e-6
     assert payload["sector"] == {"m": 2, "nu_a": 0, "nu_b": 0}
@@ -130,7 +140,7 @@ def test_benchmark_command(tmp_path, capsys):
     code, out, _ = invoke(capsys, "benchmark", "--n", "3", "--v", "0.9", "--w", "0.2",
                           "--out", str(out_path))
     assert code == 0
-    report = json.loads(out_path.read_text())
+    report = parse_json(out_path.read_text())
     rows = [row for sector in report["sectors"] for row in sector["rows"]]
     assert len(rows) == 4
     assert all(row["fidelity_linear"] >= 1 - 1e-10 for row in rows)
@@ -153,7 +163,7 @@ def test_computation_failure_exit_code(capsys):
                             "--sector", "0,0")
     assert code == 1
     assert out == ""
-    payload = json.loads(err)
+    payload = parse_json(err)
     assert payload["error"]["type"] == "UnsupportedRegimeError"
 
 
@@ -223,7 +233,7 @@ def test_spectrum_past_float_factorials():
     proc = python("-m", "lmg.cli", "spectrum", "--n", "171", "--v", "0.75", "--w", "0.5")
     assert proc.returncode == 0
     assert proc.stderr == ""
-    levels = json.loads(proc.stdout)["levels"]
+    levels = parse_json(proc.stdout)["levels"]
     assert len(levels) == 172
     assert [lvl["index"] for lvl in levels] == list(range(1, 173))
 
@@ -235,7 +245,7 @@ def test_bethe_past_float_factorials_gives_json_error():
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
-    assert json.loads(proc.stderr)["error"]["type"] == "IncompleteSolveError"
+    assert parse_json(proc.stderr)["error"]["type"] == "IncompleteSolveError"
 
 
 @pytest.mark.parametrize(
@@ -268,8 +278,34 @@ def test_bad_values_give_json_error_not_traceback(argv, tmp_path):
     proc = python("-m", "lmg.cli", *(arg.replace("{tmp}", str(tmp_path)) for arg in argv))
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
-    payload = json.loads(proc.stderr)
+    payload = parse_json(proc.stderr)
     assert payload["error"]["type"] == "InvalidArgumentError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["angles", "--n", "8", "--v", "1e308", "--w", "0", "--index", "1"],
+        ["state", "--n", "8", "--v", "1e308", "--w", "1e308", "--index", "1"],
+        ["spectrum", "--n", "8", "--v", "1e308", "--w", "1e308"],
+        ["vqe", "--n", "8", "--v", "1e308", "--w", "0", "--restarts", "1"],
+    ],
+)
+def test_overflowing_hamiltonian_gives_json_error(argv):
+    proc = python("-m", "lmg.cli", *argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    error = parse_json(proc.stderr)["error"]
+    assert error["type"] == "InvalidArgumentError"
+    assert "Gershgorin bound is not finite" in error["message"]
+
+
+def test_json_writer_refuses_infinity_and_writes_nan_as_null():
+    text = _to_json({"a": [math.nan, np.float64("nan")], "b": 1.5})
+    assert text == '{"a": [null, null], "b": 1.5}'
+    for value in (math.inf, -math.inf, np.float64("-inf")):
+        with pytest.raises(NumericFailureError):
+            _to_json({"omega": [value]})
 
 
 def test_import_does_not_load_the_optimizer():
@@ -316,7 +352,7 @@ def test_verify_fails_a_check_over_its_budget(monkeypatch):
 def test_spectrum_rational_instance(capsys):
     code, out, _ = invoke(capsys, "spectrum", "--n", "4", "--v", "1.0", "--w", "1.0")
     assert code == 0
-    levels = json.loads(out)["levels"]
+    levels = parse_json(out)["levels"]
     assert len(levels) == 5
     assert all("omega_bethe" not in lvl for lvl in levels)
 
@@ -343,13 +379,13 @@ def test_ground_sector_on_a_tie_is_one_rule(capsys):
     instance = ("--n", "3", "--v", "0", "--w", "-1.5")
     want = {"m": 1, "nu_a": 1, "nu_b": 0}
     _, out, _ = invoke(capsys, "spectrum", *instance)
-    assert [lvl["omega_exact"] for lvl in json.loads(out)["levels"][:2]] == [-2.25, -2.25]
+    assert [lvl["omega_exact"] for lvl in parse_json(out)["levels"][:2]] == [-2.25, -2.25]
     _, out, _ = invoke(capsys, "state", *instance, "--index", "1")
-    assert json.loads(out)["sector"] == want
+    assert parse_json(out)["sector"] == want
     _, out, _ = invoke(capsys, "vqe", *instance, "--restarts", "1")
-    assert json.loads(out)["sector"] == want
+    assert parse_json(out)["sector"] == want
     _, out, _ = invoke(capsys, "benchmark", *instance, "--shots", "0", "--restarts", "1")
-    sectors = json.loads(out)["sectors"]
+    sectors = parse_json(out)["sectors"]
     assert [s["config"] for s in sectors if "vqe" in s["rows"][0]] == [want]
 
 
@@ -375,6 +411,6 @@ def test_simulate_circuit_that_fits_no_sector(n, tmp_path, capsys):
     code, _, err = invoke(capsys, "simulate", "--circuit", str(path), "--report-energy",
                           "--n", str(n), "--v", "0.75", "--w", "0.5")
     assert code == 1
-    assert json.loads(err)["error"]["message"] == (
+    assert parse_json(err)["error"]["message"] == (
         f"a circuit of 5 qubits fits no sector of N={n}"
     )

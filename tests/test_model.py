@@ -169,6 +169,25 @@ def test_ladder_matrix_is_shared_and_read_only():
             arr[0] = 1.0
 
 
+@pytest.mark.parametrize("v,w", [(1e308, 0.0), (1e308, 1e308), (0.0, 1e308), (-1e308, 0.5)])
+def test_ladder_matrix_refuses_a_block_that_overflows(v, w):
+    # an infinite entry would turn every level into inf or NaN downstream
+    p = make_params(8, v, w)
+    for parity in (0, 1):
+        with pytest.raises(InvalidArgumentError, match="Gershgorin bound is not finite"):
+            ladder_matrix(p, parity)
+
+
+def test_ladder_matrix_keeps_a_block_inside_the_float_range():
+    # N = 400, V = 1e306 has a Gershgorin bound of about 1.005e308
+    p = make_params(400, 1e306, 0.5)
+    for config in sector_configs(400):
+        diag, hop = ladder_matrix(p, config.parity)
+        edges = np.abs(np.concatenate(([0.0], hop, [0.0])))
+        assert 1e308 < np.max(np.abs(diag) + edges[:-1] + edges[1:]) < np.inf
+        assert np.all(np.isfinite(sector_spectrum(config, p)[0]))
+
+
 def test_exact_spectrum_against_dense_oracle():
     rng = np.random.default_rng(3)
     for n in (1, 2, 7, 16, 30):

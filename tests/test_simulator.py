@@ -35,7 +35,7 @@ from lmg.reference import (
     linear_product_form,
     log_product_form,
 )
-from oracles import pauli_terms, scan_run_sparse
+from oracles import outcomes_by_terms, pauli_terms, scan_run_sparse
 
 
 def normalized(values):
@@ -344,6 +344,29 @@ def test_pauli_groups_are_built_once_and_immutable():
     groups = pauli_groups(SectorConfig(3, 0, 0), make_params(6, 0.9, 0.25))
     assert isinstance(groups, tuple)
     assert pauli_groups(SectorConfig(3, 0, 0), make_params(6, 0.9, 0.25)) is groups
+    # each group builds its outcome values and basis once, not per call
+    weights = normalized([0.5, -0.1, 0.3, 0.8])
+    for group in groups:
+        values = group.outcomes(weights)[0]
+        assert group.outcomes(weights[::-1].copy())[0] is values
+        assert not values.flags.writeable
+
+
+def test_outcomes_equal_the_term_by_term_oracle():
+    # the basis rows give the term-by-term table: same values in the same
+    # order, and probabilities up to rounding, for real and complex weights
+    rng = np.random.default_rng(83)
+    for n in [*range(1, 41), 101]:
+        p = make_params(n, 0.75, 0.5)
+        for config in sector_configs(n):
+            real = normalized(rng.standard_normal(config.m + 1))
+            phased = real * np.exp(1j * rng.uniform(0.0, 2 * math.pi, real.size))
+            for group in pauli_groups(config, p):
+                for weights in (real, phased):
+                    values, probs = group.outcomes(weights)
+                    want_values, want_probs = outcomes_by_terms(group, weights)
+                    assert values.tolist() == want_values.tolist()
+                    np.testing.assert_allclose(probs, want_probs, rtol=0.0, atol=1e-15)
 
 
 def test_pauli_groups_sum_to_expectation():

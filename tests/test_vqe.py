@@ -157,15 +157,15 @@ def test_objective_is_degree_two_in_half_angle(depth):
 
 @pytest.mark.parametrize("depth", ["linear", "log"])
 def test_split_node_energies_equal_objective(depth):
-    # the five exact node values of an angle come from one split of the
-    # output; each must be the objective at that node's angles
+    # the five node states of an angle come from one split of the output;
+    # scored exactly, each must be the objective at that node's angles
     rng = np.random.default_rng(29)
     for m in (1, 2, 3, 7, 8, 33):
         p = make_params(2 * m, 0.75, 0.5)
         config = SectorConfig(m, 0, 0)
         thetas = rng.uniform(0.0, 4 * math.pi, m)
         for j in range(m):
-            energies = vqe._node_energies(thetas, j, config, p, depth)
+            energies = ladder_energy(vqe._node_states(thetas, j, depth), p, config.parity)
             for k in range(vqe.NODES):
                 node = thetas.copy()
                 node[j] += k * vqe.FULL_TURN / vqe.NODES
@@ -183,8 +183,8 @@ def test_split_node_energies_equal_objective(depth):
 
 @pytest.mark.parametrize("estimator", ["exact", "sampled"])
 def test_exact_nodes_need_no_objective_call(monkeypatch, estimator):
-    # exact restarts call objective only for their final energy; sampled
-    # ones measure each of an angle's five nodes, then the final energy
+    # node states come from one split per angle visit, whichever estimator
+    # scores them; objective runs once per restart, for its final energy
     calls, fits, outcomes = [], [], []
     for name, log in (("objective", calls), ("_fit_minimizer", fits),
                       ("_single_restart", outcomes)):
@@ -201,8 +201,37 @@ def test_exact_nodes_need_no_objective_call(monkeypatch, estimator):
     # a visit that ends a converged restart fits nothing
     visits = len(fits) + sum(converged for _, _, converged in outcomes)
     assert result.evaluations == len(result.trace) == vqe.NODES * visits + restarts
-    assert len(calls) == (restarts if estimator == "exact" else result.evaluations)
+    assert len(calls) == restarts
     assert result.trace[-1][1] == calls[-1]
+
+
+@pytest.mark.parametrize("depth", ["linear", "log"])
+def test_sampled_node_values_equal_objective(depth):
+    # a sampled node is scored from its split row with the run's seed and
+    # shots; it must be the very float objective samples at the node angles
+    rng = np.random.default_rng(31)
+    shots, seed = 700, 13
+    for m in (1, 2, 3, 7, 8):
+        p = make_params(2 * m, 0.75, 0.5)
+        config = SectorConfig(m, 0, 0)
+        thetas = rng.uniform(0.0, 4 * math.pi, m)
+        for j in range(m):
+            states = vqe._node_states(thetas, j, depth)
+            values = vqe._energies(states, config, p, "sampled", shots, seed)
+            for k in range(vqe.NODES):
+                node = thetas.copy()
+                node[j] += k * vqe.FULL_TURN / vqe.NODES
+                assert values[k] == objective(node, config, p, estimator="sampled",
+                                              shots=shots, seed=seed, depth=depth)
+        # a run's first five evaluations are the nodes of angle 0 at its start
+        opts = VqeOptions(restarts=1, seed=seed, estimator="sampled", shots=shots, depth=depth)
+        start = np.random.default_rng((seed, 0)).uniform(0.0, vqe.FULL_TURN, m)
+        first = optimize(config, p, opts).trace[:vqe.NODES]
+        for k, (_, value) in enumerate(first):
+            node = start.copy()
+            node[0] += k * vqe.FULL_TURN / vqe.NODES
+            assert value == objective(node, config, p, estimator="sampled",
+                                      shots=shots, seed=seed, depth=depth)
 
 
 @pytest.mark.parametrize("depth", ["linear", "log"])
