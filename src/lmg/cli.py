@@ -435,9 +435,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except LmgError as exc:
-        error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        sys.stderr.write(_to_json(error) + "\n")
-        return 1
+        kind, message = type(exc).__name__, str(exc)
+    except MemoryError as exc:  # numpy raises it as a private subclass
+        kind, message = "MemoryError", str(exc)
+    sys.stderr.write(_to_json({"error": {"type": kind, "message": message}}) + "\n")
+    return 1
 
 
 if __name__ == "__main__":

@@ -18,7 +18,11 @@ class UnsupportedRegimeError(LmgError):
 
 
 class IncompleteSolveError(LmgError):
-    """The solver could not produce the full, oracle-validated solution list."""
+    """The solver could not produce the full, oracle-validated solution list.
+
+    ``found`` counts the solution sets that validated against their own exact
+    level; ``needed`` is the sector's M+1.
+    """
 
     def __init__(self, message: str, found: int = 0, needed: int = 0):
         super().__init__(message)

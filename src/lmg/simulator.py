@@ -14,6 +14,7 @@ qubits big-endian: qubit 1 is the most significant bit.
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -312,6 +313,11 @@ class MeasurementGroup:
         values.flags.writeable = basis.flags.writeable = False
         return values, basis
 
+    @functools.cached_property
+    def _peak(self) -> float:
+        """Largest |outcome value|, which sets the scale of a sampled estimate."""
+        return float(np.max(np.abs(self._table[0])))
+
     def outcomes(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Measurement values and probabilities for normalized ladder weights."""
         values, basis = self._table
@@ -348,6 +354,10 @@ def sampled_expectation(
     Each group is measured with ``shots`` projective samples from a
     generator seeded with the non-negative ``seed``, so the estimate is
     deterministic given (state, shots, seed) and unbiased over seeds.
+    Means and spreads are summed in units of 2^e, e >= 0 the binary exponent
+    of the largest |outcome value|, so squaring a spread cannot overflow;
+    power-of-two scaling is exact, so it changes no bit where nothing
+    overflowed.
     """
     if shots < 1:
         raise InvalidArgumentError(f"shots must be >= 1, got {shots}")
@@ -360,11 +370,13 @@ def sampled_expectation(
     if nrm == 0.0:
         raise InvalidArgumentError("state has no weight on the one-hot subspace")
     weights = weights / nrm
+    scale = 2.0 ** -max(0, math.frexp(max(group._peak for group in groups))[1])
     rng = np.random.default_rng(seed)
     estimate = 0.0
     variance = 0.0
     for group in groups:
         values, probs = group.outcomes(weights)
+        values = values * scale
         probs = probs / probs.sum()
         counts = rng.multinomial(shots, probs)
         mean = float(counts @ values) / shots
@@ -372,4 +384,4 @@ def sampled_expectation(
         if shots > 1:
             spread = float(counts @ (values - mean) ** 2) / (shots - 1)
             variance += spread / shots
-    return estimate, float(np.sqrt(variance))
+    return estimate / scale, float(np.sqrt(variance)) / scale

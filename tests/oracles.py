@@ -150,3 +150,27 @@ def scan_run_sparse(circ, amps: dict) -> dict:
             state[low] = 0.0 + cos * a0 - sin * a1
             state[high] = 0.0 + sin * a0 + cos * a1
     return state
+
+
+def unscaled_sampled_expectation(psi, groups, shots: int, seed: int) -> tuple[float, float]:
+    """Finite-shot <H> and standard error, summed in the outcome values' own units.
+
+    The package's estimator sums in units of a power of two so that squared
+    spreads cannot overflow; on any instance where nothing overflows, both
+    must give the same bits.
+    """
+    weights = psi.one_hot_block()
+    weights = weights / np.sqrt(np.sum(np.abs(weights) ** 2))
+    rng = np.random.default_rng(seed)
+    estimate = 0.0
+    variance = 0.0
+    for group in groups:
+        values, probs = group.outcomes(weights)
+        probs = probs / probs.sum()
+        counts = rng.multinomial(shots, probs)
+        mean = float(counts @ values) / shots
+        estimate += mean
+        if shots > 1:
+            spread = float(counts @ (values - mean) ** 2) / (shots - 1)
+            variance += spread / shots
+    return estimate, float(np.sqrt(variance))

@@ -320,6 +320,25 @@ def test_solve_bethe_incomplete_with_exhausted_budget(monkeypatch):
     assert excinfo.value.found == 0
 
 
+def test_solve_bethe_refuses_a_set_polished_onto_another_level(monkeypatch):
+    from lmg import IncompleteSolveError
+
+    # the seed of level 1 is sent to level 0's set: that set is dropped on its
+    # own, so only the three sets that match their own levels are counted
+    polish = bethe._newton
+    polished = []
+
+    def misdirected(start, config, params):
+        polished.append(polish(start, config, params))
+        return polished[0] if len(polished) == 2 else polished[-1]
+
+    monkeypatch.setattr(bethe, "_newton", misdirected)
+    with pytest.raises(IncompleteSolveError) as excinfo:
+        solve_bethe(N7_CONFIG, n7_params())
+    assert (excinfo.value.found, excinfo.value.needed) == (3, 4)
+    assert str(excinfo.value) == "recovered 3 of 4 solution sets from the eigenvectors"
+
+
 def _float_ladder_weights(config):
     # the plain float expression the weights reproduce wherever it fits
     m, nu_a, nu_b = config.m, config.nu_a, config.nu_b
@@ -386,6 +405,15 @@ def test_solve_bethe_negative_v_regimes():
         np.testing.assert_allclose(sorted(got), expected, atol=1e-8)
 
 
+def _seeded_trigonometric(seed=15):
+    # one coupling (V^2 > W^2, either sign of V) for each N = 1..24
+    rng = np.random.default_rng(seed)
+    for n in range(1, 25):
+        w = float(rng.uniform(-1.2, 1.2))
+        v = float(rng.choice([-1.0, 1.0]) * (abs(w) + rng.uniform(0.1, 1.5)))
+        yield pytest.param(n, v, w, id=f"seeded-n{n}")
+
+
 @pytest.mark.parametrize(
     "n,v,w",
     [
@@ -394,6 +422,7 @@ def test_solve_bethe_negative_v_regimes():
         (8, 5.0, -2.0),       # very strong coupling
         (8, 1.0, 0.9999),     # near the rational boundary
         (12, 0.05, 0.01),     # weak coupling
+        *_seeded_trigonometric(),
     ],
 )
 def test_solve_bethe_boundary_instances(n, v, w):
@@ -403,7 +432,11 @@ def test_solve_bethe_boundary_instances(n, v, w):
     p = make_params(n, v, w)
     omegas = []
     for config in sector_configs(n):
-        for sol in solve_bethe(config, p):
+        levels = sector_spectrum(config, p)[0]
+        for j, sol in enumerate(solve_bethe(config, p)):
+            # set j is validated against its own exact level j
+            assert sol.index == j + 1
+            assert abs(sol.omega - levels[j]) <= bethe.MATCH_TOL
             omegas.append(sol.omega)
             psi = build_eigenstate(sol)
             resid = np.linalg.norm(apply_hamiltonian(psi, p).amps - sol.omega * psi.amps)

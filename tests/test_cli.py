@@ -30,10 +30,13 @@ def parse_json(text):
 
 
 def python(*args):
-    """Run a fresh interpreter that imports the package from this source tree."""
+    """Run a fresh interpreter that imports the package from this source tree.
+
+    Warnings are errors in the child too (``-W error``), as they are in-process.
+    """
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, *args],
+        [sys.executable, "-W", "error", *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
@@ -298,6 +301,32 @@ def test_overflowing_hamiltonian_gives_json_error(argv):
     error = parse_json(proc.stderr)["error"]
     assert error["type"] == "InvalidArgumentError"
     assert "Gershgorin bound is not finite" in error["message"]
+
+
+@pytest.mark.parametrize("shots", ["100", "10000"])
+def test_sampled_vqe_where_squared_spreads_overflow(shots):
+    proc = python("-m", "lmg.cli", "vqe", "--n", "8", "--v", "1e306", "--w", "0",
+                  "--restarts", "1", "--shots", shots)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    payload = parse_json(proc.stdout)
+    assert all(math.isfinite(payload[key]) for key in ("best_energy", "abs_error"))
+
+
+def test_failed_allocation_gives_json_error(monkeypatch, capsys):
+    class ArrayMemoryError(MemoryError):  # numpy raises such a private subclass
+        pass
+
+    def exhausted(params):
+        raise ArrayMemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr("lmg.cli.exact_spectrum", exhausted)
+    code, out, err = invoke(capsys, "state", "--n", "2000000", "--v", "0.5", "--w", "0.2",
+                            "--index", "1")
+    assert code == 1
+    assert out == ""
+    error = parse_json(err)["error"]
+    assert error == {"type": "MemoryError", "message": "Unable to allocate 7.28 TiB for an array"}
 
 
 def test_json_writer_refuses_infinity_and_writes_nan_as_null():

@@ -35,7 +35,12 @@ from lmg.reference import (
     linear_product_form,
     log_product_form,
 )
-from oracles import outcomes_by_terms, pauli_terms, scan_run_sparse
+from oracles import (
+    outcomes_by_terms,
+    pauli_terms,
+    scan_run_sparse,
+    unscaled_sampled_expectation,
+)
 
 
 def normalized(values):
@@ -422,6 +427,37 @@ def test_sampled_expectation_converges_to_exact():
     estimate, stderr = sampled_expectation(state, groups, shots=1_000_000, seed=42)
     assert abs(estimate - exact) < 5 * stderr
     assert stderr < 5e-3
+
+
+def test_sampled_expectation_equals_the_unscaled_oracle_bit_for_bit():
+    # power-of-two units change no bit; V = 40 and 1e4 have largest outcome
+    # values above 1, so there the units are not 1
+    rng = np.random.default_rng(29)
+    for n, v, w in ((7, 0.75, 0.5), (8, 40.0, 0.25), (12, 0.9, -0.3), (20, 1e4, 0.5)):
+        p = make_params(n, v, w)
+        for config in sector_configs(n):
+            groups = pauli_groups(config, p)
+            target = normalized(rng.standard_normal(config.m + 1))
+            state = StateVector(config.m + 1, {1 << k: complex(t) for k, t in enumerate(target)})
+            for shots in (1, 100, 10_000):
+                seed = int(rng.integers(1000))
+                got = sampled_expectation(state, groups, shots=shots, seed=seed)
+                assert got == unscaled_sampled_expectation(state, groups, shots, seed)
+
+
+@pytest.mark.parametrize("shots", [100, 10_000])
+def test_sampled_expectation_finite_where_squared_spreads_overflow(shots):
+    p = make_params(8, 1e306, 0.0)
+    config = SectorConfig(4, 0, 0)
+    groups = pauli_groups(config, p)
+    state = StateVector(5, {1 << k: complex(t) for k, t in enumerate(normalized([1, 2, 3, 4, 5]))})
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, unscaled_error = unscaled_sampled_expectation(state, groups, shots, 3)
+    assert not math.isfinite(unscaled_error)
+    estimate, stderr = sampled_expectation(state, groups, shots=shots, seed=3)
+    assert math.isfinite(estimate) and math.isfinite(stderr) and stderr > 0.0
+    exact = encoded_expectation(state, config, p)
+    assert abs(estimate - exact) < 5 * stderr
 
 
 def test_sampled_expectation_input_validation():
