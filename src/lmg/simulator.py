@@ -3,12 +3,15 @@
 Two execution paths share one gate semantics: a dense tensor path (capped at
 20 qubits) and a sparse dictionary path keyed by basis integers, which is the
 natural representation for the Hamming-weight-1 states the preparation
-circuits live on.  The sparse path updates its map in place and indexes it
-by set bit: a controlled gate visits only the entries whose control bit is
-set, and a rotation pairs each such entry with its target-flipped partner,
-so a preparation circuit runs in time linear in its gates (an ``x`` or an
-uncontrolled rotation still visits the whole map).  Basis integers read the
-qubits big-endian: qubit 1 is the most significant bit.
+circuits live on.  The dense path copies its input once and then updates
+amplitude pairs in place, so beyond the input a run holds at most 1.5
+states (two for an uncontrolled ``ry``).  The sparse path updates its map in
+place and indexes it by set bit: a controlled gate visits only the entries
+whose control bit is set, and a rotation pairs each such entry with its
+target-flipped partner, so a preparation circuit runs in time linear in its
+gates (an ``x`` or an uncontrolled rotation still visits the whole map).
+Basis integers read the qubits big-endian: qubit 1 is the most significant
+bit.
 """
 
 from __future__ import annotations
@@ -38,30 +41,42 @@ DENSE_QUBIT_CAP = 20
 LEAKAGE_TOL = 1e-10
 
 
+def _check_register(num_qubits: int, dense: bool) -> None:
+    """Refuse an empty register, and a dense one past ``DENSE_QUBIT_CAP``."""
+    if num_qubits < 1:
+        raise InvalidArgumentError("state needs at least one qubit")
+    if dense and num_qubits > DENSE_QUBIT_CAP:
+        raise InvalidArgumentError(
+            f"dense path is capped at {DENSE_QUBIT_CAP} qubits; use a sparse state"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Complex amplitudes over computational basis states.
 
     ``amps`` is either a dense complex array of length 2^n or a sparse map
-    from basis integer to amplitude.
+    from basis integer (a Python ``int`` in 0 .. 2^n - 1) to amplitude.
     """
 
     num_qubits: int
     amps: np.ndarray | dict
 
     def __post_init__(self):
-        if self.num_qubits < 1:
-            raise InvalidArgumentError("state needs at least one qubit")
-        if isinstance(self.amps, dict):
+        n = self.num_qubits
+        sparse = isinstance(self.amps, dict)
+        _check_register(n, dense=not sparse)
+        if sparse:
+            for basis in self.amps:
+                if type(basis) is not int or basis < 0 or basis >> n:
+                    raise InvalidArgumentError(
+                        f"sparse key {basis!r} is not a basis integer of {n} qubits"
+                    )
             return
-        if self.num_qubits > DENSE_QUBIT_CAP:
-            raise InvalidArgumentError(
-                f"dense path is capped at {DENSE_QUBIT_CAP} qubits; use a sparse state"
-            )
         amps = np.asarray(self.amps, dtype=complex)
-        if amps.shape != (2**self.num_qubits,):
+        if amps.shape != (2**n,):
             raise InvalidArgumentError(
-                f"dense amplitudes must have length {2**self.num_qubits}, got {amps.shape}"
+                f"dense amplitudes must have length {2**n}, got {amps.shape}"
             )
         object.__setattr__(self, "amps", amps)
 
@@ -71,6 +86,7 @@ class StateVector:
 
     @classmethod
     def one_hot(cls, num_qubits: int, basis: int, dense: bool = False) -> "StateVector":
+        _check_register(num_qubits, dense)  # before allocating 2^n amplitudes
         if not 0 <= basis < 2**num_qubits:
             raise InvalidArgumentError(f"basis integer {basis} outside the register")
         if dense:
@@ -120,34 +136,46 @@ class StateVector:
 
 
 def _slices(n: int, assignments: dict[int, int]) -> tuple:
-    """Index tuple pinning 1-based qubits to bit values on a (2,)*n tensor."""
+    """Index tuple pinning 1-based qubits to bit values on a (2,)*n tensor.
+
+    It ends with ``...``, so pinning every axis still gives a writable view.
+    """
     idx: list = [slice(None)] * n
     for qubit, value in assignments.items():
         idx[qubit - 1] = value
-    return tuple(idx)
+    return (*idx, ...)
 
 
 def _run_dense(circ: Circuit, amps: np.ndarray) -> np.ndarray:
+    """Apply the gates in place to one contiguous copy of ``amps``.
+
+    Each gate pins its control (if any) to 1 and its target to 0 and 1,
+    giving views ``low`` and ``high``, and copies ``low``: ``x`` and ``cx``
+    swap the halves, and a rotation runs the operations of
+    cos*low - sin*high and sin*low + cos*high in the same order, so every
+    amplitude keeps its bits.  The input is never written and no buffer
+    outlives its gate, so beyond the input a run holds at most 1.5 states:
+    the copy, plus a quarter state each for ``keep`` and ``sin * high`` of
+    a controlled gate, or half a state for the ``keep`` of an ``x`` (two
+    states for an uncontrolled ``ry``).  The flat result is a view.
+    """
     n = circ.num_qubits
     psi = amps.reshape((2,) * n).copy()
-    for gate in circ.gates:
-        t = gate.target
-        if gate.kind == "x":
-            psi = np.flip(psi, axis=t - 1)
-            continue
-        if gate.kind == "cx":
-            i0 = _slices(n, {gate.control: 1, t: 0})
-            i1 = _slices(n, {gate.control: 1, t: 1})
-            low, high = psi[i0].copy(), psi[i1].copy()
-            psi[i0], psi[i1] = high, low
-            continue
-        cos, sin = np.cos(gate.angle / 2), np.sin(gate.angle / 2)
-        pin = {} if gate.kind == "ry" else {gate.control: 1}
-        i0 = _slices(n, {**pin, t: 0})
-        i1 = _slices(n, {**pin, t: 1})
-        low, high = psi[i0].copy(), psi[i1].copy()
-        psi[i0] = cos * low - sin * high
-        psi[i1] = sin * low + cos * high
+    for _, target, control, angle in circ.gates:
+        pin = {} if control is None else {control: 1}
+        low = psi[_slices(n, {**pin, target: 0})]
+        high = psi[_slices(n, {**pin, target: 1})]
+        keep = low.copy()
+        if angle is None:  # x or cx
+            low[...] = high
+            high[...] = keep
+        else:
+            cos, sin = np.cos(angle / 2), np.sin(angle / 2)
+            low *= cos
+            low -= sin * high
+            high *= cos
+            high += sin * keep
+        del keep  # else the next gate's copy is made while this one is alive
     return psi.reshape(-1)
 
 
@@ -173,13 +201,8 @@ def _index(state: dict) -> dict[int, dict[int, None]]:
     """Map each bit mask to the bases that have it set, in map order."""
     holders: dict[int, dict[int, None]] = {}
     for basis in state:
-        if basis < 0:  # its set bits never run out
-            raise InvalidArgumentError(f"basis integer {basis} outside the register")
         _hold(holders, basis)
     return holders
-
-
-_MISSING = object()
 
 
 def _run_sparse(circ: Circuit, amps: dict) -> dict:
@@ -202,6 +225,8 @@ def _run_sparse(circ: Circuit, amps: dict) -> dict:
             holders = _index(state)
             continue
         active = list(state if control is None else holders.get(1 << (n - control), ()))
+        if not active:
+            continue
         if kind == "cx":
             # pop every active entry before re-inserting any: a flipped basis is itself active
             moved = [(basis, state.pop(basis)) for basis in active]
@@ -211,14 +236,17 @@ def _run_sparse(circ: Circuit, amps: dict) -> dict:
                 state[basis ^ t_mask] = amp
                 _hold(holders, basis ^ t_mask)
             continue
-        cos, sin = float(np.cos(angle / 2)), float(np.sin(angle / 2))
-        for low in dict.fromkeys(basis & ~t_mask for basis in active):
+        cos, sin = math.cos(angle / 2), math.sin(angle / 2)
+        for low in dict.fromkeys([basis & ~t_mask for basis in active]):
             high = low | t_mask
-            a0, a1 = state.get(low, _MISSING), state.get(high, _MISSING)
-            if a0 is _MISSING:
+            if low in state:
+                a0 = state[low]
+            else:
                 a0 = 0.0
                 _hold(holders, low)
-            if a1 is _MISSING:
+            if high in state:
+                a1 = state[high]
+            else:
                 a1 = 0.0
                 _hold(holders, high)
             # accumulate from 0.0 so an exact-zero result is +0.0, never -0.0

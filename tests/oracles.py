@@ -4,7 +4,7 @@ These rebuild the physics from raw operator matrix elements over the full
 (N+1)-dimensional two-mode basis, with no code shared with the package's
 ladder representation, spell the measurement groups out as Pauli strings
 and term by term, and keep the scan-based sparse simulator the indexed one
-must match.
+must match and the copy-based dense simulator the in-place one must match.
 """
 
 import math
@@ -150,6 +150,40 @@ def scan_run_sparse(circ, amps: dict) -> dict:
             state[low] = 0.0 + cos * a0 - sin * a1
             state[high] = 0.0 + sin * a0 + cos * a1
     return state
+
+
+def copy_run_dense(circ, amps: np.ndarray) -> np.ndarray:
+    """Dense gate application that copies both halves of the state for each gate.
+
+    The package's simulator updates amplitude pairs in place instead; both
+    must give the same amplitude bits.  ``x`` flips the tensor along its
+    target axis, and a rotation writes cos*low - sin*high and
+    sin*low + cos*high from copies of the two halves.
+    """
+    n = circ.num_qubits
+
+    def pinned(assignments: dict) -> tuple:
+        idx: list = [slice(None)] * n
+        for qubit, value in assignments.items():
+            idx[qubit - 1] = value
+        return tuple(idx)
+
+    psi = amps.reshape((2,) * n).copy()
+    for gate in circ.gates:
+        t = gate.target
+        if gate.kind == "x":
+            psi = np.flip(psi, axis=t - 1)
+            continue
+        pin = {} if gate.control is None else {gate.control: 1}
+        i0, i1 = pinned({**pin, t: 0}), pinned({**pin, t: 1})
+        low, high = psi[i0].copy(), psi[i1].copy()
+        if gate.kind == "cx":
+            psi[i0], psi[i1] = high, low
+            continue
+        cos, sin = np.cos(gate.angle / 2), np.sin(gate.angle / 2)
+        psi[i0] = cos * low - sin * high
+        psi[i1] = sin * low + cos * high
+    return psi.reshape(-1)
 
 
 def unscaled_sampled_expectation(psi, groups, shots: int, seed: int) -> tuple[float, float]:

@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from lmg.reference import (
     log_product_form,
 )
 from oracles import (
+    copy_run_dense,
     outcomes_by_terms,
     pauli_terms,
     scan_run_sparse,
@@ -95,31 +97,43 @@ def test_sparse_dense_agreement():
                 )
 
 
+def random_gates(rng, num_qubits: int, count: int) -> tuple:
+    """Random x, ry, cry and cx gates, targets above and below their controls.
+
+    One qubit allows only x and ry.
+    """
+    from lmg import Gate
+
+    kinds = ["x", "ry", "cry", "cx"] if num_qubits > 1 else ["x", "ry"]
+    gates = []
+    for _ in range(count):
+        kind = str(rng.choice(kinds))
+        control, target = (int(q) for q in rng.choice(num_qubits, 2, replace=False) + 1) \
+            if num_qubits > 1 else (None, 1)
+        gates.append(
+            Gate(
+                kind,
+                target=target,
+                control=control if kind in ("cry", "cx") else None,
+                angle=float(rng.uniform(-4 * math.pi, 4 * math.pi))
+                if kind in ("ry", "cry")
+                else None,
+            )
+        )
+    return tuple(gates)
+
+
 def test_sparse_dense_agreement_general_inputs():
     # The sparse path is the oracle of the closed-form objective, so it must
     # stay general: arbitrary inputs, any gate mix, targets above or below
     # their controls.
-    from lmg import Circuit, Gate
+    from lmg import Circuit
 
     rng = np.random.default_rng(67)
     for num_qubits in range(3, 7):
         dim = 2**num_qubits
         for trial in range(30):
-            gates = []
-            for _ in range(int(rng.integers(1, 30))):
-                kind = str(rng.choice(["x", "ry", "cry", "cx"]))
-                control, target = (int(q) for q in rng.choice(num_qubits, 2, replace=False) + 1)
-                gates.append(
-                    Gate(
-                        kind,
-                        target=target,
-                        control=control if kind in ("cry", "cx") else None,
-                        angle=float(rng.uniform(-4 * math.pi, 4 * math.pi))
-                        if kind in ("ry", "cry")
-                        else None,
-                    )
-                )
-            circ = Circuit(num_qubits, tuple(gates))
+            circ = Circuit(num_qubits, random_gates(rng, num_qubits, int(rng.integers(1, 30))))
             populated = dim if trial % 2 else int(rng.integers(1, 4))
             support = rng.choice(dim, populated, replace=False)
             amps = np.zeros(dim, dtype=complex)
@@ -141,27 +155,13 @@ def test_indexed_sparse_run_equals_the_scan_oracle_bit_for_bit():
     # Any gate mix (x, uncontrolled ry, targets above and below controls) on
     # inputs with explicit zeros, float and complex amplitudes: same keys, same
     # map order, same amplitude bits as a scan of the whole map per gate.
-    from lmg import Circuit, Gate
+    from lmg import Circuit
 
     rng = np.random.default_rng(71)
     for num_qubits in range(2, 8):
         dim = 2**num_qubits
         for trial in range(40):
-            gates = []
-            for _ in range(int(rng.integers(1, 40))):
-                kind = str(rng.choice(["x", "ry", "cry", "cx"]))
-                control, target = (int(q) for q in rng.choice(num_qubits, 2, replace=False) + 1)
-                gates.append(
-                    Gate(
-                        kind,
-                        target=target,
-                        control=control if kind in ("cry", "cx") else None,
-                        angle=float(rng.uniform(-4 * math.pi, 4 * math.pi))
-                        if kind in ("ry", "cry")
-                        else None,
-                    )
-                )
-            circ = Circuit(num_qubits, tuple(gates))
+            circ = Circuit(num_qubits, random_gates(rng, num_qubits, int(rng.integers(1, 40))))
             support = rng.choice(dim, int(rng.integers(1, min(dim, 6) + 1)), replace=False)
             amps = {}
             for i, basis in enumerate(support.tolist()):
@@ -189,6 +189,77 @@ def test_sparse_run_refuses_a_negative_basis():
     circ = Circuit(2, (Gate("cx", target=2, control=1),))
     with pytest.raises(InvalidArgumentError):
         run(circ, StateVector(2, {1: 0.6, -1: 0.8}))
+
+
+@pytest.mark.parametrize(
+    "key",
+    [9, 4.0, np.int64(4), True, -1, 1 << 64],
+    ids=["too-high", "float", "numpy-int", "bool", "negative", "2**64"],
+)
+def test_sparse_state_refuses_keys_outside_the_register(key):
+    # 9 does not fit 3 qubits (an x on qubit 3 would turn it into 8); a float,
+    # a numpy integer or a bool is not a basis integer (bit_length and the
+    # set-bit index need a Python int)
+    with pytest.raises(InvalidArgumentError):
+        StateVector(3, {3: 0.6, key: 0.8})
+    with pytest.raises(InvalidArgumentError):
+        StateVector(3, {key: 1.0})
+
+
+def test_in_place_dense_run_equals_the_copy_oracle_bit_for_bit():
+    # targets above and below controls, complex and real inputs, and 2-qubit
+    # circuits whose controlled gates pin every axis of the tensor
+    from lmg import Circuit
+
+    rng = np.random.default_rng(79)
+    for num_qubits in range(1, 8):
+        dim = 2**num_qubits
+        for trial in range(30):
+            circ = Circuit(num_qubits, random_gates(rng, num_qubits, int(rng.integers(1, 30))))
+            amps = rng.normal(size=dim) + (1j * rng.normal(size=dim) if trial % 3 else 0.0)
+            amps = amps.astype(complex)
+            got = run(circ, StateVector(num_qubits, amps)).amps
+            assert got.tobytes() == copy_run_dense(circ, amps).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["linear", "log"])
+def test_staircase_dense_run_equals_the_copy_oracle(mode):
+    rng = np.random.default_rng(83)
+    for m in range(1, 16):
+        circ = build_circuit(AngleSet(tuple(rng.uniform(-4 * math.pi, 4 * math.pi, m)), mode))
+        zeros = StateVector.zeros(m + 1, dense=True)
+        assert run(circ, zeros).amps.tobytes() == copy_run_dense(circ, zeros.amps).tobytes()
+
+
+def test_dense_run_leaves_its_input_unchanged():
+    from lmg import Circuit
+
+    rng = np.random.default_rng(89)
+    amps = rng.normal(size=32) + 1j * rng.normal(size=32)
+    before = amps.tobytes()
+    state = StateVector(5, amps)
+    out = run(Circuit(5, random_gates(rng, 5, 40)), state)
+    assert state.amps.tobytes() == amps.tobytes() == before
+    assert not np.shares_memory(out.amps, amps)
+
+
+def test_dense_run_peak_memory():
+    # In place, one gate's buffers at a time: 1.5 states beyond the input,
+    # plus numpy's iterator buffers (a few times 8192 amplitudes) for products
+    # of strided views, which add half a state at 14 qubits but little at 18.
+    # Copying both halves per gate and flattening a flipped view takes 2.51;
+    # keeping one gate's copy alive into the next takes 1.75 at 18 qubits.
+    for num_qubits, bound in ((14, 2.1), (18, 1.65)):
+        circ = build_circuit(AngleSet(tuple(np.linspace(0.1, 3.0, num_qubits - 1)), "log"))
+        state = StateVector.zeros(num_qubits, dense=True)
+        tracemalloc.start()
+        try:
+            out = run(circ, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.amps.flags.c_contiguous
+        assert peak <= bound * 16 * 2**num_qubits, num_qubits
 
 
 def test_sparse_run_is_linear_in_the_gates():
@@ -238,8 +309,19 @@ def test_run_dimension_mismatch():
 
 
 def test_dense_cap():
-    with pytest.raises(InvalidArgumentError):
-        StateVector.zeros(21, dense=True)
+    # refused before 2^n amplitudes are allocated, with the package's error;
+    # numpy cannot allocate 2^40 or 2^64 amplitudes and would raise its own
+    for num_qubits in (21, 40, 64):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidArgumentError):
+                StateVector.zeros(num_qubits, dense=True)
+            with pytest.raises(InvalidArgumentError):
+                StateVector.one_hot(num_qubits, 1, dense=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16, num_qubits
     # sparse path has no such cap
     state = StateVector.one_hot(25, 1 << 24)
     assert state.norm() == 1.0
