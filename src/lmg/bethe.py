@@ -11,16 +11,16 @@ with simple poles at E = +/-eta and at coinciding parameters.  The sector
 carries exactly M+1 distinct real solution sets in the trigonometric regime
 (V^2 > W^2); each set yields one eigenvalue through a closed formula.
 
-:func:`solve_bethe` is the one solver, for every M.  It seeds each solution
+:func:`solve_levels` is the one solver, for every M.  It seeds each solution
 set from the matching exact eigenvector: the ladder amplitudes are fixed
 multiples of the elementary symmetric polynomials in the Moebius variables
 x_l = (E_l + eta)/(E_l - eta), so the roots of one polynomial recover the
 E_l, which damped Newton then polishes.  The roots are therefore seeded from
 the diagonalization; the residual of the pair-energy equations and the
 closed-form eigenvalue stay independent of it.  Set j is seeded by exact
-eigenvector j and validated against exact level j alone, in the same pass.
-The small-M closed forms (the single-pair quadratic, the decoupled W = 0
-pair) live in :mod:`lmg.reference` as oracles that check this solver.
+eigenvector j and validated against exact level j alone; a level without a
+set carries its own error.  The small-M closed forms (the single-pair
+quadratic, the decoupled W = 0 pair) live in :mod:`lmg.reference` as oracles.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ from .errors import (
     ComplexPaironsError,
     IncompleteSolveError,
     InvalidArgumentError,
+    LmgError,
+    NumericFailureError,
     SingularityError,
     UnsupportedRegimeError,
 )
@@ -44,6 +46,7 @@ __all__ = [
     "residual",
     "eigenvalue",
     "solve_bethe",
+    "solve_levels",
 ]
 
 GUARD = 1e-8  # closest approach of a parameter to a pole or to another parameter
@@ -243,10 +246,8 @@ def _ladder_weights(config: SectorConfig) -> np.ndarray:
 def _invert_pairons(vec: np.ndarray, weights: np.ndarray, params: ModelParams):
     """Candidate pair energies from one exact eigenvector's ladder amplitudes.
 
-    ``weights`` are the sector's :func:`_ladder_weights`.  Returns
-    (real_energies, None), (None, complex_roots) when the recovered Moebius
-    roots leave the real axis, or (None, None) when the amplitudes give no
-    usable polynomial.
+    ``weights`` are the sector's :func:`_ladder_weights`.  Returns the sorted
+    real energies, or the level's error when no real seed comes out.
     """
     m = vec.size - 1
     with np.errstate(all="ignore"):
@@ -261,66 +262,80 @@ def _invert_pairons(vec: np.ndarray, weights: np.ndarray, params: ModelParams):
             elem = scaled[::-1] / scaled[-1]
             sign = -1.0
     if not np.all(np.isfinite(elem)):  # the ratios over- or underflowed
-        return None, None
+        return NumericFailureError("the eigenvector's amplitude ratios over- or underflow")
     coeffs = [(-1) ** k * elem[k] for k in range(m + 1)]
     roots = np.roots(coeffs)
     if np.any(np.abs(roots - 1.0) < 1e-12):
-        return None, None
+        return NumericFailureError("a Moebius root sits at 1, an infinite pair energy")
     energies = sign * params.eta * (roots + 1.0) / (roots - 1.0)
     scale = 1.0 + np.max(np.abs(energies.real), initial=0.0)
     if np.any(np.abs(energies.imag) > 1e-6 * scale):
-        return None, energies
-    return np.sort(energies.real), None
+        if params.s > 0:
+            return NumericFailureError("non-real pair energies in the trigonometric regime")
+        return ComplexPaironsError(f"non-real pair energies detected (e.g. {energies[0]:.6g})")
+    return np.sort(energies.real)
+
+
+def _solve_level(j, vec, exact_val, weights, config, params) -> SpectralSolution | LmgError:
+    seed = _invert_pairons(vec, weights, params)
+    if isinstance(seed, LmgError):
+        return seed
+    solved = _newton(seed, config, params)
+    if solved is None:
+        return NumericFailureError(f"damped Newton left a residual above {TOL:g}")
+    omega = eigenvalue(solved, config, params)
+    if abs(omega - exact_val) > MATCH_TOL:
+        return NumericFailureError(f"the set polished onto omega={omega:.12g}, not level {j + 1}")
+    rn = float(np.max(np.abs(_residual_raw(solved, config, params)), initial=0.0))
+    energies = tuple(float(x) for x in solved)
+    return SpectralSolution(config, params, energies, omega, rn, j + 1)
+
+
+def solve_levels(
+    config: SectorConfig, params: ModelParams, *, allow_hyperbolic: bool = False
+) -> list[SpectralSolution | LmgError]:
+    """One entry per exact level of a sector: its validated set, or why it has none.
+
+    Set j is seeded by exact eigenvector j, polished by damped Newton within
+    TOL and kept if its eigenvalue matches level j within MATCH_TOL; else
+    the entry is a NumericFailureError, or a ComplexPaironsError for
+    non-real pair energies in the hyperbolic regime.  A sector that
+    :func:`solve_bethe` refuses holds that refusal at every level.
+    """
+    try:
+        _require_solvable(config, params, allow_hyperbolic)
+    except LmgError as exc:
+        return [exc] * (config.m + 1)
+    exact_vals, exact_vecs = sector_spectrum(config, params)
+    weights = _ladder_weights(config)
+    return [
+        _solve_level(j, vec, exact_vals[j], weights, config, params)
+        for j, vec in enumerate(exact_vecs.T)
+    ]
 
 
 def solve_bethe(
     config: SectorConfig, params: ModelParams, *, allow_hyperbolic: bool = False
 ) -> list[SpectralSolution]:
-    """All M+1 solution sets of a sector, validated against diagonalization.
+    """All M+1 solution sets of a sector: the entries of :func:`solve_levels`.
 
-    One pass over the sector's exact eigenvectors: set j is seeded by
-    inverting eigenvector j into pair energies, polished by damped Newton on
-    the pair-energy equations until every residual component is within TOL,
-    and validated against level j on its own: its eigenvalue must match
-    exact level j within MATCH_TOL.  A set that fails to polish, or that
-    polishes onto another level, is dropped.  Hyperbolic instances
-    (V^2 < W^2) raise UnsupportedRegimeError unless ``allow_hyperbolic``.
-    Raises IncompleteSolveError when fewer than M+1 sets validate, and
-    ComplexPaironsError when the missing sets are complex (hyperbolic
-    regime only: trigonometric pair energies are real, so non-real roots
-    there are a numerical failure).
+    Raises UnsupportedRegimeError for rational and V = 0 instances, and for
+    hyperbolic ones (V^2 < W^2) unless ``allow_hyperbolic``.  When a level
+    has no set, raises ComplexPaironsError if one has non-real pair
+    energies, else IncompleteSolveError.
     """
     _require_solvable(config, params, allow_hyperbolic)
-    m = config.m
-    exact_vals, exact_vecs = sector_spectrum(config, params)
-
-    weights = _ladder_weights(config)
-    found: list[SpectralSolution] = []
-    complex_roots = None
-    for j, vec in enumerate(exact_vecs.T):
-        seed, croots = _invert_pairons(vec, weights, params)
-        if seed is None:
-            if croots is not None:
-                complex_roots = croots
-            continue
-        solved = _newton(seed, config, params)
-        if solved is None:
-            continue
-        omega = eigenvalue(solved, config, params)
-        if abs(omega - exact_vals[j]) <= MATCH_TOL:  # else it polished onto another level
-            rn = float(np.max(np.abs(_residual_raw(solved, config, params)), initial=0.0))
-            energies = tuple(float(x) for x in solved)
-            found.append(SpectralSolution(config, params, energies, omega, rn, j + 1))
-
-    if len(found) < m + 1:
-        if complex_roots is not None and params.s < 0:
-            raise ComplexPaironsError(
-                f"non-real pair energies detected (e.g. {complex_roots[0]:.6g}); "
-                f"only {len(found)} of {m + 1} real solution sets exist"
-            )
+    levels = solve_levels(config, params, allow_hyperbolic=allow_hyperbolic)
+    found = [level for level in levels if isinstance(level, SpectralSolution)]
+    complex_levels = [level for level in levels if isinstance(level, ComplexPaironsError)]
+    if complex_levels:
+        raise ComplexPaironsError(
+            f"{complex_levels[-1]}; only {len(found)} of {len(levels)} real solution sets exist"
+        )
+    if len(found) < len(levels):
         raise IncompleteSolveError(
-            f"recovered {len(found)} of {m + 1} solution sets from the eigenvectors",
+            f"recovered {len(found)} of {len(levels)} solution sets from the eigenvectors",
             found=len(found),
-            needed=m + 1,
+            needed=len(levels),
         )
     return found

@@ -16,7 +16,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .bethe import solve_bethe
+from .bethe import SpectralSolution, solve_bethe, solve_levels
 from .circuit import (
     build_circuit,
     encode,
@@ -136,17 +136,12 @@ def _spectrum_rows(params) -> list[dict]:
     all of them ordered as in :func:`lmg.model.exact_spectrum` and numbered."""
     rows = []
     for config in sector_configs(params.n):
-        solutions = []
-        if not params.rational:
-            try:
-                solutions = list(solve_bethe(config, params))
-            except LmgError:
-                pass
+        levels = solve_levels(config, params)
         for j, omega in enumerate(sector_spectrum(config, params)[0]):
             row = {**asdict(config), "omega_exact": float(omega), "sector_index": j + 1}
-            if j < len(solutions):
-                row["omega_bethe"] = solutions[j].omega
-                row["bethe_residual"] = solutions[j].residual_norm
+            if isinstance(levels[j], SpectralSolution):
+                row["omega_bethe"] = levels[j].omega
+                row["bethe_residual"] = levels[j].residual_norm
             rows.append(row)
     rows.sort(key=lambda row: (row["omega_exact"], row["nu_b"]))
     for index, row in enumerate(rows, start=1):

@@ -51,6 +51,13 @@ def _check_register(num_qubits: int, dense: bool) -> None:
         )
 
 
+def _check_bases(num_qubits: int, bases) -> None:
+    """Refuse any basis that is not a Python ``int`` in 0 .. 2^n - 1 (a bool is not one)."""
+    for basis in bases:
+        if type(basis) is not int or basis < 0 or basis >> num_qubits:
+            raise InvalidArgumentError(f"{basis!r} is not a basis integer of {num_qubits} qubits")
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Complex amplitudes over computational basis states.
@@ -67,11 +74,7 @@ class StateVector:
         sparse = isinstance(self.amps, dict)
         _check_register(n, dense=not sparse)
         if sparse:
-            for basis in self.amps:
-                if type(basis) is not int or basis < 0 or basis >> n:
-                    raise InvalidArgumentError(
-                        f"sparse key {basis!r} is not a basis integer of {n} qubits"
-                    )
+            _check_bases(n, self.amps)
             return
         amps = np.asarray(self.amps, dtype=complex)
         if amps.shape != (2**n,):
@@ -87,8 +90,7 @@ class StateVector:
     @classmethod
     def one_hot(cls, num_qubits: int, basis: int, dense: bool = False) -> "StateVector":
         _check_register(num_qubits, dense)  # before allocating 2^n amplitudes
-        if not 0 <= basis < 2**num_qubits:
-            raise InvalidArgumentError(f"basis integer {basis} outside the register")
+        _check_bases(num_qubits, (basis,))
         if dense:
             amps = np.zeros(2**num_qubits, dtype=complex)
             amps[basis] = 1.0
@@ -101,6 +103,7 @@ class StateVector:
         return cls.one_hot(num_qubits, 0, dense=dense)
 
     def amplitude(self, basis: int) -> complex:
+        _check_bases(self.num_qubits, (basis,))
         if self.is_dense:
             return complex(self.amps[basis])
         return complex(self.amps.get(basis, 0.0))

@@ -23,13 +23,14 @@ of the one-hot output per angle (:func:`lmg.circuit.one_hot_split`: the
 amplitudes are r + cos phi p + sin phi q), so an angle costs one O(M) pass
 instead of five.  The exact estimator scores the five rows in one
 ``ladder_energy`` call; the sampled one measures each row with the run's
-seed and shots, as ``objective`` does at that node's angles.  A sweep does this for every angle in turn; a restart stops when the energy at
-the start of a sweep falls by less than SWEEP_TOL from the previous sweep's
-start (``converged``), or after MAX_SWEEPS sweeps.  Its energy is one
+seed and shots, as ``objective`` does at that node's angles.  A sweep does
+this for every angle in turn; a restart stops when the energy at the start
+of a sweep falls by less than SWEEP_TOL from the previous sweep's start
+(``converged``), or after MAX_SWEEPS sweeps.  Its energy is one
 ``objective`` call at its final angles, so every reported value is a full
-evaluation.  Restarts are deterministic, seeded and
-run one after another; a "warm" first restart starts from the angles of the
-known target state, cold restarts draw uniformly from [0, 4pi)^M.
+evaluation.  Restarts are deterministic, seeded and run one after another;
+a "warm" first restart starts from the angles of the known target state,
+cold restarts draw uniformly from [0, 4pi)^M.
 """
 
 from __future__ import annotations
@@ -273,13 +274,13 @@ def optimize(
     )
 
 
-def _row_report(j, omega, vec, config, params, solution):
+def _row_report(j, omega, vec, config, params, level):
     target = encode(FockVector(config.n, config.parity, vec), config)
     row: dict = {"index": j + 1, "omega_exact": float(omega)}
-    if solution is not None:
-        row["omega_bethe"] = solution.omega
-        row["pairons"] = list(solution.energies)
-        row["bethe_residual"] = solution.residual_norm
+    if isinstance(level, bethe.SpectralSolution):
+        row["omega_bethe"] = level.omega
+        row["pairons"] = list(level.energies)
+        row["bethe_residual"] = level.residual_norm
     for mode, maker in (("linear", linear_angles), ("log", log_angles)):
         angles = maker(target)
         state = run(build_circuit(angles))
@@ -298,36 +299,29 @@ def benchmark(
 ) -> dict:
     """Machine-readable scorecard of the whole pipeline for one instance.
 
-    Per sector: exact eigenvalues, pair energies where the solver succeeds,
-    preparation fidelity and energy error for both depth modes on every
-    eigenstate, and, for each entry of ``shot_budgets`` (shots, or None for
-    the exact estimator), a cold and a warm VQE run with ``options`` on the
-    ground sector, ``exact_spectrum(params)[0][1].sector`` (the even-parity
-    sector on an exact tie), attached to that sector's first row.  Partial
-    failures are recorded per row, not raised.
+    Per sector: exact eigenvalues, each level's pair energies or the error
+    that :func:`lmg.bethe.solve_levels` gives it instead, preparation
+    fidelity and energy error for both depth modes on every eigenstate,
+    and, for each entry of ``shot_budgets`` (shots, or None for the exact
+    estimator), a cold and a warm VQE run with ``options`` on the ground
+    sector, ``exact_spectrum(params)[0][1].sector`` (the even-parity sector
+    on an exact tie), attached to that sector's first row.  Partial failures
+    are recorded per row, not raised.
     """
     opts = options or VqeOptions()
     ground = exact_spectrum(params)[0][1].sector
     report = {"params": asdict(params), "sectors": []}
     for config in sector_configs(params.n):
         vals, vecs = sector_spectrum(config, params)
-        solutions: list = [None] * vals.size
-        bethe_error = None
-        if not params.rational:
-            try:
-                found = bethe.solve_bethe(config, params)
-                solutions = list(found)
-            except LmgError as exc:
-                bethe_error = f"{type(exc).__name__}: {exc}"
         rows = []
-        for j in range(vals.size):
+        for j, level in enumerate(bethe.solve_levels(config, params)):
             try:
-                row = _row_report(j, vals[j], vecs[:, j], config, params, solutions[j])
+                row = _row_report(j, vals[j], vecs[:, j], config, params, level)
             except LmgError as exc:
                 row = {"index": j + 1, "omega_exact": float(vals[j]),
                        "error": f"{type(exc).__name__}: {exc}"}
-            if bethe_error is not None:
-                row["error"] = bethe_error
+            if isinstance(level, LmgError):
+                row["error"] = f"{type(level).__name__}: {level}"
             rows.append(row)
         report["sectors"].append({"config": asdict(config), "rows": rows})
         if config == ground and shot_budgets:

@@ -8,7 +8,10 @@ import pytest
 
 from lmg import (
     ComplexPaironsError,
+    IncompleteSolveError,
     InvalidArgumentError,
+    LmgError,
+    NumericFailureError,
     SectorConfig,
     SingularityError,
     UnsupportedRegimeError,
@@ -20,6 +23,7 @@ from lmg import (
     sector_configs,
     sector_spectrum,
     solve_bethe,
+    solve_levels,
 )
 from lmg.reference import (
     HYPERBOLIC_COMPLEX,
@@ -337,6 +341,12 @@ def test_solve_bethe_refuses_a_set_polished_onto_another_level(monkeypatch):
         solve_bethe(N7_CONFIG, n7_params())
     assert (excinfo.value.found, excinfo.value.needed) == (3, 4)
     assert str(excinfo.value) == "recovered 3 of 4 solution sets from the eigenvectors"
+    # level 2 carries its own error; the other levels keep their sets
+    polished.clear()
+    levels = solve_levels(N7_CONFIG, n7_params())
+    assert isinstance(levels[1], NumericFailureError)
+    assert "not level 2" in str(levels[1])
+    assert [level.index for i, level in enumerate(levels) if i != 1] == [1, 3, 4]
 
 
 def _float_ladder_weights(config):
@@ -443,3 +453,65 @@ def test_solve_bethe_boundary_instances(n, v, w):
             assert resid < 1e-8
     expected = [omega for omega, _ in exact_spectrum(p)]
     np.testing.assert_allclose(sorted(omegas), expected, atol=1e-8)
+
+
+def _regime_instances(seed=18):
+    # trigonometric couplings (V^2 > W^2, either sign of V) at N = 1..24 and
+    # at the sizes where sets start to go missing, then one hyperbolic (with
+    # and without the opt-in), one rational and one V = 0 instance
+    rng = np.random.default_rng(seed)
+    for n in [*range(1, 25), 40, 56, 60, 64]:
+        yield make_params(n, 0.75, 0.5), False
+        for _ in range(2):
+            w = float(rng.uniform(-1.2, 1.2))
+            v = float(rng.choice([-1.0, 1.0]) * (abs(w) + rng.uniform(0.1, 1.5)))
+            yield make_params(n, v, w), False
+    hyperbolic = make_params(**HYPERBOLIC_COMPLEX)
+    yield hyperbolic, True
+    yield hyperbolic, False
+    yield make_params(4, 1.0, 1.0), False
+    yield make_params(6, 0.0, 0.5), False
+
+
+def test_solve_levels_regimes_one_outcome_per_level():
+    for p, allow in _regime_instances():
+        for config in sector_configs(p.n):
+            levels = solve_levels(config, p, allow_hyperbolic=allow)
+            exact = sector_spectrum(config, p)[0]
+            assert len(levels) == exact.size == config.m + 1
+            for j, level in enumerate(levels):
+                if isinstance(level, bethe.SpectralSolution):
+                    assert level.index == j + 1
+                    assert abs(level.omega - exact[j]) <= bethe.MATCH_TOL
+                else:
+                    assert isinstance(level, LmgError), (p, config, j, level)
+                    assert p.s < 0 or not isinstance(level, ComplexPaironsError)
+            sets = [level for level in levels if isinstance(level, bethe.SpectralSolution)]
+            if len(sets) == len(levels):
+                assert solve_bethe(config, p, allow_hyperbolic=allow) == sets
+                continue
+            with pytest.raises(LmgError) as excinfo:
+                solve_bethe(config, p, allow_hyperbolic=allow)
+            kinds = {type(level) for level in levels if isinstance(level, LmgError)}
+            if kinds <= {NumericFailureError}:
+                assert isinstance(excinfo.value, IncompleteSolveError)
+                assert (excinfo.value.found, excinfo.value.needed) == (len(sets), len(levels))
+            elif ComplexPaironsError in kinds:
+                assert isinstance(excinfo.value, ComplexPaironsError)
+            else:  # a refused sector: the one refusal, raised
+                assert kinds == {type(excinfo.value)} and not sets
+
+
+def test_solve_levels_repeats_a_sector_refusal_at_every_level():
+    for p, config, allow in (
+        (make_params(4, 1.0, 1.0), SectorConfig(2, 0, 0), True),  # rational
+        (make_params(4, 0.2, 1.5), SectorConfig(2, 0, 0), False),  # hyperbolic
+        (make_params(4, 0.0, 1.0), SectorConfig(2, 0, 0), True),  # V = 0
+        (make_params(6, 0.75, 0.5), SectorConfig(2, 0, 0), False),  # wrong N
+    ):
+        levels = solve_levels(config, p, allow_hyperbolic=allow)
+        assert len(levels) == config.m + 1
+        assert all(level is levels[0] for level in levels)
+        with pytest.raises(type(levels[0])) as excinfo:
+            solve_bethe(config, p, allow_hyperbolic=allow)
+        assert str(excinfo.value) == str(levels[0])

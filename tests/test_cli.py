@@ -443,3 +443,48 @@ def test_simulate_circuit_that_fits_no_sector(n, tmp_path, capsys):
     assert parse_json(err)["error"]["message"] == (
         f"a circuit of 5 qubits fits no sector of N={n}"
     )
+
+
+N60 = ("--n", "60", "--v", "0.75", "--w", "0.5")
+
+
+def test_spectrum_keeps_the_validated_levels_of_an_incomplete_sector(capsys):
+    # levels 1 and 2 of both sectors have no set at N = 60; the other 57 do
+    code, out, err = invoke(capsys, "spectrum", *N60)
+    assert code == 0 and err == ""
+    levels = parse_json(out)["levels"]
+    solved = [lvl for lvl in levels if "omega_bethe" in lvl]
+    assert (len(levels), len(solved)) == (61, 57)
+    assert all(abs(lvl["omega_bethe"] - lvl["omega_exact"]) <= 1e-8 for lvl in solved)
+    missing = {(lvl["nu_b"], lvl["sector_index"]) for lvl in levels if "omega_bethe" not in lvl}
+    assert missing == {(0, 1), (0, 2), (1, 1), (1, 2)}
+
+    code, out, _ = invoke(capsys, "spectrum", *N60, "--format", "csv")
+    assert code == 0
+    header, *lines = out.splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    assert len(rows) == 61
+    empty = {(row["nu_b"], row["sector_index"]) for row in rows
+             if row["omega_bethe"] == row["bethe_residual"] == ""}
+    assert empty == {("0", "1"), ("0", "2"), ("1", "1"), ("1", "2")}
+    assert all(row["omega_bethe"] and row["bethe_residual"] for row in rows
+               if (row["nu_b"], row["sector_index"]) not in empty)
+
+
+def test_benchmark_marks_only_the_levels_without_a_set(capsys):
+    code, out, _ = invoke(capsys, "benchmark", *N60, "--shots", "0", "--restarts", "1")
+    assert code == 0
+    for sector in parse_json(out)["sectors"]:
+        errors = {row["index"]: row["error"] for row in sector["rows"] if "error" in row}
+        assert sorted(errors) == [1, 2]
+        assert all(error.startswith("NumericFailureError: ") for error in errors.values())
+        assert all("omega_bethe" in row for row in sector["rows"] if "error" not in row)
+
+
+def test_bethe_on_an_incomplete_sector_still_refuses(capsys):
+    code, out, err = invoke(capsys, "bethe", *N60, "--sector", "0,0")
+    assert code == 1 and out == ""
+    assert err == (
+        '{"error": {"message": "recovered 29 of 31 solution sets from the eigenvectors", '
+        '"type": "IncompleteSolveError"}}\n'
+    )

@@ -206,6 +206,28 @@ def test_sparse_state_refuses_keys_outside_the_register(key):
         StateVector(3, {key: 1.0})
 
 
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+@pytest.mark.parametrize(
+    "basis",
+    [-1, 4, True, 1.0, np.int64(1), 1 << 64],
+    ids=["negative", "too-high", "bool", "float", "numpy-int", "2**64"],
+)
+def test_amplitude_and_one_hot_refuse_a_basis_outside_the_register(dense, basis):
+    # numpy would wrap -1 onto basis 3 and turn True into the whole array
+    state = StateVector.one_hot(2, 3, dense=dense)
+    with pytest.raises(InvalidArgumentError):
+        state.amplitude(basis)
+    with pytest.raises(InvalidArgumentError):
+        StateVector.one_hot(2, basis, dense=dense)
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+def test_amplitude_reads_every_basis_of_the_register(dense):
+    state = StateVector.one_hot(2, 3, dense=dense)
+    assert [state.amplitude(basis) for basis in range(4)] == [0j, 0j, 0j, 1 + 0j]
+    assert state.norm() == 1.0
+
+
 def test_in_place_dense_run_equals_the_copy_oracle_bit_for_bit():
     # targets above and below controls, complex and real inputs, and 2-qubit
     # circuits whose controlled gates pin every axis of the tensor

@@ -397,6 +397,10 @@ def test_benchmark_rational_instance_skips_bethe():
     for row in rows:
         assert "omega_bethe" not in row
         assert row["fidelity_linear"] >= 1 - 1e-10
+        assert row["error"] == (
+            "UnsupportedRegimeError: rational instance (V^2 = W^2): eta is undefined, "
+            "use exact_spectrum"
+        )
 
 
 def test_sampled_estimator_consistency_over_seeds():
