@@ -272,7 +272,8 @@ def _invert_pairons(vec: np.ndarray, weights: np.ndarray, params: ModelParams):
     if np.any(np.abs(energies.imag) > 1e-6 * scale):
         if params.s > 0:
             return NumericFailureError("non-real pair energies in the trigonometric regime")
-        return ComplexPaironsError(f"non-real pair energies detected (e.g. {energies[0]:.6g})")
+        example = energies[np.argmax(np.abs(energies.imag))]
+        return ComplexPaironsError(f"non-real pair energies detected (e.g. {example:.6g})")
     return np.sort(energies.real)
 
 
@@ -293,31 +294,32 @@ def _solve_level(j, vec, exact_val, weights, config, params) -> SpectralSolution
 
 def solve_levels(
     config: SectorConfig, params: ModelParams, *, allow_hyperbolic: bool = False
-) -> list[SpectralSolution | LmgError]:
-    """One entry per exact level of a sector: its validated set, or why it has none.
+) -> tuple[np.ndarray, np.ndarray, list[SpectralSolution | LmgError]]:
+    """A sector's exact eigenpairs and, per level, its validated set or why it has none.
 
-    Set j is seeded by exact eigenvector j, polished by damped Newton within
-    TOL and kept if its eigenvalue matches level j within MATCH_TOL; else
-    the entry is a NumericFailureError, or a ComplexPaironsError for
-    non-real pair energies in the hyperbolic regime.  A sector that
-    :func:`solve_bethe` refuses holds that refusal at every level.
+    Returns ``(values, vectors, outcomes)``: the :func:`sector_spectrum` pair
+    and one outcome per level.  Outcome j is the set seeded by eigenvector j,
+    polished by damped Newton within TOL and matching ``values[j]`` within
+    MATCH_TOL; else a NumericFailureError, or a ComplexPaironsError for
+    non-real pair energies in the hyperbolic regime.  A refused sector is still
+    diagonalized and repeats its refusal; a wrong N raises InvalidArgumentError.
     """
+    values, vectors = sector_spectrum(config, params)
     try:
         _require_solvable(config, params, allow_hyperbolic)
     except LmgError as exc:
-        return [exc] * (config.m + 1)
-    exact_vals, exact_vecs = sector_spectrum(config, params)
+        return values, vectors, [exc] * values.size
     weights = _ladder_weights(config)
-    return [
-        _solve_level(j, vec, exact_vals[j], weights, config, params)
-        for j, vec in enumerate(exact_vecs.T)
+    return values, vectors, [
+        _solve_level(j, vec, values[j], weights, config, params)
+        for j, vec in enumerate(vectors.T)
     ]
 
 
 def solve_bethe(
     config: SectorConfig, params: ModelParams, *, allow_hyperbolic: bool = False
 ) -> list[SpectralSolution]:
-    """All M+1 solution sets of a sector: the entries of :func:`solve_levels`.
+    """All M+1 solution sets of a sector: the outcomes of :func:`solve_levels`.
 
     Raises UnsupportedRegimeError for rational and V = 0 instances, and for
     hyperbolic ones (V^2 < W^2) unless ``allow_hyperbolic``.  When a level
@@ -325,7 +327,7 @@ def solve_bethe(
     energies, else IncompleteSolveError.
     """
     _require_solvable(config, params, allow_hyperbolic)
-    levels = solve_levels(config, params, allow_hyperbolic=allow_hyperbolic)
+    _, _, levels = solve_levels(config, params, allow_hyperbolic=allow_hyperbolic)
     found = [level for level in levels if isinstance(level, SpectralSolution)]
     complex_levels = [level for level in levels if isinstance(level, ComplexPaironsError)]
     if complex_levels:

@@ -32,7 +32,6 @@ from .model import (
     ladder_occupations,
     make_params,
     sector_configs,
-    sector_spectrum,
 )
 from .simulator import encoded_expectation, run
 from .verify import available_checks, run_checks
@@ -136,12 +135,12 @@ def _spectrum_rows(params) -> list[dict]:
     all of them ordered as in :func:`lmg.model.exact_spectrum` and numbered."""
     rows = []
     for config in sector_configs(params.n):
-        levels = solve_levels(config, params)
-        for j, omega in enumerate(sector_spectrum(config, params)[0]):
+        values, _, levels = solve_levels(config, params)
+        for j, (omega, level) in enumerate(zip(values, levels)):
             row = {**asdict(config), "omega_exact": float(omega), "sector_index": j + 1}
-            if isinstance(levels[j], SpectralSolution):
-                row["omega_bethe"] = levels[j].omega
-                row["bethe_residual"] = levels[j].residual_norm
+            if isinstance(level, SpectralSolution):
+                row["omega_bethe"] = level.omega
+                row["bethe_residual"] = level.residual_norm
             rows.append(row)
     rows.sort(key=lambda row: (row["omega_exact"], row["nu_b"]))
     for index, row in enumerate(rows, start=1):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .bethe import SpectralSolution
 from .errors import InvalidArgumentError, SingularityError
-from .model import FockVector, canonical_sign
+from .model import FockVector, canonical_sign, ladder_occupations
 
 __all__ = ["apply_pair_factor", "build_eigenstate"]
 
@@ -30,15 +30,11 @@ def apply_pair_factor(psi: FockVector, energy: float, eta: float) -> FockVector:
     """
     if abs(energy - eta) < _POLE_GUARD or abs(energy + eta) < _POLE_GUARD:
         raise SingularityError(f"pair energy {energy:.6g} sits on a pole (+/-eta = {eta:.6g})")
-    n, parity = psi.n, psi.parity
-    size = psi.amps.size
-    k = np.arange(size)
-    na = n - parity - 2 * k
-    nb = parity + 2 * k
-    out = np.zeros(size + 1)
+    na, nb = ladder_occupations(psi.n, psi.parity)
+    out = np.zeros(psi.amps.size + 1)
     out[:-1] = psi.amps * np.sqrt((na + 1) * (na + 2)) / (energy + eta)
     out[1:] += psi.amps * np.sqrt((nb + 1) * (nb + 2)) / (energy - eta)
-    return FockVector(n + 2, parity, out)
+    return FockVector(psi.n + 2, psi.parity, out)
 
 
 def build_eigenstate(solution: SpectralSolution) -> FockVector:

@@ -59,14 +59,20 @@ class ModelParams:
         return self.s == 0
 
 
+def _is_count(value) -> bool:
+    """True for an int or numpy integer; bool (an int subclass) excluded."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def make_params(n: int, v: float, w: float) -> ModelParams:
     """Build a ModelParams, deriving g, eta and the regime sign s.
 
-    Raises InvalidArgumentError for n < 1 or a non-finite coupling.  The
-    rational case V^2 = W^2 is constructed with s = 0 and NaN g/eta; only
-    exact diagonalization works there.
+    Raises InvalidArgumentError for an n that is not a positive int or numpy
+    integer (a bool is refused) or a non-finite coupling.  The rational case
+    V^2 = W^2 is constructed with s = 0 and NaN g/eta; only exact
+    diagonalization works there.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not _is_count(n) or n < 1:
         raise InvalidArgumentError(f"particle number must be a positive integer, got {n!r}")
     v = float(v)
     w = float(w)
@@ -83,14 +89,23 @@ def make_params(n: int, v: float, w: float) -> ModelParams:
 
 @dataclass(frozen=True)
 class SectorConfig:
-    """One (M, nu_a, nu_b) block: M pair excitations on the fiducial |nu_a, nu_b>."""
+    """One (M, nu_a, nu_b) block: M pair excitations on the fiducial |nu_a, nu_b>.
+
+    Each count is an int or numpy integer (not a bool), M >= 0 and nu_a, nu_b
+    in {0, 1}; anything else raises InvalidArgumentError.
+    """
 
     m: int
     nu_a: int
     nu_b: int
 
     def __post_init__(self):
-        if self.m < 0 or self.nu_a not in (0, 1) or self.nu_b not in (0, 1):
+        if (
+            not all(map(_is_count, (self.m, self.nu_a, self.nu_b)))
+            or self.m < 0
+            or self.nu_a not in (0, 1)
+            or self.nu_b not in (0, 1)
+        ):
             raise InvalidArgumentError(f"invalid sector ({self.m}, {self.nu_a}, {self.nu_b})")
 
     @property

@@ -169,9 +169,8 @@ def _energies(states, config, params, estimator, shots, seed) -> np.ndarray:
     raise InvalidArgumentError(f"unknown estimator {estimator!r}")
 
 
-def _warm_start(config: SectorConfig, params: ModelParams, depth: str) -> np.ndarray:
-    _, vecs = sector_spectrum(config, params)
-    target = encode(FockVector(config.n, config.parity, vecs[:, 0]), config)
+def _warm_start(ground: np.ndarray, config: SectorConfig, depth: str) -> np.ndarray:
+    target = encode(FockVector(config.n, config.parity, ground), config)
     angles = linear_angles(target) if depth == "linear" else log_angles(target)
     return np.asarray(angles.thetas)
 
@@ -251,12 +250,13 @@ def optimize(
     of one evaluation.
     """
     opts = options or VqeOptions()
-    exact_energy = float(sector_spectrum(config, params)[0][0])
+    values, vectors = sector_spectrum(config, params)
+    exact_energy = float(values[0])
     trace: list[tuple[int, float]] = []
     outcomes = []
     for restart in range(opts.restarts if config.m else 1):
         if opts.warm and restart == 0:
-            x0 = _warm_start(config, params, opts.depth)
+            x0 = _warm_start(vectors[:, 0], config, opts.depth)
         else:
             x0 = np.random.default_rng((opts.seed, restart)).uniform(0.0, FULL_TURN, config.m)
         outcomes.append(_single_restart(x0, config, params, opts, trace))
@@ -299,8 +299,8 @@ def benchmark(
 ) -> dict:
     """Machine-readable scorecard of the whole pipeline for one instance.
 
-    Per sector: exact eigenvalues, each level's pair energies or the error
-    that :func:`lmg.bethe.solve_levels` gives it instead, preparation
+    Per sector, all from one :func:`lmg.bethe.solve_levels` call: exact
+    eigenpairs, each level's pair energies or its error instead, preparation
     fidelity and energy error for both depth modes on every eigenstate,
     and, for each entry of ``shot_budgets`` (shots, or None for the exact
     estimator), a cold and a warm VQE run with ``options`` on the ground
@@ -312,9 +312,9 @@ def benchmark(
     ground = exact_spectrum(params)[0][1].sector
     report = {"params": asdict(params), "sectors": []}
     for config in sector_configs(params.n):
-        vals, vecs = sector_spectrum(config, params)
+        vals, vecs, levels = bethe.solve_levels(config, params)
         rows = []
-        for j, level in enumerate(bethe.solve_levels(config, params)):
+        for j, level in enumerate(levels):
             try:
                 row = _row_report(j, vals[j], vecs[:, j], config, params, level)
             except LmgError as exc:

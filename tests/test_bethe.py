@@ -297,6 +297,22 @@ def test_solve_bethe_hyperbolic_complex_detection():
     assert raised
 
 
+def test_hyperbolic_complex_error_names_a_non_real_root():
+    # the example root in each ComplexPaironsError is one with an imaginary part
+    seen = 0
+    for p, config in (
+        (make_params(**HYPERBOLIC_COMPLEX), SectorConfig(5, 0, 0)),
+        (make_params(12, 0.2, 1.5), SectorConfig(6, 0, 0)),
+    ):
+        _, _, levels = solve_levels(config, p, allow_hyperbolic=True)
+        for level in levels:
+            if isinstance(level, ComplexPaironsError):
+                seen += 1
+                example = str(level).split("(e.g. ")[1].rstrip(")")
+                assert complex(example).imag != 0.0, (p, config, str(level))
+    assert seen >= 4
+
+
 def test_solve_bethe_v_zero_unsupported():
     p = make_params(4, 0.0, 1.0)
     with pytest.raises(UnsupportedRegimeError):
@@ -343,7 +359,7 @@ def test_solve_bethe_refuses_a_set_polished_onto_another_level(monkeypatch):
     assert str(excinfo.value) == "recovered 3 of 4 solution sets from the eigenvectors"
     # level 2 carries its own error; the other levels keep their sets
     polished.clear()
-    levels = solve_levels(N7_CONFIG, n7_params())
+    _, _, levels = solve_levels(N7_CONFIG, n7_params())
     assert isinstance(levels[1], NumericFailureError)
     assert "not level 2" in str(levels[1])
     assert [level.index for i, level in enumerate(levels) if i != 1] == [1, 3, 4]
@@ -476,8 +492,10 @@ def _regime_instances(seed=18):
 def test_solve_levels_regimes_one_outcome_per_level():
     for p, allow in _regime_instances():
         for config in sector_configs(p.n):
-            levels = solve_levels(config, p, allow_hyperbolic=allow)
-            exact = sector_spectrum(config, p)[0]
+            values, vectors, levels = solve_levels(config, p, allow_hyperbolic=allow)
+            exact, exact_vecs = sector_spectrum(config, p)
+            assert values.tobytes() == exact.tobytes()
+            assert vectors.tobytes() == exact_vecs.tobytes()
             assert len(levels) == exact.size == config.m + 1
             for j, level in enumerate(levels):
                 if isinstance(level, bethe.SpectralSolution):
@@ -507,11 +525,16 @@ def test_solve_levels_repeats_a_sector_refusal_at_every_level():
         (make_params(4, 1.0, 1.0), SectorConfig(2, 0, 0), True),  # rational
         (make_params(4, 0.2, 1.5), SectorConfig(2, 0, 0), False),  # hyperbolic
         (make_params(4, 0.0, 1.0), SectorConfig(2, 0, 0), True),  # V = 0
-        (make_params(6, 0.75, 0.5), SectorConfig(2, 0, 0), False),  # wrong N
     ):
-        levels = solve_levels(config, p, allow_hyperbolic=allow)
+        _, _, levels = solve_levels(config, p, allow_hyperbolic=allow)
         assert len(levels) == config.m + 1
         assert all(level is levels[0] for level in levels)
         with pytest.raises(type(levels[0])) as excinfo:
             solve_bethe(config, p, allow_hyperbolic=allow)
         assert str(excinfo.value) == str(levels[0])
+    # a wrong-N sector has no levels: both raise the same InvalidArgumentError
+    wrong_n = "sector describes 4 particles, params describe 6"
+    with pytest.raises(InvalidArgumentError, match=wrong_n):
+        solve_levels(SectorConfig(2, 0, 0), make_params(6, 0.75, 0.5))
+    with pytest.raises(InvalidArgumentError, match=wrong_n):
+        solve_bethe(SectorConfig(2, 0, 0), make_params(6, 0.75, 0.5))

@@ -280,3 +280,23 @@ def test_sector_config_n_property():
     assert c.n == 7 and c.parity == 0
     with pytest.raises(InvalidArgumentError):
         SectorConfig(2, 2, 0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_params(True, 0.75, 0.5),
+        lambda: make_params(7.0, 0.75, 0.5),
+        lambda: SectorConfig(1.0, 0, 1),
+        lambda: SectorConfig(1, True, False),
+        lambda: SectorConfig(1, 0, 1.0),
+        lambda: SectorConfig(np.float64(2), 0, 0),
+    ],
+    ids=["n-bool", "n-float", "m-float", "nu-bool", "nu-float", "m-numpy-float"],
+)
+def test_counts_must_be_integers(build):
+    with pytest.raises(InvalidArgumentError):
+        build()
+    # numpy integers stay allowed, as plain ints are
+    assert make_params(np.int64(7), 0.75, 0.5).n == 7
+    assert SectorConfig(np.int64(3), np.int32(1), np.int8(0)).n == 7

@@ -18,6 +18,7 @@ from lmg import (
     benchmark,
     build_circuit,
     build_eigenstate,
+    cli,
     encode,
     encoded_expectation,
     linear_angles,
@@ -432,3 +433,28 @@ def test_benchmark_n20_ground_row():
     assert ground["fidelity_log"] >= 1 - 1e-8
     assert abs(ground["omega_bethe"] - ground["omega_exact"]) < 1e-9
     assert not any(r.get("error") for r in rows)
+
+
+def test_each_sector_is_diagonalized_once_per_command(monkeypatch, capsys):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    for n in ("7", "40"):
+        calls.clear()
+        assert cli.main(["spectrum", "--n", n, "--v", "0.75", "--w", "0.5"]) == 0
+        assert len(calls) == 2, n  # one per sector
+    capsys.readouterr()
+    p = make_params(7, 0.75, 0.5)
+    calls.clear()
+    benchmark(p, shot_budgets=(None,))
+    # exact_spectrum (2), solve_levels per sector (2), a cold and a warm optimize (1 each)
+    assert len(calls) == 6
+    ground = SectorConfig(3, 1, 0)
+    calls.clear()
+    optimize(ground, p, VqeOptions(restarts=1, warm=True))
+    assert len(calls) == 1
