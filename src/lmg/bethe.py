@@ -9,7 +9,8 @@ parameters E_1..E_M solving the coupled rational equations
 
 with simple poles at E = +/-eta and at coinciding parameters.  The sector
 carries exactly M+1 distinct real solution sets in the trigonometric regime
-(V^2 > W^2); each set yields one eigenvalue through a closed formula.
+(V^2 > W^2); each set yields one eigenvalue through a closed formula.  In the
+hyperbolic regime (V^2 < W^2) a level's pair energies may be non-real.
 
 :func:`solve_levels` is the one solver, for every M.  It seeds each solution
 set from the matching exact eigenvector: the ladder amplitudes are fixed
@@ -19,8 +20,9 @@ E_l, which damped Newton then polishes.  The roots are therefore seeded from
 the diagonalization; the residual of the pair-energy equations and the
 closed-form eigenvalue stay independent of it.  Set j is seeded by exact
 eigenvector j and validated against exact level j alone; a level without a
-set carries its own error.  The small-M closed forms (the single-pair
-quadratic, the decoupled W = 0 pair) live in :mod:`lmg.reference` as oracles.
+set carries its own error, in either regime.  The small-M closed forms (the
+single-pair quadratic, the decoupled W = 0 pair) live in :mod:`lmg.reference`
+as oracles.
 """
 
 from __future__ import annotations
@@ -163,7 +165,7 @@ def eigenvalue(energies, config: SectorConfig, params: ModelParams) -> float:
     return float(base - (eta / n) * terms.sum())
 
 
-def _require_solvable(config: SectorConfig, params: ModelParams, allow_hyperbolic: bool):
+def _require_solvable(config: SectorConfig, params: ModelParams):
     if config.n != params.n:
         raise InvalidArgumentError(
             f"sector describes {config.n} particles, params describe {params.n}"
@@ -171,11 +173,6 @@ def _require_solvable(config: SectorConfig, params: ModelParams, allow_hyperboli
     if params.rational:
         raise UnsupportedRegimeError(
             "rational instance (V^2 = W^2): eta is undefined, use exact_spectrum"
-        )
-    if params.s < 0 and not allow_hyperbolic:
-        raise UnsupportedRegimeError(
-            "hyperbolic instance (V^2 < W^2): pass allow_hyperbolic=True to attempt "
-            "a real-parameter solve"
         )
     if config.m > 0 and params.v == 0.0:
         raise UnsupportedRegimeError(
@@ -293,7 +290,7 @@ def _solve_level(j, vec, exact_val, weights, config, params) -> SpectralSolution
 
 
 def solve_levels(
-    config: SectorConfig, params: ModelParams, *, allow_hyperbolic: bool = False
+    config: SectorConfig, params: ModelParams
 ) -> tuple[np.ndarray, np.ndarray, list[SpectralSolution | LmgError]]:
     """A sector's exact eigenpairs and, per level, its validated set or why it has none.
 
@@ -301,12 +298,13 @@ def solve_levels(
     and one outcome per level.  Outcome j is the set seeded by eigenvector j,
     polished by damped Newton within TOL and matching ``values[j]`` within
     MATCH_TOL; else a NumericFailureError, or a ComplexPaironsError for
-    non-real pair energies in the hyperbolic regime.  A refused sector is still
-    diagonalized and repeats its refusal; a wrong N raises InvalidArgumentError.
+    non-real pair energies in the hyperbolic regime.  A rational or V = 0
+    sector is still diagonalized and repeats its refusal at every level; a
+    wrong N raises InvalidArgumentError.
     """
     values, vectors = sector_spectrum(config, params)
     try:
-        _require_solvable(config, params, allow_hyperbolic)
+        _require_solvable(config, params)
     except LmgError as exc:
         return values, vectors, [exc] * values.size
     weights = _ladder_weights(config)
@@ -316,18 +314,15 @@ def solve_levels(
     ]
 
 
-def solve_bethe(
-    config: SectorConfig, params: ModelParams, *, allow_hyperbolic: bool = False
-) -> list[SpectralSolution]:
+def solve_bethe(config: SectorConfig, params: ModelParams) -> list[SpectralSolution]:
     """All M+1 solution sets of a sector: the outcomes of :func:`solve_levels`.
 
-    Raises UnsupportedRegimeError for rational and V = 0 instances, and for
-    hyperbolic ones (V^2 < W^2) unless ``allow_hyperbolic``.  When a level
-    has no set, raises ComplexPaironsError if one has non-real pair
-    energies, else IncompleteSolveError.
+    Raises UnsupportedRegimeError for rational and V = 0 instances.  When a
+    level has no set, raises ComplexPaironsError if one has non-real pair
+    energies (hyperbolic instances only), else IncompleteSolveError.
     """
-    _require_solvable(config, params, allow_hyperbolic)
-    _, _, levels = solve_levels(config, params, allow_hyperbolic=allow_hyperbolic)
+    _require_solvable(config, params)
+    _, _, levels = solve_levels(config, params)
     found = [level for level in levels if isinstance(level, SpectralSolution)]
     complex_levels = [level for level in levels if isinstance(level, ComplexPaironsError)]
     if complex_levels:

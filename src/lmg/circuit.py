@@ -374,8 +374,7 @@ def import_circuit(text: str) -> Circuit:
         gates = []
         for entry in payload["gates"]:
             fields = (entry["kind"], entry["target"], entry.get("control"), entry.get("angle"))
-            _check_gate(*fields)
-            gates.append(tuple.__new__(Gate, fields))
+            gates.append(Gate(*fields))
         circ = Circuit(num_qubits=payload["num_qubits"], gates=gates)
         layers = payload["layers"]
     except (KeyError, TypeError) as exc:

@@ -176,7 +176,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_bethe(args) -> int:
     params = make_params(args.n, args.v, args.w)
     config = _parse_sector(args.sector, args.n)
-    solutions = solve_bethe(config, params, allow_hyperbolic=args.allow_hyperbolic)
+    solutions = solve_bethe(config, params)
     rows = [
         {
             "index": sol.index,
@@ -363,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bethe", help="spectral parameters of one sector")
     _add_instance_flags(p)
     p.add_argument("--sector", required=True, help="fiducial occupations, e.g. 1,0")
-    p.add_argument("--allow-hyperbolic", action="store_true")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_bethe)
 

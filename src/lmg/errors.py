@@ -31,7 +31,7 @@ class IncompleteSolveError(LmgError):
 
 
 class ComplexPaironsError(LmgError):
-    """Spectral parameters left the real axis (possible in the hyperbolic regime)."""
+    """A level's spectral parameters are non-real (only in the hyperbolic regime)."""
 
 
 class LeakageError(LmgError):

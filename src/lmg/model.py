@@ -123,9 +123,10 @@ def sector_configs(n: int) -> list[SectorConfig]:
 
     Even N splits into (N/2, 0, 0) and (N/2 - 1, 1, 1); odd N into
     ((N-1)/2, 0, 1) and ((N-1)/2, 1, 0).  The sector sizes M+1 sum to N+1.
+    An n that is not a positive int or numpy integer raises InvalidArgumentError.
     """
-    if n < 1:
-        raise InvalidArgumentError(f"particle number must be >= 1, got {n!r}")
+    if not _is_count(n) or n < 1:
+        raise InvalidArgumentError(f"particle number must be a positive integer, got {n!r}")
     if n % 2 == 0:
         return [SectorConfig(n // 2, 0, 0), SectorConfig(n // 2 - 1, 1, 1)]
     return [SectorConfig((n - 1) // 2, 0, 1), SectorConfig((n - 1) // 2, 1, 0)]
@@ -192,7 +193,8 @@ class FockVector:
 
     Entry k is the coefficient of |n - parity - 2k, parity + 2k>, so the
     array spans the whole conserved-parity block of an n-quantum state:
-    the ladder of the sector :attr:`sector`.
+    the ladder of the sector :attr:`sector`.  ``n`` and ``parity`` are ints or
+    numpy integers (not bools), else InvalidArgumentError.
     """
 
     n: int
@@ -200,6 +202,10 @@ class FockVector:
     amps: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        if not (_is_count(self.n) and _is_count(self.parity)):
+            raise InvalidArgumentError(
+                f"quanta and parity must be integers, got ({self.n!r}, {self.parity!r})"
+            )
         if self.parity not in (0, 1) or self.n < self.parity:
             raise InvalidArgumentError(f"bad quanta/parity pair ({self.n}, {self.parity})")
         amps = np.asarray(self.amps, dtype=float).copy()

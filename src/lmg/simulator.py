@@ -25,7 +25,7 @@ import numpy as np
 
 from .circuit import Circuit
 from .errors import InvalidArgumentError, LeakageError
-from .model import ModelParams, SectorConfig, ladder_energy, ladder_matrix
+from .model import ModelParams, SectorConfig, _is_count, ladder_energy, ladder_matrix
 
 __all__ = [
     "StateVector",
@@ -388,8 +388,11 @@ def sampled_expectation(
     Means and spreads are summed in units of 2^e, e >= 0 the binary exponent
     of the largest |outcome value|, so squaring a spread cannot overflow;
     power-of-two scaling is exact, so it changes no bit where nothing
-    overflowed.
+    overflowed.  ``shots`` and ``seed`` are ints or numpy integers (not
+    bools), else InvalidArgumentError.
     """
+    if not (_is_count(shots) and _is_count(seed)):
+        raise InvalidArgumentError(f"shots and seed must be integers, got {shots!r}, {seed!r}")
     if shots < 1:
         raise InvalidArgumentError(f"shots must be >= 1, got {shots}")
     if seed < 0:

@@ -165,8 +165,8 @@ def check_completeness():
 def check_closed_forms():
     """The solver against the two- and three-particle closed forms.
 
-    ``solve_bethe`` (hyperbolic instances allowed) must reproduce both
-    eigenpairs of every N = 2 and N = 3 sector and the N = 2 pair energies.
+    ``solve_bethe`` (on trigonometric and hyperbolic instances) must reproduce
+    both eigenpairs of every N = 2 and N = 3 sector and the N = 2 pair energies.
     The decoupled W = 0 pair of N = 4 is checked on its own: its eigenvalue
     must be a level of the diagonalization, and it must solve the coupled
     pair-energy equations.
@@ -180,7 +180,7 @@ def check_closed_forms():
             w *= 0.5
         # N=2: both eigenstates and the quadratic's roots
         p2 = make_params(2, v, w)
-        sols = solve_bethe(SectorConfig(1, 0, 0), p2, allow_hyperbolic=True)
+        sols = solve_bethe(SectorConfig(1, 0, 0), p2)
         for sol, (omega_shiftless, vec) in zip(sols, ref.n2_states(v)):
             built = canonical_sign(build_eigenstate(sol).amps)
             worst = max(worst, float(np.max(np.abs(built - canonical_sign(vec)))))
@@ -192,7 +192,7 @@ def check_closed_forms():
         closed3 = ref.n3_states(v, w)
         for config in sector_configs(3):
             for sol, (omega_ref, vec) in zip(
-                solve_bethe(config, p3, allow_hyperbolic=True),
+                solve_bethe(config, p3),
                 closed3[(config.nu_a, config.nu_b)],
             ):
                 worst = max(worst, abs(sol.omega - omega_ref))

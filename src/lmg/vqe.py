@@ -57,6 +57,7 @@ from .model import (
     FockVector,
     ModelParams,
     SectorConfig,
+    _is_count,
     exact_spectrum,
     ladder_energy,
     sector_configs,
@@ -86,10 +87,12 @@ _NEWTON_STEPS = 4
 class VqeOptions:
     """Optimizer settings; all randomness flows from ``seed``.
 
-    ``restarts`` runs are made (at least 1, else InvalidArgumentError); the
-    first starts warm when ``warm``.  ``seed`` must be non-negative, else
-    InvalidArgumentError.  ``estimator`` is "exact" or "sampled" (``shots``
-    per measurement group, at least 1) and ``depth`` the circuit flavor,
+    ``restarts``, ``seed`` and ``shots`` are ints or numpy integers (not
+    bools), else InvalidArgumentError.  ``restarts`` runs are made (at least
+    1, else InvalidArgumentError); the first starts warm when ``warm``.
+    ``seed`` must be non-negative, else InvalidArgumentError.  ``estimator``
+    is "exact" or "sampled" (``shots`` per measurement group, at least 1;
+    the exact estimator ignores ``shots``) and ``depth`` the circuit flavor,
     "linear" or "log"; other values raise InvalidArgumentError.  A run is
     ``converged`` when a sweep lowered its start energy by less than the
     module constant SWEEP_TOL within MAX_SWEEPS sweeps.
@@ -103,6 +106,10 @@ class VqeOptions:
     depth: str = "linear"
 
     def __post_init__(self):
+        counts = {"restarts": self.restarts, "seed": self.seed, "shots": self.shots}
+        for name, value in counts.items():
+            if not _is_count(value):
+                raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
         if self.restarts < 1:
             raise InvalidArgumentError(f"restarts must be >= 1, got {self.restarts}")
         if self.seed < 0:

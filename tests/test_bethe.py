@@ -238,7 +238,7 @@ def test_solve_bethe_agrees_with_solve_m1():
                 if config.m != 1:
                     continue
                 p = make_params(n, v, w)
-                numeric = [s.energies[0] for s in solve_bethe(config, p, allow_hyperbolic=True)]
+                numeric = [s.energies[0] for s in solve_bethe(config, p)]
                 np.testing.assert_allclose(
                     sorted(numeric), single_pair_pairons(config, p), atol=1e-10
                 )
@@ -269,11 +269,9 @@ def test_solve_bethe_m0_sector():
     assert sols[0].omega == pytest.approx(0.4, abs=1e-12)  # omega = W for |1,1>
 
 
-def test_solve_bethe_rejects_rational_and_hyperbolic_by_default():
+def test_solve_bethe_rejects_rational():
     with pytest.raises(UnsupportedRegimeError):
         solve_bethe(SectorConfig(2, 0, 0), make_params(4, 1.0, 1.0))
-    with pytest.raises(UnsupportedRegimeError):
-        solve_bethe(SectorConfig(2, 0, 0), make_params(4, 0.5, 1.0))
 
 
 def test_solve_bethe_hyperbolic_real_case():
@@ -281,7 +279,7 @@ def test_solve_bethe_hyperbolic_real_case():
     p = make_params(6, 0.5, 1.0)
     got = []
     for config in sector_configs(6):
-        got.extend(s.omega for s in solve_bethe(config, p, allow_hyperbolic=True))
+        got.extend(s.omega for s in solve_bethe(config, p))
     expected = [omega for omega, _ in exact_spectrum(p)]
     np.testing.assert_allclose(sorted(got), expected, atol=1e-8)
 
@@ -291,7 +289,7 @@ def test_solve_bethe_hyperbolic_complex_detection():
     raised = False
     for config in sector_configs(p.n):
         try:
-            solve_bethe(config, p, allow_hyperbolic=True)
+            solve_bethe(config, p)
         except ComplexPaironsError:
             raised = True
     assert raised
@@ -304,7 +302,7 @@ def test_hyperbolic_complex_error_names_a_non_real_root():
         (make_params(**HYPERBOLIC_COMPLEX), SectorConfig(5, 0, 0)),
         (make_params(12, 0.2, 1.5), SectorConfig(6, 0, 0)),
     ):
-        _, _, levels = solve_levels(config, p, allow_hyperbolic=True)
+        _, _, levels = solve_levels(config, p)
         for level in levels:
             if isinstance(level, ComplexPaironsError):
                 seen += 1
@@ -313,10 +311,38 @@ def test_hyperbolic_complex_error_names_a_non_real_root():
     assert seen >= 4
 
 
+HYPERBOLIC_COUPLINGS = [(0.2, 1.5), (0.5, 1.0), (-0.3, 0.8), (0.5921, -1.6233)]
+
+
+def test_hyperbolic_levels_are_validated_sets_or_their_own_error():
+    # hyperbolic sectors are solved level by level, as trigonometric ones are:
+    # every level is a set that solves H psi = omega psi, or that level's error
+    from lmg import apply_hamiltonian
+    from lmg.eigenstates import build_eigenstate
+
+    kinds = {}
+    for v, w in HYPERBOLIC_COUPLINGS:
+        for n in range(1, 25):
+            p = make_params(n, v, w)
+            for config in sector_configs(n):
+                for level in solve_levels(config, p)[2]:
+                    kinds[type(level)] = kinds.get(type(level), 0) + 1
+                    if isinstance(level, LmgError):
+                        assert isinstance(level, (ComplexPaironsError, NumericFailureError)), (
+                            p, config, level,
+                        )
+                        continue
+                    psi = build_eigenstate(level)
+                    resid = apply_hamiltonian(psi, p).amps - level.omega * psi.amps
+                    assert np.linalg.norm(resid) <= 1e-8, (p, config, level.index)
+    assert UnsupportedRegimeError not in kinds
+    assert kinds[bethe.SpectralSolution] > 0 and kinds[ComplexPaironsError] > 0
+
+
 def test_solve_bethe_v_zero_unsupported():
     p = make_params(4, 0.0, 1.0)
     with pytest.raises(UnsupportedRegimeError):
-        solve_bethe(SectorConfig(2, 0, 0), p, allow_hyperbolic=True)
+        solve_bethe(SectorConfig(2, 0, 0), p)
 
 
 def test_spectral_solution_energies_sorted_and_distinct():
@@ -473,26 +499,24 @@ def test_solve_bethe_boundary_instances(n, v, w):
 
 def _regime_instances(seed=18):
     # trigonometric couplings (V^2 > W^2, either sign of V) at N = 1..24 and
-    # at the sizes where sets start to go missing, then one hyperbolic (with
-    # and without the opt-in), one rational and one V = 0 instance
+    # at the sizes where sets start to go missing, then one hyperbolic, one
+    # rational and one V = 0 instance
     rng = np.random.default_rng(seed)
     for n in [*range(1, 25), 40, 56, 60, 64]:
-        yield make_params(n, 0.75, 0.5), False
+        yield make_params(n, 0.75, 0.5)
         for _ in range(2):
             w = float(rng.uniform(-1.2, 1.2))
             v = float(rng.choice([-1.0, 1.0]) * (abs(w) + rng.uniform(0.1, 1.5)))
-            yield make_params(n, v, w), False
-    hyperbolic = make_params(**HYPERBOLIC_COMPLEX)
-    yield hyperbolic, True
-    yield hyperbolic, False
-    yield make_params(4, 1.0, 1.0), False
-    yield make_params(6, 0.0, 0.5), False
+            yield make_params(n, v, w)
+    yield make_params(**HYPERBOLIC_COMPLEX)
+    yield make_params(4, 1.0, 1.0)
+    yield make_params(6, 0.0, 0.5)
 
 
 def test_solve_levels_regimes_one_outcome_per_level():
-    for p, allow in _regime_instances():
+    for p in _regime_instances():
         for config in sector_configs(p.n):
-            values, vectors, levels = solve_levels(config, p, allow_hyperbolic=allow)
+            values, vectors, levels = solve_levels(config, p)
             exact, exact_vecs = sector_spectrum(config, p)
             assert values.tobytes() == exact.tobytes()
             assert vectors.tobytes() == exact_vecs.tobytes()
@@ -506,10 +530,10 @@ def test_solve_levels_regimes_one_outcome_per_level():
                     assert p.s < 0 or not isinstance(level, ComplexPaironsError)
             sets = [level for level in levels if isinstance(level, bethe.SpectralSolution)]
             if len(sets) == len(levels):
-                assert solve_bethe(config, p, allow_hyperbolic=allow) == sets
+                assert solve_bethe(config, p) == sets
                 continue
             with pytest.raises(LmgError) as excinfo:
-                solve_bethe(config, p, allow_hyperbolic=allow)
+                solve_bethe(config, p)
             kinds = {type(level) for level in levels if isinstance(level, LmgError)}
             if kinds <= {NumericFailureError}:
                 assert isinstance(excinfo.value, IncompleteSolveError)
@@ -521,16 +545,15 @@ def test_solve_levels_regimes_one_outcome_per_level():
 
 
 def test_solve_levels_repeats_a_sector_refusal_at_every_level():
-    for p, config, allow in (
-        (make_params(4, 1.0, 1.0), SectorConfig(2, 0, 0), True),  # rational
-        (make_params(4, 0.2, 1.5), SectorConfig(2, 0, 0), False),  # hyperbolic
-        (make_params(4, 0.0, 1.0), SectorConfig(2, 0, 0), True),  # V = 0
+    for p, config in (
+        (make_params(4, 1.0, 1.0), SectorConfig(2, 0, 0)),  # rational
+        (make_params(4, 0.0, 1.0), SectorConfig(2, 0, 0)),  # V = 0
     ):
-        _, _, levels = solve_levels(config, p, allow_hyperbolic=allow)
+        _, _, levels = solve_levels(config, p)
         assert len(levels) == config.m + 1
         assert all(level is levels[0] for level in levels)
         with pytest.raises(type(levels[0])) as excinfo:
-            solve_bethe(config, p, allow_hyperbolic=allow)
+            solve_bethe(config, p)
         assert str(excinfo.value) == str(levels[0])
     # a wrong-N sector has no levels: both raise the same InvalidArgumentError
     wrong_n = "sector describes 4 particles, params describe 6"

@@ -200,6 +200,27 @@ def test_bethe_rejects_removed_solver_flags(flag, value):
     assert excinfo.value.code == 2
 
 
+HYPERBOLIC_N4 = ("--n", "4", "--v", "0.2", "--w", "1.5")
+
+
+def test_hyperbolic_instance_reports_its_validated_sets(capsys):
+    # V^2 < W^2 is solved level by level, as V^2 > W^2 is; every N = 4 level has a set
+    code, out, err = invoke(capsys, "spectrum", *HYPERBOLIC_N4)
+    assert code == 0 and err == ""
+    levels = parse_json(out)["levels"]
+    assert len(levels) == 5
+    assert all(abs(lvl["omega_bethe"] - lvl["omega_exact"]) <= 1e-8 for lvl in levels)
+
+    code, out, err = invoke(capsys, "bethe", *HYPERBOLIC_N4, "--sector", "0,0")
+    assert code == 0 and err == ""
+    assert [sol["index"] for sol in parse_json(out)["solutions"]] == [1, 2, 3]
+
+    # the solver takes no options, so there is no flag to opt in with
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bethe", *HYPERBOLIC_N4, "--sector", "0,0", "--allow-hyperbolic"])
+    assert excinfo.value.code == 2
+
+
 def test_subcommand_flag_sets():
     (commands,) = (
         action.choices
@@ -218,7 +239,7 @@ def test_subcommand_flag_sets():
     instance = ["--n", "--v", "--w"]
     assert flags == {
         "spectrum": sorted([*instance, "--format"]),
-        "bethe": sorted([*instance, "--sector", "--allow-hyperbolic", "--format"]),
+        "bethe": sorted([*instance, "--sector", "--format"]),
         "state": sorted([*instance, "--index", "--format"]),
         "angles": sorted([*instance, "--index", "--depth", "--format"]),
         "circuit": sorted([*instance, "--index", "--depth", "--format", "--out"]),

@@ -101,7 +101,7 @@ def test_build_eigenstate_n2_closed_form():
         if abs(v * v - w * w) < 1e-3:
             continue
         p = make_params(2, v, w)
-        sols = solve_bethe(config, p, allow_hyperbolic=True)
+        sols = solve_bethe(config, p)
         closed = n2_states(v)
         for sol, (omega_shiftless, vec) in zip(sols, closed):
             built = build_eigenstate(sol)
@@ -114,7 +114,7 @@ def test_build_eigenstate_n2_w_independence():
     reference = None
     for w in (0.0, 0.35, -0.6, 1.4):
         p = make_params(2, 0.75, w)
-        sols = solve_bethe(config, p, allow_hyperbolic=True)
+        sols = solve_bethe(config, p)
         states = [build_eigenstate(s).amps for s in sols]
         if reference is None:
             reference = states
@@ -133,7 +133,7 @@ def test_build_eigenstate_n3_closed_forms():
         p = make_params(3, v, w)
         closed = n3_states(v, w)
         for config in sector_configs(3):
-            sols = solve_bethe(config, p, allow_hyperbolic=True)
+            sols = solve_bethe(config, p)
             for sol, (omega_ref, vec) in zip(sols, closed[(config.nu_a, config.nu_b)]):
                 assert sol.omega == pytest.approx(omega_ref, abs=1e-10)
                 assert aligned(build_eigenstate(sol).amps, vec)

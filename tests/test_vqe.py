@@ -276,12 +276,7 @@ def test_optimize_m0_sector():
 
 def test_settable_values_are_the_run_defining_ones():
     # solver tolerances and the sweep cap are module constants, not options
-    assert list(inspect.signature(solve_bethe).parameters) == [
-        "config", "params", "allow_hyperbolic",
-    ]
-    assert inspect.signature(solve_bethe).parameters["allow_hyperbolic"].kind is (
-        inspect.Parameter.KEYWORD_ONLY
-    )
+    assert list(inspect.signature(solve_bethe).parameters) == ["config", "params"]
     assert [f.name for f in dataclasses.fields(VqeOptions)] == [
         "restarts", "seed", "estimator", "shots", "warm", "depth",
     ]
@@ -318,6 +313,43 @@ def test_vqe_options_refuse_bad_settings(settings, message):
         VqeOptions(**settings)
     # shots mean nothing to the exact estimator
     assert VqeOptions(estimator="exact", shots=0).shots == 0
+
+
+def _sample_n7(shots, seed):
+    p = make_params(**N7)
+    config = SectorConfig(3, 1, 0)
+    target = encode(build_eigenstate(solve_bethe(config, p)[0]), config)
+    state = run(build_circuit(linear_angles(target)))
+    return sampled_expectation(state, pauli_groups(config, p), shots, seed)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _sample_n7(10.5, 0),
+        lambda: _sample_n7(True, 0),
+        lambda: _sample_n7(10, 1.5),
+        lambda: VqeOptions(estimator="sampled", shots=10.5),
+        lambda: VqeOptions(restarts=2.5),
+        lambda: VqeOptions(restarts=True),
+        lambda: VqeOptions(seed=1.5),
+        lambda: FockVector(7.0, 1, np.ones(4)),
+        lambda: FockVector(7, True, np.ones(4)),
+        lambda: sector_configs(True),
+        lambda: sector_configs(7.0),
+    ],
+    ids=["sample-shots-float", "sample-shots-bool", "sample-seed-float", "options-shots-float",
+         "options-restarts-float", "options-restarts-bool", "options-seed-float",
+         "fock-n-float", "fock-parity-bool", "sectors-bool", "sectors-float"],
+)
+def test_shots_seeds_restarts_and_quanta_must_be_integers(build):
+    with pytest.raises(InvalidArgumentError, match="integer"):
+        build()
+    # numpy integers stay allowed, as plain ints are
+    assert _sample_n7(np.int64(10), np.int32(0)) == _sample_n7(10, 0)
+    assert VqeOptions(restarts=np.int64(2), seed=np.int8(1), shots=np.int64(5)).restarts == 2
+    assert FockVector(np.int64(7), np.int64(1), np.ones(4)).sector == SectorConfig(3, 0, 1)
+    assert sector_configs(np.int64(7)) == sector_configs(7)
 
 
 @pytest.mark.parametrize("depth", ["linear", "log"])
