@@ -19,16 +19,17 @@ x_l = (E_l + eta)/(E_l - eta), so the roots of one polynomial recover the
 E_l, which damped Newton then polishes.  The roots are therefore seeded from
 the diagonalization; the residual of the pair-energy equations and the
 closed-form eigenvalue stay independent of it.  Set j is seeded by exact
-eigenvector j and validated against exact level j alone; a level without a
-set carries its own error, in either regime.  The small-M closed forms (the
-single-pair quadratic, the decoupled W = 0 pair) live in :mod:`lmg.reference`
-as oracles.
+eigenvector j and validated against exact level j alone; each exact level
+comes back as one :class:`Level` record that holds its set or, in either
+regime, its own error.  The small-M closed forms are oracles kept apart from
+the solver: the decoupled W = 0 pair in :mod:`lmg.reference`, the
+single-pair quadratic in the test suite.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,6 +45,7 @@ from .errors import (
 from .model import ModelParams, SectorConfig, sector_spectrum
 
 __all__ = [
+    "Level",
     "SpectralSolution",
     "residual",
     "eigenvalue",
@@ -73,6 +75,22 @@ class SpectralSolution:
     omega: float
     residual_norm: float
     index: int
+
+
+@dataclass(frozen=True)
+class Level:
+    """Exact level j of a sector and its Bethe outcome.
+
+    ``index`` is j + 1, ``omega`` exact eigenvalue j and ``vector`` exact
+    eigenvector j.  Exactly one of ``solution`` (the validated set) and
+    ``error`` (why the level has none) is set; the other is None.
+    """
+
+    index: int
+    omega: float
+    vector: np.ndarray = field(compare=False, repr=False)
+    solution: SpectralSolution | None = None
+    error: LmgError | None = None
 
 
 def _pole_violation(energies: np.ndarray, eta: float, guard: float) -> str | None:
@@ -274,60 +292,60 @@ def _invert_pairons(vec: np.ndarray, weights: np.ndarray, params: ModelParams):
     return np.sort(energies.real)
 
 
-def _solve_level(j, vec, exact_val, weights, config, params) -> SpectralSolution | LmgError:
-    seed = _invert_pairons(vec, weights, params)
+def _solve_level(index, omega, vector, weights, config, params) -> Level:
+    seed = _invert_pairons(vector, weights, params)
     if isinstance(seed, LmgError):
-        return seed
+        return Level(index, omega, vector, error=seed)
     solved = _newton(seed, config, params)
     if solved is None:
-        return NumericFailureError(f"damped Newton left a residual above {TOL:g}")
-    omega = eigenvalue(solved, config, params)
-    if abs(omega - exact_val) > MATCH_TOL:
-        return NumericFailureError(f"the set polished onto omega={omega:.12g}, not level {j + 1}")
+        error = NumericFailureError(f"damped Newton left a residual above {TOL:g}")
+        return Level(index, omega, vector, error=error)
+    found = eigenvalue(solved, config, params)
+    if abs(found - omega) > MATCH_TOL:
+        error = NumericFailureError(f"the set polished onto omega={found:.12g}, not level {index}")
+        return Level(index, omega, vector, error=error)
     rn = float(np.max(np.abs(_residual_raw(solved, config, params)), initial=0.0))
     energies = tuple(float(x) for x in solved)
-    return SpectralSolution(config, params, energies, omega, rn, j + 1)
+    return Level(index, omega, vector, SpectralSolution(config, params, energies, found, rn, index))
 
 
-def solve_levels(
-    config: SectorConfig, params: ModelParams
-) -> tuple[np.ndarray, np.ndarray, list[SpectralSolution | LmgError]]:
-    """A sector's exact eigenpairs and, per level, its validated set or why it has none.
+def solve_levels(config: SectorConfig, params: ModelParams) -> tuple[Level, ...]:
+    """A sector's exact levels, each with its validated set or why it has none.
 
-    Returns ``(values, vectors, outcomes)``: the :func:`sector_spectrum` pair
-    and one outcome per level.  Outcome j is the set seeded by eigenvector j,
-    polished by damped Newton within TOL and matching ``values[j]`` within
-    MATCH_TOL; else a NumericFailureError, or a ComplexPaironsError for
-    non-real pair energies in the hyperbolic regime.  A rational or V = 0
-    sector is still diagonalized and repeats its refusal at every level; a
-    wrong N raises InvalidArgumentError.
+    Level j carries exact eigenpair j of :func:`sector_spectrum` (its vector a
+    view of the eigenvector matrix, marked read-only) and either the set
+    seeded by eigenvector j, polished by damped Newton within TOL and
+    matching the eigenvalue within MATCH_TOL, or the level's error: a
+    NumericFailureError, or a ComplexPaironsError for non-real pair energies
+    in the hyperbolic regime.  A rational or V = 0 sector is still
+    diagonalized and repeats its refusal at every level; a wrong N raises
+    InvalidArgumentError.
     """
     values, vectors = sector_spectrum(config, params)
+    vectors.flags.writeable = False
+    exact = [(j + 1, float(values[j]), vector) for j, vector in enumerate(vectors.T)]
     try:
         _require_solvable(config, params)
     except LmgError as exc:
-        return values, vectors, [exc] * values.size
+        return tuple(Level(*pair, error=exc) for pair in exact)
     weights = _ladder_weights(config)
-    return values, vectors, [
-        _solve_level(j, vec, values[j], weights, config, params)
-        for j, vec in enumerate(vectors.T)
-    ]
+    return tuple(_solve_level(*pair, weights, config, params) for pair in exact)
 
 
 def solve_bethe(config: SectorConfig, params: ModelParams) -> list[SpectralSolution]:
-    """All M+1 solution sets of a sector: the outcomes of :func:`solve_levels`.
+    """All M+1 solution sets of a sector: the ``solution`` of each :func:`solve_levels` level.
 
     Raises UnsupportedRegimeError for rational and V = 0 instances.  When a
     level has no set, raises ComplexPaironsError if one has non-real pair
     energies (hyperbolic instances only), else IncompleteSolveError.
     """
     _require_solvable(config, params)
-    _, _, levels = solve_levels(config, params)
-    found = [level for level in levels if isinstance(level, SpectralSolution)]
-    complex_levels = [level for level in levels if isinstance(level, ComplexPaironsError)]
-    if complex_levels:
+    levels = solve_levels(config, params)
+    found = [level.solution for level in levels if level.solution is not None]
+    non_real = [level.error for level in levels if isinstance(level.error, ComplexPaironsError)]
+    if non_real:
         raise ComplexPaironsError(
-            f"{complex_levels[-1]}; only {len(found)} of {len(levels)} real solution sets exist"
+            f"{non_real[-1]}; only {len(found)} of {len(levels)} real solution sets exist"
         )
     if len(found) < len(levels):
         raise IncompleteSolveError(

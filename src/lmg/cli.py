@@ -10,13 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
-from .bethe import SpectralSolution, solve_bethe, solve_levels
+from .bethe import solve_bethe, solve_levels
 from .circuit import (
     build_circuit,
     encode,
@@ -135,12 +136,11 @@ def _spectrum_rows(params) -> list[dict]:
     all of them ordered as in :func:`lmg.model.exact_spectrum` and numbered."""
     rows = []
     for config in sector_configs(params.n):
-        values, _, levels = solve_levels(config, params)
-        for j, (omega, level) in enumerate(zip(values, levels)):
-            row = {**asdict(config), "omega_exact": float(omega), "sector_index": j + 1}
-            if isinstance(level, SpectralSolution):
-                row["omega_bethe"] = level.omega
-                row["bethe_residual"] = level.residual_norm
+        for level in solve_levels(config, params):
+            row = {**asdict(config), "omega_exact": level.omega, "sector_index": level.index}
+            if level.solution is not None:
+                row["omega_bethe"] = level.solution.omega
+                row["bethe_residual"] = level.solution.residual_norm
             rows.append(row)
     rows.sort(key=lambda row: (row["omega_exact"], row["nu_b"]))
     for index, row in enumerate(rows, start=1):
@@ -426,7 +426,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the reader closed stdout: end quietly, exit 1
+        # point stdout at the null device, so the interpreter's final flush cannot raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except LmgError as exc:
         kind, message = type(exc).__name__, str(exc)
     except MemoryError as exc:  # numpy raises it as a private subclass

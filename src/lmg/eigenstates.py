@@ -4,8 +4,8 @@ Applying the operator  (a+)^2/(E + eta) + (b+)^2/(E - eta)  once per
 spectral parameter to a fiducial state |nu_a, nu_b> produces an
 (unnormalized) eigenstate whose ladder support has exactly M+1 points.
 The factors commute, so the result is independent of application order.
-The W = 0 closed form of one such step, ``extend_state``, lives in
-:mod:`lmg.reference` as an oracle for :func:`apply_pair_factor`.
+The W = 0 closed form of one such step, ``extend_state``, lives in the
+test suite's oracles, where it checks :func:`apply_pair_factor`.
 """
 
 from __future__ import annotations

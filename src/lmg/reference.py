@@ -1,12 +1,12 @@
 """Frozen reference values backing the bundled self-checks.
 
 The seven-particle and twenty-particle instances at V = 3/4, W = 1/2, plus
-closed forms: the two- and three-particle eigenpairs, the single-pair (M = 1)
-quadratic, the decoupled W = 0 pair energies, the W = 0 one-step state
-extension, and the literal product-form circuit outputs for up to five gate
-pairs.  The closed forms are cross-checked against exact diagonalization by
-the test suite, so they serve as independent oracles for the solver and the
-state builder; only the self-checks and the tests call them.
+closed forms: the two- and three-particle eigenpairs, the decoupled W = 0
+pair energies, and the literal product-form circuit outputs for up to five
+gate pairs.  The closed forms are cross-checked against exact
+diagonalization by the test suite, so they serve as independent oracles for
+the solver and the circuits.  Every value here backs a ``lmg verify`` check;
+oracles that only the tests read live with the tests.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidArgumentError, SingularityError, UnsupportedRegimeError
-from .model import FockVector, ModelParams, SectorConfig, make_params
+from .model import make_params
 
 # ---------------------------------------------------------------------------
 # Seven particles, V = 0.75, W = 0.5: ground sector (M, nu_a, nu_b) = (3, 1, 0)
@@ -31,8 +30,6 @@ N7_ENERGY = -3.34051529181
 N7_STATE = (-0.982953, 0.18121, -3.08911e-2, 3.40577e-3)
 N7_LINEAR_ANGLES = (3.13478, 3.20338, 9.78939)
 N7_LOG_ANGLES = (-2.77709, 3.10401, 3.07876)
-# Energy of the linear circuit run at the 6-figure angles above.
-N7_LINEAR_ENERGY = -3.34051529185
 
 # ---------------------------------------------------------------------------
 # Twenty particles, V = 0.75, W = 0.5: ground sector (10, 0, 0)
@@ -63,10 +60,6 @@ N20_LOG_ANGLES = (
     0.370757, 3.06235, 6.36889, 6.28139, 2.65451e-3,
     6.28019, 3.14055, 9.42478, 3.14159, 9.42478,
 )
-
-# A hyperbolic instance whose spectrum includes states with non-real pair
-# energies, used to exercise the complex-pairon error path.
-HYPERBOLIC_COMPLEX = dict(n=10, v=0.5921, w=-1.6233)
 
 
 # ---------------------------------------------------------------------------
@@ -134,22 +127,6 @@ def n3_states(v: float, w: float) -> dict[tuple[int, int], list[tuple[float, np.
     return out
 
 
-def single_pair_pairons(config: SectorConfig, params: ModelParams) -> tuple[float, float]:
-    """Both roots of the single-pair quadratic of an M = 1 sector, ascending.
-
-    Clearing denominators of the M = 1 pair-energy equation gives
-    A E^2 + B E + C = 0 with A = 1 - eta g s (nu_a - nu_b),
-    B = -2 eta V (1 + nu_a + nu_b)/N, C = -eta^2 - eta g (nu_a - nu_b).
-    """
-    nu_a, nu_b = config.nu_a, config.nu_b
-    g, eta, s, v, n = params.g, params.eta, params.s, params.v, params.n
-    a = 1.0 - eta * g * s * (nu_a - nu_b)
-    b = -2.0 * eta * v * (1 + nu_a + nu_b) / n
-    c = -eta * eta - eta * g * (nu_a - nu_b)
-    sq = math.sqrt(b * b - 4.0 * a * c)
-    return tuple(sorted(((-b - sq) / (2 * a), (-b + sq) / (2 * a))))
-
-
 def w0_pairons(v: float, n: int, nu: int) -> tuple[float, float]:
     """The decoupled W = 0 pair energies on fiducial |nu, nu>, ascending.
 
@@ -160,46 +137,6 @@ def w0_pairons(v: float, n: int, nu: int) -> tuple[float, float]:
     """
     sq = math.sqrt(v * v * (1 + 2 * nu) ** 2 + n * n)
     return ((-v * (1 + 2 * nu) - sq) / n, (-v * (1 + 2 * nu) + sq) / n)
-
-
-def extend_state(
-    psi: FockVector, energy: float, config: SectorConfig, params: ModelParams
-) -> FockVector:
-    """Closed-form normalized (M+1)-level state from an M-level one.
-
-    Valid in the W = 0, nu_a = nu_b regime, where eta = -1: with ladder
-    helpers w(j,i) = 2M + nu - 2j + i and x(j,i) = nu + 2j + i the new
-    amplitudes are d_j sqrt(w(j,1) w(j,2))/(E-1) shifted into slot j plus
-    d_j sqrt(x(j,1) x(j,2))/(E+1) into slot j+1, divided by the norm
-    gamma^(1/2).  Must agree with apply_pair_factor plus normalization.
-    """
-    if params.w != 0.0 or config.nu_a != config.nu_b:
-        raise UnsupportedRegimeError("closed-form extension requires W = 0 and nu_a = nu_b")
-    nu = config.nu_a
-    if psi.parity != nu or psi.n != 2 * config.m + 2 * nu:
-        raise InvalidArgumentError(
-            f"input must be an M-level state over fiducial |{nu},{nu}>, got "
-            f"({psi.n} quanta, parity {psi.parity}) for M = {config.m}"
-        )
-    if abs(energy - 1.0) < 1e-10 or abs(energy + 1.0) < 1e-10:
-        raise SingularityError(f"pair energy {energy:.6g} sits on a pole (eta = -1)")
-    m = config.m
-    d = psi.amps
-    j = np.arange(m + 1)
-
-    def w(i):
-        return 2 * m + nu - 2 * j + i
-
-    def x(i):
-        return nu + 2 * j + i
-
-    lower = d * np.sqrt(w(1) * w(2)) / (energy - 1.0)
-    upper = d * np.sqrt(x(1) * x(2)) / (energy + 1.0)
-    out = np.zeros(m + 2)
-    out[:-1] = lower
-    out[1:] += upper
-    gamma = float(np.sum(lower**2) + np.sum(upper**2) + 2.0 * np.sum(lower[1:] * upper[:-1]))
-    return FockVector(psi.n + 2, nu, out / np.sqrt(gamma))
 
 
 # ---------------------------------------------------------------------------

@@ -391,6 +391,11 @@ def sampled_expectation(
     overflowed.  ``shots`` and ``seed`` are ints or numpy integers (not
     bools), else InvalidArgumentError.
     """
+    return _sampled_block_expectation(psi.one_hot_block(), groups, shots, seed)
+
+
+def _sampled_block_expectation(weights, groups, shots, seed) -> tuple[float, float]:
+    """:func:`sampled_expectation` of the state whose one-hot block is ``weights``."""
     if not (_is_count(shots) and _is_count(seed)):
         raise InvalidArgumentError(f"shots and seed must be integers, got {shots!r}, {seed!r}")
     if shots < 1:
@@ -399,7 +404,6 @@ def sampled_expectation(
         raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
     if not groups:
         raise InvalidArgumentError("need at least one measurement group")
-    weights = psi.one_hot_block()
     nrm = np.sqrt(np.sum(np.abs(weights) ** 2))
     if nrm == 0.0:
         raise InvalidArgumentError("state has no weight on the one-hot subspace")

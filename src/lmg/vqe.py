@@ -64,12 +64,11 @@ from .model import (
     sector_spectrum,
 )
 from .simulator import (
-    StateVector,
+    _sampled_block_expectation,
     encoded_expectation,
     fidelity,
     pauli_groups,
     run,
-    sampled_expectation,
 )
 
 __all__ = ["VqeOptions", "VqeResult", "objective", "optimize", "benchmark"]
@@ -170,9 +169,8 @@ def _energies(states, config, params, estimator, shots, seed) -> np.ndarray:
         return ladder_energy(states, params, config.parity)
     if estimator == "sampled":
         groups = pauli_groups(config, params)
-        psis = [StateVector(config.m + 1, {1 << k: complex(a) for k, a in enumerate(row)})
-                for row in states]
-        return np.array([sampled_expectation(psi, groups, shots, seed)[0] for psi in psis])
+        return np.array([_sampled_block_expectation(row.astype(complex), groups, shots, seed)[0]
+                         for row in states])
     raise InvalidArgumentError(f"unknown estimator {estimator!r}")
 
 
@@ -281,21 +279,21 @@ def optimize(
     )
 
 
-def _row_report(j, omega, vec, config, params, level):
-    target = encode(FockVector(config.n, config.parity, vec), config)
-    row: dict = {"index": j + 1, "omega_exact": float(omega)}
-    if isinstance(level, bethe.SpectralSolution):
-        row["omega_bethe"] = level.omega
-        row["pairons"] = list(level.energies)
-        row["bethe_residual"] = level.residual_norm
+def _row_report(level, config, params):
+    target = encode(FockVector(config.n, config.parity, level.vector), config)
+    row: dict = {"index": level.index, "omega_exact": level.omega}
+    if level.solution is not None:
+        row["omega_bethe"] = level.solution.omega
+        row["pairons"] = list(level.solution.energies)
+        row["bethe_residual"] = level.solution.residual_norm
     for mode, maker in (("linear", linear_angles), ("log", log_angles)):
         angles = maker(target)
         state = run(build_circuit(angles))
         energy = encoded_expectation(state, config, params)
         row[f"fidelity_{mode}"] = fidelity(state, target)
-        abs_err = abs(energy - omega)
+        abs_err = abs(energy - level.omega)
         row[f"energy_abs_{mode}"] = abs_err
-        row[f"energy_rel_{mode}"] = abs_err / abs(omega) if abs(omega) > 1e-12 else None
+        row[f"energy_rel_{mode}"] = abs_err / abs(level.omega) if abs(level.omega) > 1e-12 else None
     return row
 
 
@@ -319,16 +317,15 @@ def benchmark(
     ground = exact_spectrum(params)[0][1].sector
     report = {"params": asdict(params), "sectors": []}
     for config in sector_configs(params.n):
-        vals, vecs, levels = bethe.solve_levels(config, params)
         rows = []
-        for j, level in enumerate(levels):
+        for level in bethe.solve_levels(config, params):
             try:
-                row = _row_report(j, vals[j], vecs[:, j], config, params, level)
+                row = _row_report(level, config, params)
             except LmgError as exc:
-                row = {"index": j + 1, "omega_exact": float(vals[j]),
+                row = {"index": level.index, "omega_exact": level.omega,
                        "error": f"{type(exc).__name__}: {exc}"}
-            if isinstance(level, LmgError):
-                row["error"] = f"{type(level).__name__}: {level}"
+            if level.error is not None:
+                row["error"] = f"{type(level.error).__name__}: {level.error}"
             rows.append(row)
         report["sectors"].append({"config": asdict(config), "rows": rows})
         if config == ground and shot_budgets:

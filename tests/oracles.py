@@ -5,11 +5,31 @@ These rebuild the physics from raw operator matrix elements over the full
 ladder representation, spell the measurement groups out as Pauli strings
 and term by term, and keep the scan-based sparse simulator the indexed one
 must match and the copy-based dense simulator the in-place one must match.
+They also hold the closed forms and instances that only the tests read:
+the single-pair quadratic, the W = 0 one-step state extension, a hyperbolic
+instance with non-real pair energies, and the N = 7 circuit energy at the
+six-figure reference angles.
 """
 
 import math
 
 import numpy as np
+
+from lmg import (
+    FockVector,
+    InvalidArgumentError,
+    ModelParams,
+    SectorConfig,
+    SingularityError,
+    UnsupportedRegimeError,
+)
+
+# Energy of the linear circuit run at the 6-figure lmg.reference.N7_LINEAR_ANGLES.
+N7_LINEAR_ENERGY = -3.34051529185
+
+# A hyperbolic instance whose spectrum includes states with non-real pair
+# energies, used to exercise the complex-pairon error path.
+HYPERBOLIC_COMPLEX = dict(n=10, v=0.5921, w=-1.6233)
 
 
 def dense_hamiltonian(n: int, v: float, w: float) -> np.ndarray:
@@ -208,3 +228,59 @@ def unscaled_sampled_expectation(psi, groups, shots: int, seed: int) -> tuple[fl
             spread = float(counts @ (values - mean) ** 2) / (shots - 1)
             variance += spread / shots
     return estimate, float(np.sqrt(variance))
+
+
+def single_pair_pairons(config: SectorConfig, params: ModelParams) -> tuple[float, float]:
+    """Both roots of the single-pair quadratic of an M = 1 sector, ascending.
+
+    Clearing denominators of the M = 1 pair-energy equation gives
+    A E^2 + B E + C = 0 with A = 1 - eta g s (nu_a - nu_b),
+    B = -2 eta V (1 + nu_a + nu_b)/N, C = -eta^2 - eta g (nu_a - nu_b).
+    """
+    nu_a, nu_b = config.nu_a, config.nu_b
+    g, eta, s, v, n = params.g, params.eta, params.s, params.v, params.n
+    a = 1.0 - eta * g * s * (nu_a - nu_b)
+    b = -2.0 * eta * v * (1 + nu_a + nu_b) / n
+    c = -eta * eta - eta * g * (nu_a - nu_b)
+    sq = math.sqrt(b * b - 4.0 * a * c)
+    return tuple(sorted(((-b - sq) / (2 * a), (-b + sq) / (2 * a))))
+
+
+def extend_state(
+    psi: FockVector, energy: float, config: SectorConfig, params: ModelParams
+) -> FockVector:
+    """Closed-form normalized (M+1)-level state from an M-level one.
+
+    Valid in the W = 0, nu_a = nu_b regime, where eta = -1: with ladder
+    helpers w(j,i) = 2M + nu - 2j + i and x(j,i) = nu + 2j + i the new
+    amplitudes are d_j sqrt(w(j,1) w(j,2))/(E-1) shifted into slot j plus
+    d_j sqrt(x(j,1) x(j,2))/(E+1) into slot j+1, divided by the norm
+    gamma^(1/2).  Must agree with apply_pair_factor plus normalization.
+    """
+    if params.w != 0.0 or config.nu_a != config.nu_b:
+        raise UnsupportedRegimeError("closed-form extension requires W = 0 and nu_a = nu_b")
+    nu = config.nu_a
+    if psi.parity != nu or psi.n != 2 * config.m + 2 * nu:
+        raise InvalidArgumentError(
+            f"input must be an M-level state over fiducial |{nu},{nu}>, got "
+            f"({psi.n} quanta, parity {psi.parity}) for M = {config.m}"
+        )
+    if abs(energy - 1.0) < 1e-10 or abs(energy + 1.0) < 1e-10:
+        raise SingularityError(f"pair energy {energy:.6g} sits on a pole (eta = -1)")
+    m = config.m
+    d = psi.amps
+    j = np.arange(m + 1)
+
+    def w(i):
+        return 2 * m + nu - 2 * j + i
+
+    def x(i):
+        return nu + 2 * j + i
+
+    lower = d * np.sqrt(w(1) * w(2)) / (energy - 1.0)
+    upper = d * np.sqrt(x(1) * x(2)) / (energy + 1.0)
+    out = np.zeros(m + 2)
+    out[:-1] = lower
+    out[1:] += upper
+    gamma = float(np.sum(lower**2) + np.sum(upper**2) + 2.0 * np.sum(lower[1:] * upper[:-1]))
+    return FockVector(psi.n + 2, nu, out / np.sqrt(gamma))

@@ -26,14 +26,13 @@ from lmg import (
     solve_levels,
 )
 from lmg.reference import (
-    HYPERBOLIC_COMPLEX,
     N7,
     N7_ENERGY,
     N7_PAIRONS,
     n2_pairons,
-    single_pair_pairons,
     w0_pairons,
 )
+from oracles import HYPERBOLIC_COMPLEX, single_pair_pairons
 
 N7_CONFIG = SectorConfig(3, 1, 0)
 
@@ -302,12 +301,11 @@ def test_hyperbolic_complex_error_names_a_non_real_root():
         (make_params(**HYPERBOLIC_COMPLEX), SectorConfig(5, 0, 0)),
         (make_params(12, 0.2, 1.5), SectorConfig(6, 0, 0)),
     ):
-        _, _, levels = solve_levels(config, p)
-        for level in levels:
-            if isinstance(level, ComplexPaironsError):
+        for level in solve_levels(config, p):
+            if isinstance(level.error, ComplexPaironsError):
                 seen += 1
-                example = str(level).split("(e.g. ")[1].rstrip(")")
-                assert complex(example).imag != 0.0, (p, config, str(level))
+                example = str(level.error).split("(e.g. ")[1].rstrip(")")
+                assert complex(example).imag != 0.0, (p, config, str(level.error))
     assert seen >= 4
 
 
@@ -325,16 +323,17 @@ def test_hyperbolic_levels_are_validated_sets_or_their_own_error():
         for n in range(1, 25):
             p = make_params(n, v, w)
             for config in sector_configs(n):
-                for level in solve_levels(config, p)[2]:
-                    kinds[type(level)] = kinds.get(type(level), 0) + 1
-                    if isinstance(level, LmgError):
-                        assert isinstance(level, (ComplexPaironsError, NumericFailureError)), (
-                            p, config, level,
+                for level in solve_levels(config, p):
+                    outcome = level.solution if level.error is None else level.error
+                    kinds[type(outcome)] = kinds.get(type(outcome), 0) + 1
+                    if isinstance(outcome, LmgError):
+                        assert isinstance(outcome, (ComplexPaironsError, NumericFailureError)), (
+                            p, config, outcome,
                         )
                         continue
-                    psi = build_eigenstate(level)
-                    resid = apply_hamiltonian(psi, p).amps - level.omega * psi.amps
-                    assert np.linalg.norm(resid) <= 1e-8, (p, config, level.index)
+                    psi = build_eigenstate(outcome)
+                    resid = apply_hamiltonian(psi, p).amps - outcome.omega * psi.amps
+                    assert np.linalg.norm(resid) <= 1e-8, (p, config, outcome.index)
     assert UnsupportedRegimeError not in kinds
     assert kinds[bethe.SpectralSolution] > 0 and kinds[ComplexPaironsError] > 0
 
@@ -385,10 +384,10 @@ def test_solve_bethe_refuses_a_set_polished_onto_another_level(monkeypatch):
     assert str(excinfo.value) == "recovered 3 of 4 solution sets from the eigenvectors"
     # level 2 carries its own error; the other levels keep their sets
     polished.clear()
-    _, _, levels = solve_levels(N7_CONFIG, n7_params())
-    assert isinstance(levels[1], NumericFailureError)
-    assert "not level 2" in str(levels[1])
-    assert [level.index for i, level in enumerate(levels) if i != 1] == [1, 3, 4]
+    levels = solve_levels(N7_CONFIG, n7_params())
+    assert isinstance(levels[1].error, NumericFailureError)
+    assert "not level 2" in str(levels[1].error)
+    assert [level.solution.index for i, level in enumerate(levels) if i != 1] == [1, 3, 4]
 
 
 def _float_ladder_weights(config):
@@ -516,25 +515,27 @@ def _regime_instances(seed=18):
 def test_solve_levels_regimes_one_outcome_per_level():
     for p in _regime_instances():
         for config in sector_configs(p.n):
-            values, vectors, levels = solve_levels(config, p)
+            levels = solve_levels(config, p)
+            values = np.array([level.omega for level in levels])
+            vectors = np.array([level.vector for level in levels]).T
             exact, exact_vecs = sector_spectrum(config, p)
             assert values.tobytes() == exact.tobytes()
             assert vectors.tobytes() == exact_vecs.tobytes()
             assert len(levels) == exact.size == config.m + 1
             for j, level in enumerate(levels):
-                if isinstance(level, bethe.SpectralSolution):
-                    assert level.index == j + 1
-                    assert abs(level.omega - exact[j]) <= bethe.MATCH_TOL
+                if isinstance(level.solution, bethe.SpectralSolution):
+                    assert level.solution.index == j + 1
+                    assert abs(level.solution.omega - exact[j]) <= bethe.MATCH_TOL
                 else:
-                    assert isinstance(level, LmgError), (p, config, j, level)
-                    assert p.s < 0 or not isinstance(level, ComplexPaironsError)
-            sets = [level for level in levels if isinstance(level, bethe.SpectralSolution)]
+                    assert isinstance(level.error, LmgError), (p, config, j, level)
+                    assert p.s < 0 or not isinstance(level.error, ComplexPaironsError)
+            sets = [level.solution for level in levels if level.solution is not None]
             if len(sets) == len(levels):
                 assert solve_bethe(config, p) == sets
                 continue
             with pytest.raises(LmgError) as excinfo:
                 solve_bethe(config, p)
-            kinds = {type(level) for level in levels if isinstance(level, LmgError)}
+            kinds = {type(level.error) for level in levels if level.error is not None}
             if kinds <= {NumericFailureError}:
                 assert isinstance(excinfo.value, IncompleteSolveError)
                 assert (excinfo.value.found, excinfo.value.needed) == (len(sets), len(levels))
@@ -544,17 +545,37 @@ def test_solve_levels_regimes_one_outcome_per_level():
                 assert kinds == {type(excinfo.value)} and not sets
 
 
+def test_solve_levels_returns_one_record_per_exact_level():
+    for p in _regime_instances():
+        for config in sector_configs(p.n):
+            levels = solve_levels(config, p)
+            values, vectors = sector_spectrum(config, p)
+            assert len(levels) == config.m + 1
+            for j, level in enumerate(levels):
+                assert level.index == j + 1
+                assert type(level.omega) is float
+                assert np.float64(level.omega).tobytes() == values[j].tobytes()
+                assert level.vector.tobytes() == vectors[:, j].tobytes()
+                assert not level.vector.flags.writeable
+                assert (level.solution is None) != (level.error is None), (p, config, level)
+                if level.solution is not None:
+                    assert level.solution.index == level.index
+                # the vector takes no part in ==, so an equal copy compares without raising
+                twin = dataclasses.replace(level, vector=level.vector.copy())
+                assert twin == level and (level == levels[0]) == (j == 0)
+
+
 def test_solve_levels_repeats_a_sector_refusal_at_every_level():
     for p, config in (
         (make_params(4, 1.0, 1.0), SectorConfig(2, 0, 0)),  # rational
         (make_params(4, 0.0, 1.0), SectorConfig(2, 0, 0)),  # V = 0
     ):
-        _, _, levels = solve_levels(config, p)
+        levels = solve_levels(config, p)
         assert len(levels) == config.m + 1
-        assert all(level is levels[0] for level in levels)
-        with pytest.raises(type(levels[0])) as excinfo:
+        assert all(level.error is levels[0].error for level in levels)
+        with pytest.raises(type(levels[0].error)) as excinfo:
             solve_bethe(config, p)
-        assert str(excinfo.value) == str(levels[0])
+        assert str(excinfo.value) == str(levels[0].error)
     # a wrong-N sector has no levels: both raise the same InvalidArgumentError
     wrong_n = "sector describes 4 particles, params describe 6"
     with pytest.raises(InvalidArgumentError, match=wrong_n):

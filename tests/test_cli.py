@@ -509,3 +509,31 @@ def test_bethe_on_an_incomplete_sector_still_refuses(capsys):
         '{"error": {"message": "recovered 29 of 31 solution sets from the eigenvectors", '
         '"type": "IncompleteSolveError"}}\n'
     )
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--n", "12", "--v", "0.2", "--w", "1.5", "--format", "csv"],
+        N7_BETHE,
+        ["circuit", "--n", "7", "--v", "0.75", "--w", "0.5", "--index", "1", "--format", "qasm"],
+    ],
+    ids=["csv", "json", "text"],
+)
+def test_closed_stdout_ends_quietly(argv, unbuffered):
+    # the read end is closed before the spawn, so the child's first write to
+    # stdout fails, whether it writes through (-u) or at its final flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    flags = ["-u"] if unbuffered else []
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", *flags, "-m", "lmg.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env={**env, "PYTHONPATH": path},
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")

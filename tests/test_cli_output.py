@@ -1,0 +1,75 @@
+"""CLI output pinned byte for byte: a sha256 of stdout and stderr per command.
+
+Each command runs in-process through ``lmg.cli.main``.  The digests were
+recorded from the CLI's output when it was last checked by hand; a change
+that alters the output of one of these commands on purpose updates its
+digests here and says which commands moved and why.
+"""
+
+import hashlib
+import shlex
+
+import pytest
+
+from lmg.cli import main
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+# (arguments, exit code, sha256 of stdout, sha256 of stderr)
+PINNED = [
+    ("spectrum --n 7 --v 0.75 --w 0.5", 0,
+     "2aeec05e69941a684e0d639cacdf7da388307aabed0b561098fe32c45e49780c",
+     EMPTY),
+    ("spectrum --n 7 --v 0.75 --w 0.5 --format csv", 0,
+     "1cfb0658ae913576211a943b1f9a6c0f6ab54f318229efb3db883703ea070dde",
+     EMPTY),
+    ("spectrum --n 4 --v 1 --w 1", 0,
+     "d37b33866f9bf966c12d60291ede98f216faf9121527f447a0e9b73017135046",
+     EMPTY),
+    ("spectrum --n 4 --v 0 --w 0.5", 0,
+     "e0187d06d2390e2fe0b01f8533d06d52271d32f73c6bd41d4abafeaf5f74e695",
+     EMPTY),
+    ("spectrum --n 12 --v 0.2 --w 1.5", 0,
+     "e595e23d42bc0e5b216e6b72cf65efe235a0e13b020c711f944eedbe7ddd29cb",
+     EMPTY),
+    ("spectrum --n 10 --v 0.5921 --w -1.6233 --format csv", 0,
+     "fb213a71cd280ed455f2a8363f3774ce35309a3b7a418951e8388034b06f01fa",
+     EMPTY),
+    ("benchmark --n 7 --v 0.75 --w 0.5 --shots 0 1000", 0,
+     "6d1fc26de240c630dff83adc03a6e7154ef60275001f611078690674aee4efe0",
+     EMPTY),
+    ("benchmark --n 4 --v 1 --w 1", 0,
+     "4c9091a631b308eb5a6f544d0830433ade7994cf08b6adb20590772ad8d86dd3",
+     EMPTY),
+    ("benchmark --n 4 --v 0 --w 0.5", 0,
+     "cb8fae310721d1cec5e214f8c77ca65faccc7b97a83d3f09f72605134753cba7",
+     EMPTY),
+    ("benchmark --n 10 --v 0.5921 --w -1.6233", 0,
+     "d40565a78292bfd9d48ad00d3d0e13b69fb9f0dca56ad9b1cedd01817303f396",
+     EMPTY),
+    ("bethe --n 7 --v 0.75 --w 0.5 --sector 1,0", 0,
+     "2475ef59b0a2de3236d6130c228cdae95a11e116521a026994961c9ea98604bf",
+     EMPTY),
+    ("bethe --n 12 --v 0.2 --w 1.5 --sector 0,0", 1,
+     EMPTY,
+     "eeeb2ea0ae6ac7c8a580035da8398be48e803bbe356a4901eb75a73c420f80ca"),
+    ("bethe --n 4 --v 1 --w 1 --sector 0,0", 1,
+     EMPTY,
+     "7697ad40269d1219b624f53f0a94290242b815e94b3e708a0df2bb16c229347a"),
+    ("vqe --n 8 --v 0.8 --w 0.25", 0,
+     "2d32661b20c12613158a329615495a57981401662c8561fd05e5b548b44ad15f",
+     EMPTY),
+    ("vqe --n 8 --v 0.8 --w 0.25 --shots 1000 --seed 7 --restarts 2", 0,
+     "7eac92122a57a75815fa27a7f5e73ddfe3f803e46e6a171270b7b288149a1df2",
+     EMPTY),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, out_digest, err_digest", PINNED, ids=[row[0] for row in PINNED]
+)
+def test_cli_output_is_byte_identical(argv, code, out_digest, err_digest, capsys):
+    assert main(shlex.split(argv)) == code
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == out_digest, captured.out
+    assert hashlib.sha256(captured.err.encode()).hexdigest() == err_digest, captured.err

@@ -20,8 +20,8 @@ from lmg import (
     solve_bethe,
 )
 from lmg.model import canonical_sign
-from lmg.reference import N7, N7_STATE, extend_state, n2_states, n3_states, w0_pairons
-from oracles import pair_product_state
+from lmg.reference import N7, N7_STATE, n2_states, n3_states, w0_pairons
+from oracles import extend_state, pair_product_state
 
 
 def aligned(a, b):

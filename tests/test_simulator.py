@@ -30,13 +30,13 @@ from lmg.reference import (
     N7,
     N7_ENERGY,
     N7_LINEAR_ANGLES,
-    N7_LINEAR_ENERGY,
     N7_LOG_ANGLES,
     N7_STATE,
     linear_product_form,
     log_product_form,
 )
 from oracles import (
+    N7_LINEAR_ENERGY,
     copy_run_dense,
     outcomes_by_terms,
     pauli_terms,

@@ -35,7 +35,8 @@ from lmg import (
 )
 from lmg.circuit import one_hot_split
 from lmg.model import ladder_energy
-from lmg.reference import N7, N7_LINEAR_ANGLES, N7_LINEAR_ENERGY
+from lmg.reference import N7, N7_LINEAR_ANGLES
+from oracles import N7_LINEAR_ENERGY
 
 
 def test_objective_n7_reference_angles():
