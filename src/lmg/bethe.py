@@ -82,8 +82,10 @@ class Level:
     """Exact level j of a sector and its Bethe outcome.
 
     ``index`` is j + 1, ``omega`` exact eigenvalue j and ``vector`` exact
-    eigenvector j.  Exactly one of ``solution`` (the validated set) and
-    ``error`` (why the level has none) is set; the other is None.
+    eigenvector j as a read-only C-contiguous row (a strided view can round
+    differently in the angle compilers).  Exactly one of ``solution`` (the
+    validated set) and ``error`` (why the level has none) is set; the other
+    is None.
     """
 
     index: int
@@ -313,7 +315,7 @@ def solve_levels(config: SectorConfig, params: ModelParams) -> tuple[Level, ...]
     """A sector's exact levels, each with its validated set or why it has none.
 
     Level j carries exact eigenpair j of :func:`sector_spectrum` (its vector a
-    view of the eigenvector matrix, marked read-only) and either the set
+    read-only contiguous row of the transposed eigenvectors) and either the set
     seeded by eigenvector j, polished by damped Newton within TOL and
     matching the eigenvalue within MATCH_TOL, or the level's error: a
     NumericFailureError, or a ComplexPaironsError for non-real pair energies
@@ -322,8 +324,9 @@ def solve_levels(config: SectorConfig, params: ModelParams) -> tuple[Level, ...]
     InvalidArgumentError.
     """
     values, vectors = sector_spectrum(config, params)
-    vectors.flags.writeable = False
-    exact = [(j + 1, float(values[j]), vector) for j, vector in enumerate(vectors.T)]
+    rows = np.ascontiguousarray(vectors.T)
+    rows.flags.writeable = False
+    exact = [(j + 1, float(values[j]), vector) for j, vector in enumerate(rows)]
     try:
         _require_solvable(config, params)
     except LmgError as exc:

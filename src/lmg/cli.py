@@ -422,18 +422,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _silence_stdout() -> None:
+    """Point stdout at the null device, so the interpreter's final flush cannot raise."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit:  # --help, --version or a usage error, already printed
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader closed stdout: keep the exit code, end quietly
+            _silence_stdout()
+        raise
     try:
         code = args.func(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:  # the reader closed stdout: end quietly, exit 1
-        # point stdout at the null device, so the interpreter's final flush cannot raise
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _silence_stdout()
         return 1
     except LmgError as exc:
         kind, message = type(exc).__name__, str(exc)

@@ -68,9 +68,11 @@ def make_params(n: int, v: float, w: float) -> ModelParams:
     """Build a ModelParams, deriving g, eta and the regime sign s.
 
     Raises InvalidArgumentError for an n that is not a positive int or numpy
-    integer (a bool is refused) or a non-finite coupling.  The rational case
-    V^2 = W^2 is constructed with s = 0 and NaN g/eta; only exact
-    diagonalization works there.
+    integer (a bool is refused) or a non-finite coupling.  The regime is
+    decided from |V| and |W|, not from their squares, which overflow or
+    underflow at extreme couplings.  The rational case |V| = |W| is
+    constructed with s = 0 and NaN g/eta; only exact diagonalization works
+    there.
     """
     if not _is_count(n) or n < 1:
         raise InvalidArgumentError(f"particle number must be a positive integer, got {n!r}")
@@ -78,8 +80,7 @@ def make_params(n: int, v: float, w: float) -> ModelParams:
     w = float(w)
     if not (math.isfinite(v) and math.isfinite(w)):
         raise InvalidArgumentError(f"couplings must be finite, got V={v!r}, W={w!r}")
-    disc = v * v - w * w
-    s = (disc > 0) - (disc < 0)
+    s = (abs(v) > abs(w)) - (abs(v) < abs(w))
     if s == 0:
         return ModelParams(n=int(n), v=v, w=w, g=math.nan, eta=math.nan, s=0)
     eta = -math.sqrt((v + w) / (s * (v - w)))

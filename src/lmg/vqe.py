@@ -21,16 +21,18 @@ quadratic in the amplitudes.  Five node values at theta_j + 4pi k/5
 to the polynomial's minimizer.  The five node states come from one split
 of the one-hot output per angle (:func:`lmg.circuit.one_hot_split`: the
 amplitudes are r + cos phi p + sin phi q), so an angle costs one O(M) pass
-instead of five.  The exact estimator scores the five rows in one
-``ladder_energy`` call; the sampled one measures each row with the run's
-seed and shots, as ``objective`` does at that node's angles.  A sweep does
-this for every angle in turn; a restart stops when the energy at the start
-of a sweep falls by less than SWEEP_TOL from the previous sweep's start
-(``converged``), or after MAX_SWEEPS sweeps.  Its energy is one
-``objective`` call at its final angles, so every reported value is a full
-evaluation.  Restarts are deterministic, seeded and run one after another;
-a "warm" first restart starts from the angles of the known target state,
-cold restarts draw uniformly from [0, 4pi)^M.
+instead of five.  Every evaluation, node rows and ``objective`` alike, is
+scored with the run's :class:`VqeOptions`: the exact estimator scores the
+five rows in one ``ladder_energy`` call, the sampled one measures each row
+with the run's seed and shots, as ``objective`` does at that node's angles.
+A sweep does this for every angle in turn; a restart stops when the energy
+at the start of a sweep falls by less than SWEEP_TOL from the previous
+sweep's start (``converged``), or after MAX_SWEEPS sweeps.  Its energy is
+one ``objective`` call at its final angles, so every reported value is a
+full evaluation.  Restarts are deterministic, seeded and run one after
+another; a "warm" first restart starts from the angles compiled straight
+from the exact ground-state ladder vector, cold restarts draw uniformly
+from [0, 4pi)^M.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .circuit import (
     MODES,
     AngleSet,
     build_circuit,
-    encode,
     linear_angles,
     log_angles,
     one_hot_output,
@@ -54,7 +55,6 @@ from .circuit import (
 )
 from .errors import InvalidArgumentError, LmgError
 from .model import (
-    FockVector,
     ModelParams,
     SectorConfig,
     _is_count,
@@ -123,60 +123,53 @@ class VqeOptions:
 
 @dataclass(frozen=True)
 class VqeResult:
-    """Outcome of one optimization run."""
+    """Outcome of one optimization run; ``trace`` is every evaluation's energy, in order."""
 
     best_thetas: AngleSet
     best_energy: float
     exact_energy: float
     abs_error: float
     evaluations: int
-    trace: tuple[tuple[int, float], ...]
+    trace: tuple[float, ...]
     seed: int
     estimator: str
     converged: bool
 
 
 def objective(
-    thetas,
-    config: SectorConfig,
-    params: ModelParams,
-    estimator: str = "exact",
-    shots: int = 100_000,
-    seed: int = 0,
-    depth: str = "linear",
+    thetas, config: SectorConfig, params: ModelParams, options: VqeOptions | None = None
 ) -> float:
-    """Energy of the circuit state at the given angles.
+    """Energy of the circuit state at the given angles under the run's options.
 
-    ``estimator="exact"`` evaluates <H> from the one-hot amplitudes;
-    ``estimator="sampled"`` draws ``shots`` measurements per group with a
-    fixed seed, so the value is deterministic for fixed arguments.  Both
-    equal the same estimators applied to ``run(build_circuit(angles))``.
+    ``options`` (default ``VqeOptions()``) supplies the circuit ``depth`` and
+    the estimator: "exact" evaluates <H> from the one-hot amplitudes,
+    "sampled" draws ``shots`` measurements per group from ``seed``, so the
+    value is deterministic for fixed arguments.  Both equal the same
+    estimators applied to ``run(build_circuit(angles))``.
     """
-    angles = thetas if isinstance(thetas, AngleSet) else AngleSet(tuple(thetas), depth)
+    opts = options or VqeOptions()
+    angles = AngleSet(tuple(thetas), opts.depth)
     if len(angles) != config.m:
         raise InvalidArgumentError(f"sector needs {config.m} angles, got {len(angles)}")
     states = one_hot_output(angles)[None, :]
-    return float(_energies(states, config, params, estimator, shots, seed)[0])
+    return float(_energies(states, config, params, opts)[0])
 
 
-def _energies(states, config, params, estimator, shots, seed) -> np.ndarray:
-    """Energy of each row of ``states`` (one-hot amplitudes) under the estimator.
+def _energies(states, config, params, opts) -> np.ndarray:
+    """Energy of each row of ``states`` (one-hot amplitudes) under the run's estimator.
 
     Exact rows are scored by one ``ladder_energy`` call; each sampled row is
-    measured with ``shots`` per group from the same ``seed``.
+    measured with the run's ``shots`` per group from its ``seed``.
     """
-    if estimator == "exact":
+    if opts.estimator == "exact":
         return ladder_energy(states, params, config.parity)
-    if estimator == "sampled":
-        groups = pauli_groups(config, params)
-        return np.array([_sampled_block_expectation(row.astype(complex), groups, shots, seed)[0]
-                         for row in states])
-    raise InvalidArgumentError(f"unknown estimator {estimator!r}")
+    groups = pauli_groups(config, params)
+    return np.array([_sampled_block_expectation(row, groups, opts.shots, opts.seed)[0]
+                     for row in states.astype(complex)])
 
 
-def _warm_start(ground: np.ndarray, config: SectorConfig, depth: str) -> np.ndarray:
-    target = encode(FockVector(config.n, config.parity, ground), config)
-    angles = linear_angles(target) if depth == "linear" else log_angles(target)
+def _warm_start(ground: np.ndarray, depth: str) -> np.ndarray:
+    angles = linear_angles(ground) if depth == "linear" else log_angles(ground)
     return np.asarray(angles.thetas)
 
 
@@ -215,25 +208,23 @@ def _node_states(thetas, j: int, depth: str) -> np.ndarray:
 def _single_restart(x0, config, params, opts, trace):
     """One restart from the start angles ``x0``; returns (energy, angles, converged).
 
-    Every node value and the final evaluation are appended to ``trace`` as
-    (evaluation index, value).  An angle's five node states come from
-    :func:`_node_states` and are scored together by the run's estimator.
-    An M = 0 sector has no angle to move, so its one evaluation, at the end,
-    is converged.
+    Every node value and the final evaluation are appended to ``trace``.  An
+    angle's five node states come from :func:`_node_states` and are scored
+    together by the run's estimator.  An M = 0 sector has no angle to move,
+    so its one evaluation, at the end, is converged.
     """
     thetas = np.array(x0, dtype=float)
 
     def measure() -> float:
-        value = objective(thetas, config, params, opts.estimator, opts.shots, opts.seed, opts.depth)
-        trace.append((len(trace), value))
+        value = objective(thetas, config, params, opts)
+        trace.append(value)
         return value
 
     previous = math.inf
     for _ in range(MAX_SWEEPS):
         for j in range(thetas.size):
-            values = _energies(_node_states(thetas, j, opts.depth), config, params,
-                               opts.estimator, opts.shots, opts.seed)
-            trace.extend(enumerate(values.tolist(), start=len(trace)))
+            values = _energies(_node_states(thetas, j, opts.depth), config, params, opts)
+            trace.extend(values.tolist())
             if j == 0:  # values[0] is the energy at the start of the sweep
                 if previous - values[0] < SWEEP_TOL:
                     return measure(), np.mod(thetas, FULL_TURN), True
@@ -249,19 +240,19 @@ def optimize(
 
     Deterministic for fixed options: restart r draws its start point from
     generator seed (seed, r); the result is the first restart of lowest
-    energy, and ``trace`` numbers the evaluations of all restarts in order.
-    The exact reference energy is the sector's lowest eigenvalue.  An M = 0
-    sector has one start point, the empty angle list, so it runs one restart
-    of one evaluation.
+    energy, and ``trace`` holds the energy of every evaluation of all
+    restarts in order.  The exact reference energy is the sector's lowest
+    eigenvalue.  An M = 0 sector has one start point, the empty angle list,
+    so it runs one restart of one evaluation.
     """
     opts = options or VqeOptions()
     values, vectors = sector_spectrum(config, params)
     exact_energy = float(values[0])
-    trace: list[tuple[int, float]] = []
+    trace: list[float] = []
     outcomes = []
     for restart in range(opts.restarts if config.m else 1):
         if opts.warm and restart == 0:
-            x0 = _warm_start(vectors[:, 0], config, opts.depth)
+            x0 = _warm_start(vectors[:, 0].copy(), opts.depth)
         else:
             x0 = np.random.default_rng((opts.seed, restart)).uniform(0.0, FULL_TURN, config.m)
         outcomes.append(_single_restart(x0, config, params, opts, trace))
@@ -280,17 +271,16 @@ def optimize(
 
 
 def _row_report(level, config, params):
-    target = encode(FockVector(config.n, config.parity, level.vector), config)
     row: dict = {"index": level.index, "omega_exact": level.omega}
     if level.solution is not None:
         row["omega_bethe"] = level.solution.omega
         row["pairons"] = list(level.solution.energies)
         row["bethe_residual"] = level.solution.residual_norm
     for mode, maker in (("linear", linear_angles), ("log", log_angles)):
-        angles = maker(target)
+        angles = maker(level.vector)
         state = run(build_circuit(angles))
         energy = encoded_expectation(state, config, params)
-        row[f"fidelity_{mode}"] = fidelity(state, target)
+        row[f"fidelity_{mode}"] = fidelity(state, level.vector)
         abs_err = abs(energy - level.omega)
         row[f"energy_abs_{mode}"] = abs_err
         row[f"energy_rel_{mode}"] = abs_err / abs(level.omega) if abs(level.omega) > 1e-12 else None

@@ -18,6 +18,8 @@ from lmg import (
     bethe,
     eigenvalue,
     exact_spectrum,
+    linear_angles,
+    log_angles,
     make_params,
     residual,
     sector_configs,
@@ -545,6 +547,17 @@ def test_solve_levels_regimes_one_outcome_per_level():
                 assert kinds == {type(excinfo.value)} and not sets
 
 
+def _compiled(vector):
+    # the angle bytes of both depth modes, or the refusal each raised instead
+    out = []
+    for maker in (linear_angles, log_angles):
+        try:
+            out.append(np.array(maker(vector).thetas).tobytes())
+        except LmgError as exc:
+            out.append(repr(exc))
+    return out
+
+
 def test_solve_levels_returns_one_record_per_exact_level():
     for p in _regime_instances():
         for config in sector_configs(p.n):
@@ -557,6 +570,9 @@ def test_solve_levels_returns_one_record_per_exact_level():
                 assert np.float64(level.omega).tobytes() == values[j].tobytes()
                 assert level.vector.tobytes() == vectors[:, j].tobytes()
                 assert not level.vector.flags.writeable
+                # a contiguous row compiles to the bits a fresh copy of it does
+                assert level.vector.flags.c_contiguous
+                assert _compiled(level.vector) == _compiled(level.vector.copy())
                 assert (level.solution is None) != (level.error is None), (p, config, level)
                 if level.solution is not None:
                     assert level.solution.index == level.index

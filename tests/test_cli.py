@@ -511,17 +511,28 @@ def test_bethe_on_an_incomplete_sector_still_refuses(capsys):
     )
 
 
+def test_bethe_at_huge_couplings_is_not_called_rational(capsys):
+    # V^2 and W^2 both overflow to inf here, but |V| > |W|: a trigonometric instance
+    code, out, err = invoke(capsys, "bethe", "--n", "3", "--v", "1e200", "--w", "1e199",
+                            "--sector", "1,0")
+    assert code == 1 and out == ""
+    assert parse_json(err)["error"]["type"] != "UnsupportedRegimeError"
+
+
 @pytest.mark.parametrize("unbuffered", [True, False])
 @pytest.mark.parametrize(
-    "argv",
+    "argv, code",
     [
-        ["spectrum", "--n", "12", "--v", "0.2", "--w", "1.5", "--format", "csv"],
-        N7_BETHE,
-        ["circuit", "--n", "7", "--v", "0.75", "--w", "0.5", "--index", "1", "--format", "qasm"],
+        (["spectrum", "--n", "12", "--v", "0.2", "--w", "1.5", "--format", "csv"], 1),
+        (N7_BETHE, 1),
+        (["circuit", "--n", "7", "--v", "0.75", "--w", "0.5", "--index", "1",
+          "--format", "qasm"], 1),
+        (["--help"], 0),
+        (["--version"], 0),
     ],
-    ids=["csv", "json", "text"],
+    ids=["csv", "json", "text", "help", "version"],
 )
-def test_closed_stdout_ends_quietly(argv, unbuffered):
+def test_closed_stdout_ends_quietly(argv, code, unbuffered):
     # the read end is closed before the spawn, so the child's first write to
     # stdout fails, whether it writes through (-u) or at its final flush
     read_end, write_end = os.pipe()
@@ -536,4 +547,4 @@ def test_closed_stdout_ends_quietly(argv, unbuffered):
         )
     finally:
         os.close(write_end)
-    assert (proc.returncode, proc.stderr) == (1, b"")
+    assert (proc.returncode, proc.stderr) == (code, b"")

@@ -62,6 +62,12 @@ PINNED = [
     ("vqe --n 8 --v 0.8 --w 0.25 --shots 1000 --seed 7 --restarts 2", 0,
      "7eac92122a57a75815fa27a7f5e73ddfe3f803e46e6a171270b7b288149a1df2",
      EMPTY),
+    ("vqe --n 8 --v 0.8 --w 0.25 --warm --restarts 1 --depth log", 0,
+     "78cbdd096aae41a51e1c0180d2e8d5f5836a370710f2f68408d70f81b66678fb",
+     EMPTY),
+    ("vqe --n 8 --v 0.8 --w 0.25 --shots 1000 --warm --restarts 1", 0,
+     "accaae211883a37c9cfe02390bfda8539d970b3b208685e001a682aff649da4b",
+     EMPTY),
 ]
 
 

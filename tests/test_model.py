@@ -52,6 +52,16 @@ def test_make_params_branch_identities():
         assert p.g * p.eta == pytest.approx(-p.s * (v + w) / 5, rel=1e-12)
 
 
+@pytest.mark.parametrize("v, w, s", [
+    (1e200, 1e199, 1), (-1e200, 1e199, 1), (1e-170, 0.0, 1), (1e-320, 1e-321, 1),
+    (1e199, 1e200, -1),
+    (1e200, -1e200, 0), (1e-170, 1e-170, 0),
+])
+def test_make_params_regime_from_magnitudes(v, w, s):
+    # V^2 and W^2 overflow to inf or underflow to 0 here; |V| and |W| do not
+    assert make_params(4, v, w).s == s
+
+
 def test_make_params_rejects_bad_n():
     with pytest.raises(InvalidArgumentError):
         make_params(0, 1.0, 0.0)

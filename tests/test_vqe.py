@@ -66,8 +66,9 @@ def test_objective_periodic_in_4pi():
 def test_objective_sampled_deterministic():
     p = make_params(4, 1.0, 0.2)
     config = SectorConfig(2, 0, 0)
-    a = objective((0.4, 1.3), config, p, estimator="sampled", shots=2000, seed=7)
-    b = objective((0.4, 1.3), config, p, estimator="sampled", shots=2000, seed=7)
+    opts = VqeOptions(estimator="sampled", shots=2000, seed=7)
+    a = objective((0.4, 1.3), config, p, opts)
+    b = objective((0.4, 1.3), config, p, opts)
     assert a == b
 
 
@@ -102,8 +103,7 @@ def test_optimize_variational_bound_and_trace():
     result = optimize(config, p, VqeOptions(restarts=4, seed=2))
     exact = sector_spectrum(config, p)[0][0]
     assert result.best_energy >= exact - 1e-12
-    energies = [e for _, e in result.trace]
-    running = np.minimum.accumulate(energies)
+    running = np.minimum.accumulate(result.trace)
     assert np.all(np.diff(running) <= 0 + 1e-15)
     assert result.evaluations == len(result.trace)
 
@@ -147,7 +147,7 @@ def test_objective_is_degree_two_in_half_angle(depth):
         def energy(t):
             shifted = thetas.copy()
             shifted[j] = t
-            return objective(shifted, config, p, depth=depth)
+            return objective(shifted, config, p, VqeOptions(depth=depth))
 
         nodes = thetas[j] + 4 * math.pi * np.arange(5) / 5
         coeffs = np.linalg.solve(basis(nodes), [energy(t) for t in nodes])
@@ -171,7 +171,8 @@ def test_split_node_energies_equal_objective(depth):
             for k in range(vqe.NODES):
                 node = thetas.copy()
                 node[j] += k * vqe.FULL_TURN / vqe.NODES
-                assert abs(energies[k] - objective(node, config, p, depth=depth)) <= 1e-13
+                exact = objective(node, config, p, VqeOptions(depth=depth))
+                assert abs(energies[k] - exact) <= 1e-13
             # one energy per row, each with the bits of the one-state call
             r, pp, q = one_hot_split(AngleSet(tuple(thetas), depth), j)
             halves = (thetas[j] + 4 * math.pi * np.arange(5) / 5) / 2
@@ -204,7 +205,7 @@ def test_exact_nodes_need_no_objective_call(monkeypatch, estimator):
     visits = len(fits) + sum(converged for _, _, converged in outcomes)
     assert result.evaluations == len(result.trace) == vqe.NODES * visits + restarts
     assert len(calls) == restarts
-    assert result.trace[-1][1] == calls[-1]
+    assert result.trace[-1] == calls[-1]
 
 
 @pytest.mark.parametrize("depth", ["linear", "log"])
@@ -213,27 +214,25 @@ def test_sampled_node_values_equal_objective(depth):
     # shots; it must be the very float objective samples at the node angles
     rng = np.random.default_rng(31)
     shots, seed = 700, 13
+    opts = VqeOptions(restarts=1, seed=seed, estimator="sampled", shots=shots, depth=depth)
     for m in (1, 2, 3, 7, 8):
         p = make_params(2 * m, 0.75, 0.5)
         config = SectorConfig(m, 0, 0)
         thetas = rng.uniform(0.0, 4 * math.pi, m)
         for j in range(m):
             states = vqe._node_states(thetas, j, depth)
-            values = vqe._energies(states, config, p, "sampled", shots, seed)
+            values = vqe._energies(states, config, p, opts)
             for k in range(vqe.NODES):
                 node = thetas.copy()
                 node[j] += k * vqe.FULL_TURN / vqe.NODES
-                assert values[k] == objective(node, config, p, estimator="sampled",
-                                              shots=shots, seed=seed, depth=depth)
+                assert values[k] == objective(node, config, p, opts)
         # a run's first five evaluations are the nodes of angle 0 at its start
-        opts = VqeOptions(restarts=1, seed=seed, estimator="sampled", shots=shots, depth=depth)
         start = np.random.default_rng((seed, 0)).uniform(0.0, vqe.FULL_TURN, m)
         first = optimize(config, p, opts).trace[:vqe.NODES]
-        for k, (_, value) in enumerate(first):
+        for k, value in enumerate(first):
             node = start.copy()
             node[0] += k * vqe.FULL_TURN / vqe.NODES
-            assert value == objective(node, config, p, estimator="sampled",
-                                      shots=shots, seed=seed, depth=depth)
+            assert value == objective(node, config, p, opts)
 
 
 @pytest.mark.parametrize("depth", ["linear", "log"])
@@ -264,7 +263,7 @@ def test_optimize_m0_sector():
     p = make_params(2, 0.75, 0.4)
     config = SectorConfig(0, 1, 1)
     for estimator in ("exact", "sampled"):
-        energy = objective((), config, p, estimator=estimator, shots=100)
+        energy = objective((), config, p, VqeOptions(estimator=estimator, shots=100))
         for warm in (False, True):
             opts = VqeOptions(restarts=5, warm=warm, estimator=estimator, shots=100)
             result = optimize(config, p, opts)
@@ -272,7 +271,7 @@ def test_optimize_m0_sector():
             assert result.best_thetas.thetas == ()
             assert result.evaluations == 1
             assert result.converged
-            assert result.trace == ((0, energy),)
+            assert result.trace == (energy,)
 
 
 def test_settable_values_are_the_run_defining_ones():
@@ -283,6 +282,10 @@ def test_settable_values_are_the_run_defining_ones():
     ]
     assert list(inspect.signature(benchmark).parameters) == [
         "params", "options", "shot_budgets",
+    ]
+    # objective scores with the run's options, not its own copies of them
+    assert list(inspect.signature(objective).parameters) == [
+        "thetas", "config", "params", "options",
     ]
     assert list(inspect.signature(build_eigenstate).parameters) == ["solution"]
     # energies are in units of the gap, and a circuit's layers derive from its gates
@@ -364,10 +367,10 @@ def test_objective_equals_simulated_estimators(depth):
         for config in sector_configs(n):
             thetas = tuple(rng.uniform(0.0, 4 * math.pi, config.m))
             state = run(build_circuit(AngleSet(thetas, depth)))
-            exact = objective(thetas, config, p, depth=depth)
+            exact = objective(thetas, config, p, VqeOptions(depth=depth))
             assert exact == encoded_expectation(state, config, p)
-            sampled = objective(thetas, config, p, estimator="sampled", shots=500,
-                                seed=n, depth=depth)
+            sampled_opts = VqeOptions(estimator="sampled", shots=500, seed=n, depth=depth)
+            sampled = objective(thetas, config, p, sampled_opts)
             assert sampled == sampled_expectation(state, pauli_groups(config, p), 500, n)[0]
 
 
@@ -375,7 +378,7 @@ def test_objective_equals_simulated_estimators(depth):
 def test_objective_rejects_wrong_angle_count(estimator):
     p = make_params(6, 0.9, 0.2)
     with pytest.raises(InvalidArgumentError):
-        objective((0.4, 1.3), SectorConfig(3, 0, 0), p, estimator=estimator)
+        objective((0.4, 1.3), SectorConfig(3, 0, 0), p, VqeOptions(estimator=estimator))
 
 
 def test_benchmark_n7_report():
