@@ -21,9 +21,11 @@ the diagonalization; the residual of the pair-energy equations and the
 closed-form eigenvalue stay independent of it.  Set j is seeded by exact
 eigenvector j and validated against exact level j alone; each exact level
 comes back as one :class:`Level` record that holds its set or, in either
-regime, its own error.  The small-M closed forms are oracles kept apart from
-the solver: the decoupled W = 0 pair in :mod:`lmg.reference`, the
-single-pair quadratic in the test suite.
+regime, its own error.  Each step of a level's solve (seed, polish,
+eigenvalue, match) raises that error where it fails, and the level records
+it.  The small-M closed forms are oracles kept apart from the solver: the
+decoupled W = 0 pair in :mod:`lmg.reference`, the single-pair quadratic in
+the test suite.
 """
 
 from __future__ import annotations
@@ -194,47 +196,55 @@ def _require_solvable(config: SectorConfig, params: ModelParams):
         raise UnsupportedRegimeError(
             "rational instance (V^2 = W^2): eta is undefined, use exact_spectrum"
         )
+    if config.m > 0 and not (math.isfinite(params.g) and math.isfinite(params.eta)):
+        raise InvalidArgumentError(
+            f"pair-energy parameters overflow at V={params.v!r}, W={params.w!r} "
+            f"(g={params.g!r}, eta={params.eta!r})"
+        )
     if config.m > 0 and params.v == 0.0:
         raise UnsupportedRegimeError(
             "V = 0 leaves the Fock basis diagonal; pair energies degenerate onto the poles"
         )
 
 
-def _newton(start, config, params) -> np.ndarray | None:
+def _newton(start, config, params) -> np.ndarray:
+    """Damped Newton polish of a seed: the sorted set, each residual within TOL.
+
+    Raises NumericFailureError for a non-finite or singular seed, a residual
+    non-finite or above 1e8, a singular Jacobian, a non-finite step, 12 step
+    halvings without decrease, or MAX_ITERATIONS steps left above TOL.
+    """
     e = np.array(start, dtype=float)
     with np.errstate(all="ignore"):
-        if not np.all(np.isfinite(e)) or _singularity(e, params.eta):
-            return None
-        res = _residual_raw(e, config, params)
-        if not np.all(np.isfinite(res)):
-            return None
-        for _ in range(MAX_ITERATIONS):
-            rmax = np.max(np.abs(res), initial=0.0)
-            if rmax <= TOL:
+        if np.all(np.isfinite(e)) and not _singularity(e, params.eta):
+            res = _residual_raw(e, config, params)
+            for _ in range(MAX_ITERATIONS):
+                rmax = np.max(np.abs(res), initial=0.0)
+                if rmax <= TOL:
+                    return np.sort(e)
+                if not rmax <= 1e8:  # above 1e8 or not finite
+                    break
+                try:
+                    step = np.linalg.solve(_jacobian(e, config, params), res)
+                except np.linalg.LinAlgError:
+                    break
+                if not np.all(np.isfinite(step)):
+                    break
+                best = res @ res
+                lam = 1.0
+                for _ in range(12):
+                    trial = e - lam * step
+                    if not _singularity(trial, params.eta):
+                        trial_res = _residual_raw(trial, config, params)
+                        if np.all(np.isfinite(trial_res)) and trial_res @ trial_res < best:
+                            e, res = trial, trial_res
+                            break
+                    lam *= 0.5
+                else:
+                    break
+            if np.max(np.abs(res), initial=0.0) <= TOL:  # the last step converged
                 return np.sort(e)
-            if rmax > 1e8:
-                return None
-            try:
-                step = np.linalg.solve(_jacobian(e, config, params), res)
-            except np.linalg.LinAlgError:
-                return None
-            if not np.all(np.isfinite(step)):
-                return None
-            best = res @ res
-            lam = 1.0
-            for _ in range(12):
-                trial = e - lam * step
-                if not _singularity(trial, params.eta):
-                    trial_res = _residual_raw(trial, config, params)
-                    if np.all(np.isfinite(trial_res)) and trial_res @ trial_res < best:
-                        e, res = trial, trial_res
-                        break
-                lam *= 0.5
-            else:
-                return None
-        if np.max(np.abs(res), initial=0.0) <= TOL:
-            return np.sort(e)
-    return None
+    raise NumericFailureError(f"damped Newton left a residual above {TOL:g}")
 
 
 def _ladder_weights(config: SectorConfig) -> np.ndarray:
@@ -264,7 +274,8 @@ def _invert_pairons(vec: np.ndarray, weights: np.ndarray, params: ModelParams):
     """Candidate pair energies from one exact eigenvector's ladder amplitudes.
 
     ``weights`` are the sector's :func:`_ladder_weights`.  Returns the sorted
-    real energies, or the level's error when no real seed comes out.
+    real energies, or raises the level's error: ComplexPaironsError for a
+    non-real root in the hyperbolic regime, else NumericFailureError.
     """
     m = vec.size - 1
     with np.errstate(all="ignore"):
@@ -279,33 +290,31 @@ def _invert_pairons(vec: np.ndarray, weights: np.ndarray, params: ModelParams):
             elem = scaled[::-1] / scaled[-1]
             sign = -1.0
     if not np.all(np.isfinite(elem)):  # the ratios over- or underflowed
-        return NumericFailureError("the eigenvector's amplitude ratios over- or underflow")
+        raise NumericFailureError("the eigenvector's amplitude ratios over- or underflow")
     coeffs = [(-1) ** k * elem[k] for k in range(m + 1)]
     roots = np.roots(coeffs)
     if np.any(np.abs(roots - 1.0) < 1e-12):
-        return NumericFailureError("a Moebius root sits at 1, an infinite pair energy")
+        raise NumericFailureError("a Moebius root sits at 1, an infinite pair energy")
     energies = sign * params.eta * (roots + 1.0) / (roots - 1.0)
     scale = 1.0 + np.max(np.abs(energies.real), initial=0.0)
     if np.any(np.abs(energies.imag) > 1e-6 * scale):
         if params.s > 0:
-            return NumericFailureError("non-real pair energies in the trigonometric regime")
+            raise NumericFailureError("non-real pair energies in the trigonometric regime")
         example = energies[np.argmax(np.abs(energies.imag))]
-        return ComplexPaironsError(f"non-real pair energies detected (e.g. {example:.6g})")
+        raise ComplexPaironsError(f"non-real pair energies detected (e.g. {example:.6g})")
     return np.sort(energies.real)
 
 
 def _solve_level(index, omega, vector, weights, config, params) -> Level:
-    seed = _invert_pairons(vector, weights, params)
-    if isinstance(seed, LmgError):
-        return Level(index, omega, vector, error=seed)
-    solved = _newton(seed, config, params)
-    if solved is None:
-        error = NumericFailureError(f"damped Newton left a residual above {TOL:g}")
-        return Level(index, omega, vector, error=error)
-    found = eigenvalue(solved, config, params)
-    if abs(found - omega) > MATCH_TOL:
-        error = NumericFailureError(f"the set polished onto omega={found:.12g}, not level {index}")
-        return Level(index, omega, vector, error=error)
+    try:
+        solved = _newton(_invert_pairons(vector, weights, params), config, params)
+        found = eigenvalue(solved, config, params)
+        if abs(found - omega) > MATCH_TOL:
+            raise NumericFailureError(
+                f"the set polished onto omega={found:.12g}, not level {index}"
+            )
+    except LmgError as exc:
+        return Level(index, omega, vector, error=exc)
     rn = float(np.max(np.abs(_residual_raw(solved, config, params)), initial=0.0))
     energies = tuple(float(x) for x in solved)
     return Level(index, omega, vector, SpectralSolution(config, params, energies, found, rn, index))
@@ -319,8 +328,9 @@ def solve_levels(config: SectorConfig, params: ModelParams) -> tuple[Level, ...]
     seeded by eigenvector j, polished by damped Newton within TOL and
     matching the eigenvalue within MATCH_TOL, or the level's error: a
     NumericFailureError, or a ComplexPaironsError for non-real pair energies
-    in the hyperbolic regime.  A rational or V = 0 sector is still
-    diagonalized and repeats its refusal at every level; a wrong N raises
+    in the hyperbolic regime.  A rational or V = 0 sector, or one with M > 0
+    whose g or eta overflowed (InvalidArgumentError), is still diagonalized
+    and repeats its refusal at every level; a wrong N raises
     InvalidArgumentError.
     """
     values, vectors = sector_spectrum(config, params)

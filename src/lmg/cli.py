@@ -2,7 +2,9 @@
 
 All numeric output is JSON by default (CSV for the tabular subcommands via
 --format csv), floats printed with 17 significant digits so values round-trip
-exactly, and every command is deterministic given its flags and seeds.
+exactly (``circuit`` writes :func:`lmg.circuit.export_circuit`'s JSON, whose
+floats take Python's shortest round-trip form), and every command is
+deterministic given its flags and seeds.
 """
 
 from __future__ import annotations
@@ -18,14 +20,7 @@ import numpy as np
 
 from . import __version__
 from .bethe import solve_bethe, solve_levels
-from .circuit import (
-    build_circuit,
-    encode,
-    export_circuit,
-    import_circuit,
-    linear_angles,
-    log_angles,
-)
+from .circuit import build_circuit, export_circuit, import_circuit, linear_angles, log_angles
 from .errors import InvalidArgumentError, LmgError, NumericFailureError
 from .model import (
     SectorConfig,
@@ -152,15 +147,13 @@ def _eigenpair(params, index: int):
     pairs = exact_spectrum(params)
     if not 1 <= index <= len(pairs):
         raise InvalidArgumentError(f"--index must lie in 1..{len(pairs)}, got {index}")
-    omega, state = pairs[index - 1]
-    return omega, state, state.sector
+    return pairs[index - 1]
 
 
 def _angles_for(params, index: int, depth: str):
-    omega, state, config = _eigenpair(params, index)
-    target = encode(state, config)
-    angles = linear_angles(target) if depth == "linear" else log_angles(target)
-    return omega, state, config, target, angles
+    omega, state = _eigenpair(params, index)
+    angles = linear_angles(state.amps) if depth == "linear" else log_angles(state.amps)
+    return omega, state.sector, angles
 
 
 def _cmd_spectrum(args) -> int:
@@ -176,25 +169,16 @@ def _cmd_spectrum(args) -> int:
 def _cmd_bethe(args) -> int:
     params = make_params(args.n, args.v, args.w)
     config = _parse_sector(args.sector, args.n)
-    solutions = solve_bethe(config, params)
-    rows = [
-        {
-            "index": sol.index,
-            "omega": sol.omega,
-            "residual_norm": sol.residual_norm,
-            "pairons": list(sol.energies),
-        }
-        for sol in solutions
-    ]
+    rows = []
+    for sol in solve_bethe(config, params):
+        row = {"index": sol.index, "omega": sol.omega, "residual_norm": sol.residual_norm}
+        if args.format == "csv":
+            row.update((f"e{i}", e) for i, e in enumerate(sol.energies, start=1))
+        else:
+            row["pairons"] = list(sol.energies)
+        rows.append(row)
     if args.format == "csv":
-        flat = []
-        for row in rows:
-            entry = {"index": row["index"], "omega": row["omega"],
-                     "residual_norm": row["residual_norm"]}
-            for i, e in enumerate(row["pairons"], start=1):
-                entry[f"e{i}"] = e
-            flat.append(entry)
-        _emit_csv(flat)
+        _emit_csv(rows)
     else:
         _emit_json({"sector": asdict(config), "solutions": rows})
     return 0
@@ -202,12 +186,12 @@ def _cmd_bethe(args) -> int:
 
 def _cmd_state(args) -> int:
     params = make_params(args.n, args.v, args.w)
-    omega, state, config = _eigenpair(params, args.index)
+    omega, state = _eigenpair(params, args.index)
     occupations = [list(pair) for pair in zip(*ladder_occupations(params.n, state.parity))]
     payload = {
         "index": args.index,
         "omega": omega,
-        "sector": asdict(config),
+        "sector": asdict(state.sector),
         "amplitudes": list(state.amps),
         "occupations": occupations,
     }
@@ -225,7 +209,7 @@ def _cmd_state(args) -> int:
 
 def _cmd_angles(args) -> int:
     params = make_params(args.n, args.v, args.w)
-    omega, _, config, _, angles = _angles_for(params, args.index, args.depth)
+    omega, config, angles = _angles_for(params, args.index, args.depth)
     payload = {
         "index": args.index,
         "omega": omega,
@@ -243,7 +227,7 @@ def _cmd_angles(args) -> int:
 
 def _cmd_circuit(args) -> int:
     params = make_params(args.n, args.v, args.w)
-    _, _, _, _, angles = _angles_for(params, args.index, args.depth)
+    _, _, angles = _angles_for(params, args.index, args.depth)
     text = export_circuit(build_circuit(angles), args.format)
     _write_text(args.out, text if text.endswith("\n") else text + "\n")
     return 0

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import reference as ref
 from .bethe import eigenvalue, residual, solve_bethe
-from .circuit import AngleSet, build_circuit, encode, linear_angles, log_angles
+from .circuit import AngleSet, build_circuit, linear_angles, log_angles
 from .eigenstates import build_eigenstate
 from .errors import InvalidArgumentError, LmgError
 from .model import (
@@ -71,7 +71,7 @@ def check_n7_energy():
     config = SectorConfig(3, 1, 0)
     ground = solve_bethe(config, p)[0]
     d_omega = abs(ground.omega - ref.N7_ENERGY)
-    target = encode(build_eigenstate(ground), config)
+    target = build_eigenstate(ground).amps
     rels = {}
     for mode, maker in (("linear", linear_angles), ("log", log_angles)):
         state = run(build_circuit(maker(target)))
@@ -262,7 +262,7 @@ def check_vqe():
     ok &= warm.abs_error < 1e-10
     details.append(f"warm N=7: |dE|={warm.abs_error:.1e}")
     config7 = SectorConfig(3, 1, 0)
-    target = encode(build_eigenstate(solve_bethe(config7, p7)[0]), config7)
+    target = build_eigenstate(solve_bethe(config7, p7)[0]).amps
     state = run(build_circuit(linear_angles(target)))
     exact = encoded_expectation(state, config7, p7)
     estimate, stderr = sampled_expectation(state, pauli_groups(config7, p7), 1_000_000, 2024)

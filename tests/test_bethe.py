@@ -598,3 +598,125 @@ def test_solve_levels_repeats_a_sector_refusal_at_every_level():
         solve_levels(SectorConfig(2, 0, 0), make_params(6, 0.75, 0.5))
     with pytest.raises(InvalidArgumentError, match=wrong_n):
         solve_bethe(SectorConfig(2, 0, 0), make_params(6, 0.75, 0.5))
+
+
+NEWTON_FAILURE = "damped Newton left a residual above 1e-10"
+
+
+def _n7_ground_set():
+    return np.array(solve_levels(N7_CONFIG, n7_params())[0].solution.energies)
+
+
+@pytest.mark.parametrize(
+    "component",
+    [math.nan, math.inf, "eta", 1e200],
+    ids=["nan-seed", "infinite-seed", "seed-on-a-pole", "non-finite-residual"],
+)
+def test_newton_refuses_a_seed_it_cannot_start_from(component):
+    # a non-finite seed, a seed on the pole E = eta, and a finite seed whose
+    # residual is not finite (E^2 overflows) each end in the one Newton error
+    p = n7_params()
+    seed = _n7_ground_set()
+    seed[1] = p.eta if component == "eta" else component
+    with pytest.raises(NumericFailureError, match=f"^{NEWTON_FAILURE}$"):
+        bethe._newton(seed, N7_CONFIG, p)
+
+
+@pytest.mark.parametrize(
+    "jacobian",
+    [
+        lambda e, config, params: np.zeros((e.size, e.size)),  # LinAlgError
+        lambda e, config, params: np.full((e.size, e.size), np.nan),  # non-finite step
+        lambda e, config, params, jac=bethe._jacobian: -jac(e, config, params),  # ascent
+    ],
+    ids=["singular-jacobian", "non-finite-step", "no-decrease-on-the-last-step"],
+)
+def test_newton_fails_where_a_step_cannot_be_taken(monkeypatch, jacobian):
+    p = n7_params()
+    seed = _n7_ground_set() + 1e-3
+    monkeypatch.setattr(bethe, "_jacobian", jacobian)
+    # one step in the budget: the third case fails on the last (only) step
+    monkeypatch.setattr(bethe, "MAX_ITERATIONS", 1)
+    with pytest.raises(NumericFailureError, match=f"^{NEWTON_FAILURE}$"):
+        bethe._newton(seed, N7_CONFIG, p)
+
+
+def test_newton_checks_the_residual_after_its_last_step(monkeypatch):
+    # a seed off by 1e-3 needs a few steps: the smallest budget that polishes
+    # it returns from the check after the last step, and every smaller budget
+    # runs out with the one Newton error
+    p = n7_params()
+    seed = _n7_ground_set() + 1e-3
+    polished = []
+    for budget in range(1, 8):
+        monkeypatch.setattr(bethe, "MAX_ITERATIONS", budget)
+        try:
+            polished.append(bethe._newton(seed, N7_CONFIG, p))
+        except NumericFailureError as exc:
+            assert str(exc) == NEWTON_FAILURE
+            polished.append(None)
+    fewest = next(k for k, energies in enumerate(polished) if energies is not None)
+    assert fewest >= 2 and all(energies is not None for energies in polished[fewest:])
+    np.testing.assert_allclose(polished[fewest], _n7_ground_set(), atol=1e-9)
+
+
+def test_invert_pairons_refuses_vectors_without_a_finite_seed():
+    p = make_params(4, 0.75, 0.5)
+    config = SectorConfig(2, 0, 0)
+    weights = bethe._ladder_weights(config)
+    # both end amplitudes vanish: the ratio ladder is 0/0
+    with pytest.raises(
+        NumericFailureError, match="^the eigenvector's amplitude ratios over- or underflow$"
+    ):
+        bethe._invert_pairons(np.array([0.0, 1.0, 0.0]), weights, p)
+    # M = 1 with equal scaled amplitudes: the Moebius root x = 1 is E = infinity
+    config = SectorConfig(1, 0, 0)
+    weights = bethe._ladder_weights(config)
+    with pytest.raises(
+        NumericFailureError, match="^a Moebius root sits at 1, an infinite pair energy$"
+    ):
+        bethe._invert_pairons(weights * 0.5, weights, make_params(2, 0.75, 0.5))
+
+
+def test_solve_levels_records_an_error_raised_by_the_eigenvalue(monkeypatch):
+    # any LmgError raised while a level is solved becomes that level's error
+    refusal = SingularityError("E[0] sits on a pole")
+
+    def refuse(energies, config, params):
+        raise refusal
+
+    monkeypatch.setattr(bethe, "eigenvalue", refuse)
+    levels = solve_levels(N7_CONFIG, n7_params())
+    assert [level.error for level in levels] == [refusal] * 4
+    assert all(level.solution is None for level in levels)
+
+
+@pytest.mark.parametrize(
+    "v, w, g, eta",
+    [
+        (1e308, 9e307, "inf", "-inf"),
+        (1e308, -9e307, "nan", "-0.0"),
+        (9e307, 1e308, "-inf", "-inf"),
+    ],
+)
+def test_overflowing_pair_energy_parameters_refuse_the_sector(v, w, g, eta):
+    # V +/- W overflows: the couplings are finite but g or eta is not
+    p = make_params(3, v, w)
+    message = f"pair-energy parameters overflow at V={v!r}, W={w!r} (g={g}, eta={eta})"
+    for config in sector_configs(3):
+        levels = solve_levels(config, p)
+        assert len(levels) == 2
+        assert all(isinstance(level.error, InvalidArgumentError) for level in levels)
+        assert all(level.error is levels[0].error for level in levels)
+        assert str(levels[0].error) == message
+        with pytest.raises(InvalidArgumentError) as excinfo:
+            solve_bethe(config, p)
+        assert str(excinfo.value) == message
+
+
+def test_an_empty_set_needs_no_pair_energy_parameters():
+    # M = 0 at the same overflowing couplings: the set is empty and still solved
+    p = make_params(1, 1e308, 9e307)
+    assert math.isinf(p.eta) and math.isinf(p.g)
+    (sol,) = solve_bethe(SectorConfig(0, 1, 0), p)
+    assert sol.energies == () and sol.omega == 9e307 / 2

@@ -519,6 +519,17 @@ def test_bethe_at_huge_couplings_is_not_called_rational(capsys):
     assert parse_json(err)["error"]["type"] != "UnsupportedRegimeError"
 
 
+def test_bethe_refuses_overflowing_pair_energy_parameters(capsys):
+    # V + W overflows: the couplings are finite, but g = inf and eta = -inf
+    code, out, err = invoke(capsys, "bethe", "--n", "3", "--v", "1e308", "--w", "9e307",
+                            "--sector", "1,0")
+    assert code == 1 and out == ""
+    assert parse_json(err)["error"] == {
+        "type": "InvalidArgumentError",
+        "message": "pair-energy parameters overflow at V=1e+308, W=9e+307 (g=inf, eta=-inf)",
+    }
+
+
 @pytest.mark.parametrize("unbuffered", [True, False])
 @pytest.mark.parametrize(
     "argv, code",

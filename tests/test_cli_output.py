@@ -68,6 +68,30 @@ PINNED = [
     ("vqe --n 8 --v 0.8 --w 0.25 --shots 1000 --warm --restarts 1", 0,
      "accaae211883a37c9cfe02390bfda8539d970b3b208685e001a682aff649da4b",
      EMPTY),
+    ("bethe --n 22 --v 0.75 --w 0.5 --sector 0,0 --format csv", 0,
+     "a0ed97edda64700bfd0980fb5d9cad2c2c79d4642475fd1df664f939d1aa729d",
+     EMPTY),
+    ("bethe --n 64 --v 0.75 --w 0.5 --sector 0,0", 1,
+     EMPTY,
+     "6e51f26e5f9a7a4688708774cf64db2e3dc14ed55a8a976e4fe891475b34a5c8"),
+    ("state --n 9 --v 0.75 --w 0.5 --index 4 --format csv", 0,
+     "462c55e0885c2d5d5c31e1aad3dcb410b9c4e93f2233ed691c6d82c6731189f6",
+     EMPTY),
+    ("angles --n 7 --v 0.75 --w 0.5 --index 2 --depth log", 0,
+     "b5eb0932ce401da79f5705fcfaf0b8c341e3ddfb6b804bb2dc188db7cfeebcfe",
+     EMPTY),
+    ("angles --n 200 --v 0.75 --w 0.5 --index 3 --format csv", 0,
+     "77036e0691019cb20f567a1e7cf5d4562f67841cda77e4e64669567b1de32df4",
+     EMPTY),
+    ("circuit --n 7 --v 0.75 --w 0.5 --index 1 --depth log --format qasm", 0,
+     "850e318097d19ccaa1bad680230349ac5e85b3876e1d43386d0a51eb14ff881c",
+     EMPTY),
+    ("spectrum --n 3 --v 1e308 --w 9e307", 0,
+     "823aea4519c4e4a5117df3af77a0ec14e0c56942c430ed6e9ca68d7fb1a6c278",
+     EMPTY),
+    ("bethe --n 1 --v 1e308 --w 9e307 --sector 1,0", 0,
+     "598d888e7296d8dbf90728acc3ba75a401c0f624dcdb23782202de7b6e602171",
+     EMPTY),
 ]
 
 
