@@ -44,7 +44,7 @@ from .errors import (
     SingularityError,
     UnsupportedRegimeError,
 )
-from .model import ModelParams, SectorConfig, sector_spectrum
+from .model import ModelParams, SectorConfig, _check_sector, sector_spectrum
 
 __all__ = [
     "Level",
@@ -188,10 +188,7 @@ def eigenvalue(energies, config: SectorConfig, params: ModelParams) -> float:
 
 
 def _require_solvable(config: SectorConfig, params: ModelParams):
-    if config.n != params.n:
-        raise InvalidArgumentError(
-            f"sector describes {config.n} particles, params describe {params.n}"
-        )
+    _check_sector(config, params)
     if params.rational:
         raise UnsupportedRegimeError(
             "rational instance (V^2 = W^2): eta is undefined, use exact_spectrum"

@@ -62,7 +62,12 @@ def control_slot(n: int, mode: str) -> int:
 
 @dataclass(frozen=True)
 class AngleSet:
-    """Rotation angles theta_1..theta_M plus the depth mode they drive."""
+    """Rotation angles theta_1..theta_M plus the depth mode they drive.
+
+    Each angle is a Python or numpy int or float (not a bool) and finite,
+    stored as a float; anything else, or an unknown mode, raises
+    InvalidArgumentError.
+    """
 
     thetas: tuple[float, ...]
     mode: str
@@ -70,8 +75,20 @@ class AngleSet:
     def __post_init__(self):
         if self.mode not in MODES:
             raise InvalidArgumentError(f"unknown depth mode {self.mode!r}")
-        thetas = tuple(float(t) for t in self.thetas)
-        if not all(math.isfinite(t) for t in thetas):
+        try:
+            values = tuple(self.thetas)
+        except TypeError:
+            raise InvalidArgumentError(f"angles must be a sequence, got {self.thetas!r}") from None
+        real = (float, int, np.floating, np.integer)
+        kinds = set(map(type, values))  # one check per type, not per angle
+        if bool in kinds or not all(issubclass(kind, real) for kind in kinds):
+            bad = next(t for t in values if type(t) is bool or not isinstance(t, real))
+            raise InvalidArgumentError(f"angles must be real numbers, got {bad!r}")
+        try:
+            thetas = tuple(map(float, values))
+        except OverflowError:  # an int beyond the float range
+            raise InvalidArgumentError("angles must be finite") from None
+        if not all(map(math.isfinite, thetas)):
             raise InvalidArgumentError("angles must be finite")
         object.__setattr__(self, "thetas", thetas)
 

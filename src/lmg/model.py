@@ -119,6 +119,14 @@ class SectorConfig:
         return self.nu_b
 
 
+def _check_sector(config: SectorConfig, params: ModelParams) -> None:
+    """Raise InvalidArgumentError unless ``config`` holds the ``params.n`` particles."""
+    if config.n != params.n:
+        raise InvalidArgumentError(
+            f"sector describes {config.n} particles, params describe {params.n}"
+        )
+
+
 def sector_configs(n: int) -> list[SectorConfig]:
     """All sectors of an N-particle instance.
 
@@ -287,10 +295,7 @@ def sector_spectrum(config: SectorConfig, params: ModelParams) -> tuple[np.ndarr
     from :func:`ladder_matrix` and passed to ``numpy.linalg.eigh`` (O(N^3),
     about 1 s at N = 4000); columns carry the canonical sign.
     """
-    if config.n != params.n:
-        raise InvalidArgumentError(
-            f"sector describes {config.n} particles, params describe {params.n}"
-        )
+    _check_sector(config, params)
     diag, hop = ladder_matrix(params, config.parity)
     vals, vecs = np.linalg.eigh(np.diag(diag) + np.diag(hop, 1) + np.diag(hop, -1))
     for j in range(vals.size):

@@ -25,7 +25,14 @@ import numpy as np
 
 from .circuit import Circuit
 from .errors import InvalidArgumentError, LeakageError
-from .model import ModelParams, SectorConfig, _is_count, ladder_energy, ladder_matrix
+from .model import (
+    ModelParams,
+    SectorConfig,
+    _check_sector,
+    _is_count,
+    ladder_energy,
+    ladder_matrix,
+)
 
 __all__ = [
     "StateVector",
@@ -307,8 +314,10 @@ def encoded_expectation(psi: StateVector, config: SectorConfig, params: ModelPar
     Decodes the one-hot amplitudes onto the ladder and evaluates them with
     :func:`lmg.model.ladder_energy`, normalized over the one-hot weight.
     Raises LeakageError when the state strays off the subspace (a broken
-    circuit, not a numerical accident).
+    circuit, not a numerical accident).  A sector whose particle count is not
+    ``params.n`` raises InvalidArgumentError.
     """
+    _check_sector(config, params)
     return ladder_energy(_one_hot_weights(psi, config), params, config.parity)
 
 
@@ -362,8 +371,10 @@ def pauli_groups(config: SectorConfig, params: ModelParams) -> tuple[Measurement
     One Z-diagonal family plus disjoint even-bond and odd-bond hopping
     families; their expectation values sum to :func:`encoded_expectation`
     exactly on the one-hot subspace.  Cached per (config, params), like
-    :func:`lmg.model.ladder_matrix`, so the immutable groups are shared.
+    :func:`lmg.model.ladder_matrix`, so the immutable groups are shared.  A
+    sector whose particle count is not ``params.n`` raises InvalidArgumentError.
     """
+    _check_sector(config, params)
     diag, hop = ladder_matrix(params, config.parity)
     size = config.m + 1
     groups = [MeasurementGroup("z", size, tuple((k, float(d)) for k, d in enumerate(diag)))]

@@ -16,16 +16,17 @@ polynomial of degree 2 in phi = theta_j/2,
     E = a0 + a1 cos phi + b1 sin phi + a2 cos 2phi + b2 sin 2phi,
 
 because the amplitudes are linear in cos phi and sin phi and the energy is
-quadratic in the amplitudes.  Five node values at theta_j + 4pi k/5
-(k = 0..4) fix the five coefficients through a real DFT, and theta_j jumps
-to the polynomial's minimizer.  The five node states come from one split
-of the one-hot output per angle (:func:`lmg.circuit.one_hot_split`: the
-amplitudes are r + cos phi p + sin phi q), so an angle costs one O(M) pass
-instead of five.  Every evaluation, node rows and ``objective`` alike, is
-scored with the run's :class:`VqeOptions`: the exact estimator scores the
-five rows in one ``ladder_energy`` call, the sampled one measures each row
-with the run's seed and shots, as ``objective`` does at that node's angles.
-A sweep does this for every angle in turn; a restart stops when the energy
+quadratic in the amplitudes, and theta_j jumps to the polynomial's
+minimizer.  An angle visit splits the one-hot output once
+(:func:`lmg.circuit.one_hot_split`: the amplitudes are
+r + cos phi p + sin phi q), so it costs one O(M) pass.  The exact estimator
+reads the coefficients off the 3 x 3 Gram matrix G = S H S^T of the split
+rows S and the sector block H, since E = v G v^T with v = (1, cos phi,
+sin phi); its five node values at theta_j + 4pi k/5 (k = 0..4) are that
+polynomial at the nodes.  The sampled estimator measures the five node
+states with the run's seed and shots, as ``objective`` does at that node's
+angles, and fixes the coefficients through a real DFT of those values.
+A sweep visits every angle in turn; a restart stops when the energy
 at the start of a sweep falls by less than SWEEP_TOL from the previous
 sweep's start (``converged``), or after MAX_SWEEPS sweeps.  Its energy is
 one ``objective`` call at its final angles, so every reported value is a
@@ -57,9 +58,11 @@ from .errors import InvalidArgumentError, LmgError
 from .model import (
     ModelParams,
     SectorConfig,
+    _check_sector,
     _is_count,
     exact_spectrum,
     ladder_energy,
+    ladder_matrix,
     sector_configs,
     sector_spectrum,
 )
@@ -79,6 +82,7 @@ SWEEP_TOL = 1e-13  # a restart stops when a sweep lowers its start energy by les
 MAX_SWEEPS = 400  # sweeps over the angles per restart
 _GRID = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)  # shifts in phi = theta/2
 _GRID_WAVES = np.exp(1j * np.outer((1, 2), _GRID))
+_NODE_WAVES = np.exp(2j * np.pi / NODES * np.outer((1, 2), np.arange(NODES)))  # w_k, w_k^2
 _NEWTON_STEPS = 4
 
 
@@ -88,7 +92,8 @@ class VqeOptions:
 
     ``restarts``, ``seed`` and ``shots`` are ints or numpy integers (not
     bools), else InvalidArgumentError.  ``restarts`` runs are made (at least
-    1, else InvalidArgumentError); the first starts warm when ``warm``.
+    1, else InvalidArgumentError); the first starts warm when ``warm``, a
+    bool or numpy bool (else InvalidArgumentError).
     ``seed`` must be non-negative, else InvalidArgumentError.  ``estimator``
     is "exact" or "sampled" (``shots`` per measurement group, at least 1;
     the exact estimator ignores ``shots``) and ``depth`` the circuit flavor,
@@ -109,6 +114,8 @@ class VqeOptions:
         for name, value in counts.items():
             if not _is_count(value):
                 raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.warm, (bool, np.bool_)):
+            raise InvalidArgumentError(f"warm must be a bool, got {self.warm!r}")
         if self.restarts < 1:
             raise InvalidArgumentError(f"restarts must be >= 1, got {self.restarts}")
         if self.seed < 0:
@@ -145,8 +152,10 @@ def objective(
     the estimator: "exact" evaluates <H> from the one-hot amplitudes,
     "sampled" draws ``shots`` measurements per group from ``seed``, so the
     value is deterministic for fixed arguments.  Both equal the same
-    estimators applied to ``run(build_circuit(angles))``.
+    estimators applied to ``run(build_circuit(angles))``.  A sector whose
+    particle count is not ``params.n`` raises InvalidArgumentError.
     """
+    _check_sector(config, params)
     opts = options or VqeOptions()
     angles = AngleSet(tuple(thetas), opts.depth)
     if len(angles) != config.m:
@@ -158,8 +167,9 @@ def objective(
 def _energies(states, config, params, opts) -> np.ndarray:
     """Energy of each row of ``states`` (one-hot amplitudes) under the run's estimator.
 
-    Exact rows are scored by one ``ladder_energy`` call; each sampled row is
-    measured with the run's ``shots`` per group from its ``seed``.
+    Exact rows are scored by one ``ladder_energy`` call (only ``objective``
+    scores exactly; exact visits read the Gram matrix instead); each sampled
+    row is measured with the run's ``shots`` per group from its ``seed``.
     """
     if opts.estimator == "exact":
         return ladder_energy(states, params, config.parity)
@@ -173,15 +183,13 @@ def _warm_start(ground: np.ndarray, depth: str) -> np.ndarray:
     return np.asarray(angles.thetas)
 
 
-def _fit_minimizer(values: np.ndarray) -> float:
-    """Shift in phi that minimizes the degree-2 polynomial through the nodes.
+def _fit_minimizer(z1: complex, z2: complex) -> float:
+    """Shift psi in phi that minimizes Re(z1 e^{i psi} + z2 e^{2i psi}).
 
-    ``values[k]`` is the energy at phi + 2pi k/5.  Relative to phi the
-    polynomial is Re(z1 e^{i psi} + z2 e^{2i psi}) plus a constant, with
-    z_m = 2 rfft(values)[m] / 5; its minimum is located on a 64-point grid and
-    refined by Newton steps on the derivative.
+    That is the energy along one angle relative to the current phi, less its
+    constant term.  Its minimum is located on a 64-point grid and refined by
+    Newton steps on the derivative.
     """
-    z1, z2 = 2.0 * np.fft.rfft(values)[1:] / NODES
     psi = float(_GRID[np.argmin((z1 * _GRID_WAVES[0] + z2 * _GRID_WAVES[1]).real)])
     for _ in range(_NEWTON_STEPS):
         w1 = cmath.exp(1j * psi)
@@ -205,15 +213,49 @@ def _node_states(thetas, j: int, depth: str) -> np.ndarray:
     return np.array(factors) @ one_hot_split(AngleSet(thetas, depth), j)
 
 
+def _exact_visit(thetas, j, config, params, opts):
+    """Node values and (z1, z2) of angle ``j``, read off the split's Gram matrix.
+
+    With S the split (r, p, q) and H the sector block, the energy along the
+    angle is v G v^T with v = (1, cos phi, sin phi) and G = S H S^T (the
+    circuit's output has unit norm), so z1 = 2 (G01 - i G02) and
+    z2 = (G11 - G22)/2 - i G12, rotated by the current phi, and the constant
+    term is G00 + (G11 + G22)/2.  The node values are that polynomial at
+    the five nodes; no node state is built.
+    """
+    diag, hop = ladder_matrix(params, config.parity)
+    split = one_hot_split(AngleSet(thetas, opts.depth), j)
+    cross = (split[:, :-1] * hop) @ split[:, 1:].T
+    gram = (split * diag) @ split.T + cross + cross.T
+    turn = cmath.exp(0.5j * thetas[j])
+    z1 = 2.0 * complex(gram[0, 1], -gram[0, 2]) * turn
+    z2 = complex(0.5 * (gram[1, 1] - gram[2, 2]), -gram[1, 2]) * (turn * turn)
+    constant = gram[0, 0] + 0.5 * (gram[1, 1] + gram[2, 2])
+    return constant + (z1 * _NODE_WAVES[0] + z2 * _NODE_WAVES[1]).real, z1, z2
+
+
+def _sampled_visit(thetas, j, config, params, opts):
+    """Node values and (z1, z2) of angle ``j``: each node measured, z from their DFT.
+
+    ``values[k]`` is the energy at phi + 2pi k/5, so z_m = 2 rfft(values)[m] / 5.
+    """
+    values = _energies(_node_states(thetas, j, opts.depth), config, params, opts)
+    z1, z2 = 2.0 * np.fft.rfft(values)[1:] / NODES
+    return values, z1, z2
+
+
 def _single_restart(x0, config, params, opts, trace):
     """One restart from the start angles ``x0``; returns (energy, angles, converged).
 
     Every node value and the final evaluation are appended to ``trace``.  An
-    angle's five node states come from :func:`_node_states` and are scored
-    together by the run's estimator.  An M = 0 sector has no angle to move,
-    so its one evaluation, at the end, is converged.
+    angle visit gives its five node values and the coefficients (z1, z2) of
+    the energy along the angle: :func:`_exact_visit` reads them off the
+    split's Gram matrix, :func:`_sampled_visit` off the DFT of the measured
+    nodes.  An M = 0 sector has no angle to move, so its one evaluation, at
+    the end, is converged.
     """
     thetas = np.array(x0, dtype=float)
+    visit = _exact_visit if opts.estimator == "exact" else _sampled_visit
 
     def measure() -> float:
         value = objective(thetas, config, params, opts)
@@ -223,13 +265,13 @@ def _single_restart(x0, config, params, opts, trace):
     previous = math.inf
     for _ in range(MAX_SWEEPS):
         for j in range(thetas.size):
-            values = _energies(_node_states(thetas, j, opts.depth), config, params, opts)
+            values, z1, z2 = visit(thetas, j, config, params, opts)
             trace.extend(values.tolist())
             if j == 0:  # values[0] is the energy at the start of the sweep
                 if previous - values[0] < SWEEP_TOL:
                     return measure(), np.mod(thetas, FULL_TURN), True
                 previous = values[0]
-            thetas[j] += 2.0 * _fit_minimizer(values)
+            thetas[j] += 2.0 * _fit_minimizer(z1, z2)
     return measure(), np.mod(thetas, FULL_TURN), not thetas.size
 
 

@@ -411,3 +411,25 @@ def test_one_hot_split_recombines_to_the_output(mode):
 def test_one_hot_split_refuses_an_angle_index_out_of_range(j):
     with pytest.raises(InvalidArgumentError, match="angle index"):
         one_hot_split(AngleSet((0.1, 0.2, 0.3), "linear"), j)
+
+
+@pytest.mark.parametrize(
+    "thetas",
+    [("a",), (1j,), ([1.0, 2.0],), ("1.5",), (True,), (0.5, np.bool_(False)),
+     (np.complex128(1.0),), 0.5],
+    ids=["str", "complex", "list", "numeric-str", "bool", "numpy-bool", "numpy-complex",
+         "scalar"],
+)
+def test_angle_set_refuses_what_is_not_a_real_angle(thetas):
+    with pytest.raises(InvalidArgumentError, match="angles must be"):
+        AngleSet(thetas, "linear")
+
+
+def test_angle_set_takes_python_and_numpy_reals():
+    angles = AngleSet((1, 2.5, np.int64(3), np.float32(0.5), np.float64(-1.0)), "log")
+    assert angles.thetas == (1.0, 2.5, 3.0, 0.5, -1.0)
+    assert all(type(t) is float for t in angles.thetas)
+    assert AngleSet(np.array([0.25, 0.5]), "linear").thetas == (0.25, 0.5)
+    for thetas in ((10**400,), (math.inf,), (0.0, np.nan)):
+        with pytest.raises(InvalidArgumentError, match="angles must be finite"):
+            AngleSet(thetas, "linear")

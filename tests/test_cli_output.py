@@ -36,7 +36,7 @@ PINNED = [
      "fb213a71cd280ed455f2a8363f3774ce35309a3b7a418951e8388034b06f01fa",
      EMPTY),
     ("benchmark --n 7 --v 0.75 --w 0.5 --shots 0 1000", 0,
-     "6d1fc26de240c630dff83adc03a6e7154ef60275001f611078690674aee4efe0",
+     "47fcc1204f030a7411e69ad7bfc29a1a807cf58eaf056a8d15707e9cce008d05",
      EMPTY),
     ("benchmark --n 4 --v 1 --w 1", 0,
      "4c9091a631b308eb5a6f544d0830433ade7994cf08b6adb20590772ad8d86dd3",
@@ -57,13 +57,13 @@ PINNED = [
      EMPTY,
      "7697ad40269d1219b624f53f0a94290242b815e94b3e708a0df2bb16c229347a"),
     ("vqe --n 8 --v 0.8 --w 0.25", 0,
-     "2d32661b20c12613158a329615495a57981401662c8561fd05e5b548b44ad15f",
+     "491ab797240e851ac1f51c0cb653c794537d319da6fd391a23a1e96c9c66a096",
      EMPTY),
     ("vqe --n 8 --v 0.8 --w 0.25 --shots 1000 --seed 7 --restarts 2", 0,
      "7eac92122a57a75815fa27a7f5e73ddfe3f803e46e6a171270b7b288149a1df2",
      EMPTY),
     ("vqe --n 8 --v 0.8 --w 0.25 --warm --restarts 1 --depth log", 0,
-     "78cbdd096aae41a51e1c0180d2e8d5f5836a370710f2f68408d70f81b66678fb",
+     "7aafd8f9016a2f9c37a38bd93ac78d61c8d31d70c6f7f37ebcf40617159b4549",
      EMPTY),
     ("vqe --n 8 --v 0.8 --w 0.25 --shots 1000 --warm --restarts 1", 0,
      "accaae211883a37c9cfe02390bfda8539d970b3b208685e001a682aff649da4b",

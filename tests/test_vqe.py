@@ -33,6 +33,7 @@ from lmg import (
     solve_bethe,
     vqe,
 )
+from lmg.bethe import solve_levels
 from lmg.circuit import one_hot_split
 from lmg.model import ladder_energy
 from lmg.reference import N7, N7_LINEAR_ANGLES
@@ -209,6 +210,53 @@ def test_exact_nodes_need_no_objective_call(monkeypatch, estimator):
 
 
 @pytest.mark.parametrize("depth", ["linear", "log"])
+def test_gram_visit_equals_objective_and_the_dft_of_node_energies(depth):
+    # the exact visit reads (z1, z2) off the split's 3 x 3 Gram matrix; its
+    # node values must be the objective at the node angles, and (z1, z2) the
+    # DFT of the node states' energies that sampled visits take
+    rng = np.random.default_rng(37)
+    opts = VqeOptions(depth=depth)
+    for m in (1, 2, 3, 7, 8, 33, 100):
+        config = SectorConfig(m, m % 2, 0)
+        p = make_params(config.n, 0.75, 0.5)
+        thetas = rng.uniform(0.0, 4 * math.pi, m)
+        for j in range(m):
+            values, z1, z2 = vqe._exact_visit(thetas, j, config, p, opts)
+            for k in range(vqe.NODES):
+                node = thetas.copy()
+                node[j] += k * vqe.FULL_TURN / vqe.NODES
+                exact = objective(node, config, p, opts)
+                assert abs(values[k] - exact) <= 1e-13 * max(1.0, abs(exact)), (m, j, k)
+            energies = ladder_energy(vqe._node_states(thetas, j, depth), p, config.parity)
+            dft = 2.0 * np.fft.rfft(energies)[1:] / vqe.NODES
+            scale = max(1.0, np.max(np.abs(energies)))
+            assert abs(z1 - dft[0]) <= 1e-12 * scale, (m, j)
+            assert abs(z2 - dft[1]) <= 1e-12 * scale, (m, j)
+
+
+@pytest.mark.parametrize("depth", ["linear", "log"])
+def test_exact_sweeps_score_no_node_states(monkeypatch, depth):
+    # an exact sweep needs neither node states nor ladder_energy: the only
+    # scoring call is each restart's final objective
+    counts = {"_node_states": 0, "ladder_energy": 0}
+    for name in counts:
+        def counted(*args, _fn=getattr(vqe, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(vqe, name, counted)
+    restarts = 3
+    opts = VqeOptions(restarts=restarts, seed=5, depth=depth)
+    result = optimize(SectorConfig(4, 0, 0), make_params(8, 0.8, 0.25), opts)
+    assert result.abs_error <= 1e-12
+    assert result.evaluations > vqe.NODES * restarts
+    assert counts == {"_node_states": 0, "ladder_energy": restarts}
+    # the sampled visit still measures its node states
+    optimize(SectorConfig(4, 0, 0), make_params(8, 0.8, 0.25),
+             dataclasses.replace(opts, estimator="sampled", shots=500, restarts=1))
+    assert counts["_node_states"] > 0
+
+
+@pytest.mark.parametrize("depth", ["linear", "log"])
 def test_sampled_node_values_equal_objective(depth):
     # a sampled node is scored from its split row with the run's seed and
     # shots; it must be the very float objective samples at the node angles
@@ -356,6 +404,39 @@ def test_shots_seeds_restarts_and_quanta_must_be_integers(build):
     assert sector_configs(np.int64(7)) == sector_configs(7)
 
 
+@pytest.mark.parametrize("warm", ["no", 1, 0, None])
+def test_vqe_options_warm_must_be_a_bool(warm):
+    with pytest.raises(InvalidArgumentError, match="warm must be a bool"):
+        VqeOptions(warm=warm, restarts=1)
+    # numpy bools stay allowed, as plain bools are
+    assert VqeOptions(warm=np.bool_(True)).warm
+    assert not VqeOptions(warm=np.False_).warm
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_every_sector_entry_refuses_a_mismatched_n(n):
+    # SectorConfig(4, 0, 0) holds 8 particles; at N = 9 the even ladder has the
+    # same length, so an unchecked site would return the N = 9 energy
+    config = SectorConfig(4, 0, 0)
+    p = make_params(n, 0.8, 0.25)
+    thetas = (0.3, 1.0, 2.0, 0.5)
+    state = run(build_circuit(AngleSet(thetas, "linear")))
+    message = f"sector describes 8 particles, params describe {n}"
+    sites = [
+        lambda: objective(thetas, config, p),
+        lambda: objective(thetas, config, p, VqeOptions(estimator="sampled", shots=10)),
+        lambda: encoded_expectation(state, config, p),
+        lambda: pauli_groups(config, p),
+        lambda: sector_spectrum(config, p),
+        lambda: solve_bethe(config, p),
+        lambda: solve_levels(config, p),
+        lambda: optimize(config, p, VqeOptions(restarts=1)),
+    ]
+    for site in sites:
+        with pytest.raises(InvalidArgumentError, match=message):
+            site()
+
+
 @pytest.mark.parametrize("depth", ["linear", "log"])
 def test_objective_equals_simulated_estimators(depth):
     # The objective skips the circuit simulation; on the simulated state the
@@ -379,6 +460,13 @@ def test_objective_rejects_wrong_angle_count(estimator):
     p = make_params(6, 0.9, 0.2)
     with pytest.raises(InvalidArgumentError):
         objective((0.4, 1.3), SectorConfig(3, 0, 0), p, VqeOptions(estimator=estimator))
+
+
+def test_objective_refuses_angles_that_are_not_reals():
+    p = make_params(4, 0.8, 0.25)
+    for thetas in (np.zeros((2, 2)), ("a", 1.0), (1j, 0.0), ("1.5", 0.0)):
+        with pytest.raises(InvalidArgumentError, match="real numbers"):
+            objective(thetas, SectorConfig(2, 0, 0), p)
 
 
 def test_benchmark_n7_report():
