@@ -21,11 +21,16 @@ the diagonalization; the residual of the pair-energy equations and the
 closed-form eigenvalue stay independent of it.  Set j is seeded by exact
 eigenvector j and validated against exact level j alone; each exact level
 comes back as one :class:`Level` record that holds its set or, in either
-regime, its own error.  Each step of a level's solve (seed, polish,
-eigenvalue, match) raises that error where it fails, and the level records
-it.  The small-M closed forms are oracles kept apart from the solver: the
-decoupled W = 0 pair in :mod:`lmg.reference`, the single-pair quadratic in
-the test suite.
+regime, its own error.  A sector's levels are solved together, one row per
+level: one stacked companion ``eigvals`` call seeds them, one damped Newton
+polishes every row with its own convergence test, step halving and failure,
+and one eigenvalue and one residual evaluation validate them.  Each step
+(seed, polish, eigenvalue, match) fails row by row, and a level records the
+error of the step that refused it; each row gets the bits a solve of its
+level alone gives.  ``_BATCH_CAP`` bounds the K M^2 elements of a batch's
+stacked (K, M, M) matrices.  The small-M closed forms are oracles kept apart
+from the solver: the decoupled W = 0 pair in :mod:`lmg.reference`, the
+single-pair quadratic in the test suite.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ GUARD = 1e-8  # closest approach of a parameter to a pole or to another paramete
 MAX_ITERATIONS = 60  # Newton steps per solution set
 TOL = 1e-10  # largest accepted residual component of a polished solution set
 MATCH_TOL = 1e-8  # largest accepted deviation of an eigenvalue from the diagonalization
+_BATCH_CAP = 8192  # elements K M^2 of one batch's stacked (K, M, M) matrices
 
 
 @dataclass(frozen=True)
@@ -98,17 +104,22 @@ class Level:
 
 
 def _pole_violation(energies: np.ndarray, eta: float, guard: float) -> str | None:
-    """Describe the first parameter sitting on a pole E = +/-eta, if any."""
+    """Describe the first parameter sitting on a pole E = +/-eta, if any.
+
+    ``energies`` is one set or a stack of sets, one per row; l in E[l]
+    counts within the set.
+    """
     near = np.flatnonzero(np.abs(np.abs(energies) - abs(eta)) < guard)
     if near.size == 0:
         return None
-    l = int(near[0])
-    name = "+eta" if energies[l] * eta > 0 else "-eta"
-    return f"E[{l}]={energies[l]:.6g} within {guard:g} of {name}"
+    l = int(near[0]) % energies.shape[-1]
+    value = energies.flat[near[0]]
+    name = "+eta" if value * eta > 0 else "-eta"
+    return f"E[{l}]={value:.6g} within {guard:g} of {name}"
 
 
 def _singularity(energies: np.ndarray, eta: float) -> str | None:
-    """Describe the first pole hit or pair of coinciding parameters, if any."""
+    """Describe the first pole hit or pair of coinciding parameters of one set, if any."""
     problem = _pole_violation(energies, eta, GUARD)
     if problem is None and energies.size > 1:
         order = np.argsort(energies)
@@ -119,40 +130,85 @@ def _singularity(energies: np.ndarray, eta: float) -> str | None:
     return problem
 
 
-def _residual_raw(energies, config, params):
-    e = np.asarray(energies, dtype=float)
+def _singular(e: np.ndarray, eta: float) -> np.ndarray:
+    """Mask of the rows of a (K, M) stack of sets that :func:`_singularity` describes."""
+    hit = np.any(np.abs(np.abs(e) - abs(eta)) < GUARD, axis=1)
+    if e.shape[1] > 1:
+        hit |= np.any(np.diff(np.sort(e, axis=1), axis=1) < GUARD, axis=1)
+    return hit
+
+
+def _residual_raw(e: np.ndarray, config, params) -> np.ndarray:
+    """Residual of the pair-energy equations for each row of a (K, M) stack of sets."""
     nu_a, nu_b, n = config.nu_a, config.nu_b, params.n
     g, eta, s, v = params.g, params.eta, params.s, params.v
     single = g * n * (nu_a - nu_b) * (1.0 + s * e * e) + 2.0 * v * e * (1 + nu_a + nu_b)
     out = 1.0 - eta * single / (n * (e * e - eta * eta))
-    if e.size > 1:
-        diff = e[:, None] - e[None, :]
-        np.fill_diagonal(diff, np.inf)
-        out = out + 2.0 * g * ((1.0 + s * e[:, None] * e[None, :]) / diff).sum(axis=1)
+    m = e.shape[1]
+    if m > 1:
+        pair = s * e[:, :, None] * e[:, None, :]
+        pair += 1.0
+        diff = e[:, :, None] - e[:, None, :]
+        diff[:, np.arange(m), np.arange(m)] = np.inf
+        pair /= diff
+        out = out + 2.0 * g * pair.sum(axis=2)
     return out
 
 
-def _jacobian(energies, config, params):
-    e = np.asarray(energies, dtype=float)
-    m = e.size
+def _jacobian(e: np.ndarray, config, params) -> np.ndarray:
+    """Jacobian of :func:`_residual_raw` for each row of a (K, M) stack, as (K, M, M)."""
+    m = e.shape[1]
     nu_a, nu_b, n = config.nu_a, config.nu_b, params.n
     g, eta, s, v = params.g, params.eta, params.s, params.v
     single = g * n * (nu_a - nu_b) * (1.0 + s * e * e) + 2.0 * v * e * (1 + nu_a + nu_b)
     dsingle = 2.0 * g * n * s * (nu_a - nu_b) * e + 2.0 * v * (1 + nu_a + nu_b)
     pole = e * e - eta * eta
-    jac = np.zeros((m, m))
-    np.fill_diagonal(jac, -eta * (dsingle * pole - 2.0 * e * single) / (n * pole * pole))
+    diag = np.arange(m)
+    jac_diag = -eta * (dsingle * pole - 2.0 * e * single) / (n * pole * pole)
     if m > 1:
-        diff = e[:, None] - e[None, :]
-        np.fill_diagonal(diff, 1.0)
-        pair = 1.0 + s * e[:, None] * e[None, :]
-        own = (s * e[None, :] * diff - pair) / (diff * diff)
-        other = (s * e[:, None] * diff + pair) / (diff * diff)
-        np.fill_diagonal(own, 0.0)
-        np.fill_diagonal(other, 0.0)
-        jac[np.arange(m), np.arange(m)] += 2.0 * g * own.sum(axis=1)
-        jac += 2.0 * g * other
+        # row l's derivatives by E_l (own, summed onto the diagonal) and by E_n
+        # (other), built in place: at most four (K, M, M) arrays live at once
+        diff = e[:, :, None] - e[:, None, :]
+        diff[:, diag, diag] = 1.0
+        pair = s * e[:, :, None] * e[:, None, :]
+        pair += 1.0
+        square = diff * diff
+        own = s * e[:, None, :] * diff
+        own -= pair
+        own /= square
+        own[:, diag, diag] = 0.0
+        jac_diag = jac_diag + 2.0 * g * own.sum(axis=2)
+        del own
+        other = diff
+        other *= s * e[:, :, None]
+        other += pair
+        other /= square
+        other[:, diag, diag] = 0.0
+        other *= 2.0 * g
+    jac = np.zeros((len(e), m, m))
+    jac[:, diag, diag] = jac_diag
+    if m > 1:
+        jac += other
     return jac
+
+
+def _eigenvalues(e: np.ndarray, config, params) -> np.ndarray:
+    """Eigenvalue omega generated by each row of a (K, M) stack of sets.
+
+    Raises SingularityError naming the first parameter within 1e-12 of a pole.
+    """
+    nu_a, nu_b, n = config.nu_a, config.nu_b, params.n
+    g, eta, s, v, w = params.g, params.eta, params.s, params.v, params.w
+    base = (w * (nu_a + nu_b + 2 * nu_a * nu_b) + n * (nu_b - nu_a)) / (2 * n)
+    if e.shape[1] == 0:
+        return np.full(len(e), base)
+    problem = _pole_violation(e, eta, 1e-12)
+    if problem is not None:
+        raise SingularityError(problem)
+    terms = (g * n * (1 + nu_a + nu_b) * (1.0 + s * e * e) - 2.0 * v * (nu_b - nu_a) * e) / (
+        e * e - eta * eta
+    )
+    return base - (eta / n) * terms.sum(axis=1)
 
 
 def residual(energies, config: SectorConfig, params: ModelParams) -> np.ndarray:
@@ -165,7 +221,7 @@ def residual(energies, config: SectorConfig, params: ModelParams) -> np.ndarray:
     problem = _singularity(e, params.eta)
     if problem is not None:
         raise SingularityError(problem)
-    return _residual_raw(e, config, params)
+    return _residual_raw(e[None], config, params)[0]
 
 
 def eigenvalue(energies, config: SectorConfig, params: ModelParams) -> float:
@@ -173,18 +229,7 @@ def eigenvalue(energies, config: SectorConfig, params: ModelParams) -> float:
     if params.rational:
         raise UnsupportedRegimeError("eigenvalue formula is undefined at V^2 = W^2")
     e = np.asarray(energies, dtype=float)
-    nu_a, nu_b, n = config.nu_a, config.nu_b, params.n
-    g, eta, s, v, w = params.g, params.eta, params.s, params.v, params.w
-    base = (w * (nu_a + nu_b + 2 * nu_a * nu_b) + n * (nu_b - nu_a)) / (2 * n)
-    if e.size == 0:
-        return base
-    problem = _pole_violation(e, eta, 1e-12)
-    if problem is not None:
-        raise SingularityError(problem)
-    terms = (g * n * (1 + nu_a + nu_b) * (1.0 + s * e * e) - 2.0 * v * (nu_b - nu_a) * e) / (
-        e * e - eta * eta
-    )
-    return float(base - (eta / n) * terms.sum())
+    return float(_eigenvalues(e.reshape(1, -1), config, params)[0])
 
 
 def _require_solvable(config: SectorConfig, params: ModelParams):
@@ -204,44 +249,71 @@ def _require_solvable(config: SectorConfig, params: ModelParams):
         )
 
 
-def _newton(start, config, params) -> np.ndarray:
-    """Damped Newton polish of a seed: the sorted set, each residual within TOL.
+def _squares(rows: np.ndarray) -> np.ndarray:
+    """``r @ r`` for each row r, with the bits of the one-row product."""
+    return (rows[:, None, :] @ rows[:, :, None])[:, 0, 0]
 
-    Raises NumericFailureError for a non-finite or singular seed, a residual
-    non-finite or above 1e8, a singular Jacobian, a non-finite step, 12 step
-    halvings without decrease, or MAX_ITERATIONS steps left above TOL.
+
+def _solve_rows(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve each (M, M) system of a stack; a row whose matrix is singular comes back NaN."""
+    try:
+        return np.linalg.solve(jac, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:  # one singular matrix refuses the whole stack
+        out = np.full(rhs.shape, np.nan)
+        for k in range(len(rhs)):
+            try:
+                out[k] = np.linalg.solve(jac[k], rhs[k])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _newton(start: np.ndarray, config, params) -> tuple[np.ndarray, list]:
+    """Damped Newton polish of each row of a (K, M) stack of seeds.
+
+    Returns the rows, each sorted, and one entry per row: None where every
+    residual component is within TOL, else NumericFailureError.  A row fails
+    for a non-finite or singular seed, a residual non-finite or above 1e8, a
+    singular Jacobian, a non-finite step, 12 step halvings without decrease,
+    or MAX_ITERATIONS steps left above TOL.  Each row keeps its own test,
+    step length and failure; ``live`` holds the rows still iterating.
     """
     e = np.array(start, dtype=float)
+    converged = np.zeros(len(e), dtype=bool)
     with np.errstate(all="ignore"):
-        if np.all(np.isfinite(e)) and not _singularity(e, params.eta):
-            res = _residual_raw(e, config, params)
-            for _ in range(MAX_ITERATIONS):
-                rmax = np.max(np.abs(res), initial=0.0)
-                if rmax <= TOL:
-                    return np.sort(e)
-                if not rmax <= 1e8:  # above 1e8 or not finite
+        live = np.flatnonzero(np.all(np.isfinite(e), axis=1))
+        live = live[~_singular(e[live], params.eta)]
+        res = np.empty_like(e)
+        res[live] = _residual_raw(e[live], config, params)
+        for _ in range(MAX_ITERATIONS):
+            rmax = np.max(np.abs(res[live]), axis=1, initial=0.0)
+            converged[live[rmax <= TOL]] = True
+            live = live[(rmax > TOL) & (rmax <= 1e8)]  # above 1e8 or not finite: failed
+            if live.size == 0:
+                break
+            step = _solve_rows(_jacobian(e[live], config, params), res[live])
+            finite = np.all(np.isfinite(step), axis=1)  # a singular Jacobian gives NaN
+            live, step = live[finite], step[finite]
+            best = _squares(res[live])
+            waiting = np.arange(live.size)  # positions in ``live`` still halving their step
+            lam = 1.0
+            for _ in range(12):
+                rows = live[waiting]
+                trial = e[rows] - lam * step[waiting]
+                trial_res = _residual_raw(trial, config, params)
+                better = ~_singular(trial, params.eta) & np.all(np.isfinite(trial_res), axis=1)
+                better[better] = _squares(trial_res[better]) < best[waiting[better]]
+                e[rows[better]] = trial[better]
+                res[rows[better]] = trial_res[better]
+                waiting = waiting[~better]
+                if waiting.size == 0:
                     break
-                try:
-                    step = np.linalg.solve(_jacobian(e, config, params), res)
-                except np.linalg.LinAlgError:
-                    break
-                if not np.all(np.isfinite(step)):
-                    break
-                best = res @ res
-                lam = 1.0
-                for _ in range(12):
-                    trial = e - lam * step
-                    if not _singularity(trial, params.eta):
-                        trial_res = _residual_raw(trial, config, params)
-                        if np.all(np.isfinite(trial_res)) and trial_res @ trial_res < best:
-                            e, res = trial, trial_res
-                            break
-                    lam *= 0.5
-                else:
-                    break
-            if np.max(np.abs(res), initial=0.0) <= TOL:  # the last step converged
-                return np.sort(e)
-    raise NumericFailureError(f"damped Newton left a residual above {TOL:g}")
+                lam *= 0.5
+            live = np.delete(live, waiting)  # no decrease in 12 halvings: failed
+        else:  # the budget ran out: the last step may have converged
+            converged[live[np.max(np.abs(res[live]), axis=1, initial=0.0) <= TOL]] = True
+    failure = f"damped Newton left a residual above {TOL:g}"
+    return np.sort(e, axis=1), [None if ok else NumericFailureError(failure) for ok in converged]
 
 
 def _ladder_weights(config: SectorConfig) -> np.ndarray:
@@ -267,54 +339,118 @@ def _ladder_weights(config: SectorConfig) -> np.ndarray:
     return np.ldexp(roots, np.array(exponents) - shift)
 
 
-def _invert_pairons(vec: np.ndarray, weights: np.ndarray, params: ModelParams):
-    """Candidate pair energies from one exact eigenvector's ladder amplitudes.
+def _invert_pairons(vectors: np.ndarray, weights: np.ndarray, params: ModelParams):
+    """Candidate pair energies from each row of a (K, M+1) stack of exact eigenvectors.
 
-    ``weights`` are the sector's :func:`_ladder_weights`.  Returns the sorted
-    real energies, or raises the level's error: ComplexPaironsError for a
-    non-real root in the hyperbolic regime, else NumericFailureError.
+    ``weights`` are the sector's :func:`_ladder_weights`.  Returns the (K, M)
+    rows of sorted real energies and one entry per row: None, or the row's
+    error, ComplexPaironsError for a non-real root in the hyperbolic regime,
+    else NumericFailureError.  Each row gets the roots ``np.roots`` finds for
+    it alone: rows are stacked by the degree ``np.roots`` keeps (it drops
+    trailing zero coefficients and returns their roots as 0), and a row whose
+    roots are all real is mapped in real arithmetic.
     """
-    m = vec.size - 1
+    k, m = vectors.shape[0], vectors.shape[1] - 1
+    errors: list[LmgError | None] = [None] * k
+    energies = np.full((k, m), np.nan)
     with np.errstate(all="ignore"):
-        scaled = vec / weights
+        scaled = vectors / weights
         # Anchor the ratio ladder at the larger end: end components of a Jacobi
         # eigenvector never vanish exactly, but one end can underflow for extreme
         # spectra.  Anchoring at the top recovers the reciprocal Moebius roots.
-        if abs(scaled[0]) >= abs(scaled[-1]):
-            elem = scaled / scaled[0]
-            sign = 1.0
-        else:
-            elem = scaled[::-1] / scaled[-1]
-            sign = -1.0
-    if not np.all(np.isfinite(elem)):  # the ratios over- or underflowed
-        raise NumericFailureError("the eigenvector's amplitude ratios over- or underflow")
-    coeffs = [(-1) ** k * elem[k] for k in range(m + 1)]
-    roots = np.roots(coeffs)
-    if np.any(np.abs(roots - 1.0) < 1e-12):
-        raise NumericFailureError("a Moebius root sits at 1, an infinite pair energy")
-    energies = sign * params.eta * (roots + 1.0) / (roots - 1.0)
-    scale = 1.0 + np.max(np.abs(energies.real), initial=0.0)
-    if np.any(np.abs(energies.imag) > 1e-6 * scale):
-        if params.s > 0:
-            raise NumericFailureError("non-real pair energies in the trigonometric regime")
-        example = energies[np.argmax(np.abs(energies.imag))]
-        raise ComplexPaironsError(f"non-real pair energies detected (e.g. {example:.6g})")
-    return np.sort(energies.real)
-
-
-def _solve_level(index, omega, vector, weights, config, params) -> Level:
-    try:
-        solved = _newton(_invert_pairons(vector, weights, params), config, params)
-        found = eigenvalue(solved, config, params)
-        if abs(found - omega) > MATCH_TOL:
-            raise NumericFailureError(
-                f"the set polished onto omega={found:.12g}, not level {index}"
+        top = np.abs(scaled[:, 0]) >= np.abs(scaled[:, -1])
+        elem = np.where(top[:, None], scaled / scaled[:, :1], scaled[:, ::-1] / scaled[:, -1:])
+    finite = np.all(np.isfinite(elem), axis=1)  # else the ratios over- or underflowed
+    for row in np.flatnonzero(~finite):
+        errors[row] = NumericFailureError("the eigenvector's amplitude ratios over- or underflow")
+    coeffs = elem * (-1.0) ** np.arange(m + 1)
+    degree = m - np.argmax(coeffs[:, ::-1] != 0, axis=1)
+    roots = np.zeros((k, m), dtype=complex)
+    real = np.ones(k, dtype=bool)
+    for d in sorted(set(degree[finite].tolist()) - {0}):
+        rows = np.flatnonzero(finite & (degree == d))
+        companion = np.zeros((rows.size, d, d))
+        companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        companion[:, 0, :] = -coeffs[rows, 1 : d + 1] / coeffs[rows, :1]
+        found = np.linalg.eigvals(companion)
+        roots[rows, :d] = found
+        if found.dtype.kind == "c":  # complex for the whole stack if any row is
+            real[rows] = np.all(found.imag == 0.0, axis=1)
+    sign_eta = np.where(top, 1.0, -1.0) * params.eta
+    for is_real in (True, False):
+        rows = np.flatnonzero(finite & (real == is_real))
+        if rows.size == 0:
+            continue
+        x = roots[rows].real if is_real else roots[rows]
+        at_one = np.any(np.abs(x - 1.0) < 1e-12, axis=1)
+        for row in rows[at_one]:
+            errors[row] = NumericFailureError("a Moebius root sits at 1, an infinite pair energy")
+        rows, x = rows[~at_one], x[~at_one]
+        mapped = sign_eta[rows, None] * (x + 1.0) / (x - 1.0)
+        scale = 1.0 + np.max(np.abs(mapped.real), axis=1, initial=0.0)
+        off = np.any(np.abs(mapped.imag) > 1e-6 * scale[:, None], axis=1)
+        for row, values in zip(rows[off], mapped[off]):
+            example = values[np.argmax(np.abs(values.imag))]
+            errors[row] = (
+                NumericFailureError("non-real pair energies in the trigonometric regime")
+                if params.s > 0
+                else ComplexPaironsError(f"non-real pair energies detected (e.g. {example:.6g})")
             )
+        energies[rows[~off]] = np.sort(mapped[~off].real, axis=1)
+    return energies, errors
+
+
+def _passed(live: np.ndarray, step_errors: list, errors: list) -> np.ndarray:
+    """Record the error of each row of ``live`` a step refused; mask of the rows it passed."""
+    for row, error in zip(live, step_errors):
+        if error is not None:
+            errors[row] = error
+    return np.array([error is None for error in step_errors], dtype=bool)
+
+
+def _solve_batch(exact: list, vectors: np.ndarray, weights, config, params) -> list[Level]:
+    """The levels of one batch of exact eigenpairs, their sets solved together.
+
+    Each step takes the rows every earlier step passed.  A row a step refuses
+    records that step's error; an LmgError raised by a step as a whole
+    becomes the error of every row it was given.
+    """
+    errors: list[LmgError | None] = [None] * len(exact)
+    live = np.arange(len(exact))
+    solutions = {}
+    try:
+        seeds, step_errors = _invert_pairons(vectors, weights, params)
+        ok = _passed(live, step_errors, errors)
+        seeds, live = seeds[ok], live[ok]
+        if live.size:  # else every row failed its seed
+            solved, step_errors = _newton(seeds, config, params)
+            ok = _passed(live, step_errors, errors)
+            solved, live = solved[ok], live[ok]
+            found = _eigenvalues(solved, config, params)
+            step_errors = [
+                NumericFailureError(
+                    f"the set polished onto omega={omega:.12g}, not level {exact[row][0]}"
+                )
+                if abs(omega - exact[row][1]) > MATCH_TOL
+                else None
+                for row, omega in zip(live, found.tolist())
+            ]
+            ok = _passed(live, step_errors, errors)
+            solved, found, live = solved[ok], found[ok], live[ok]
+            norms = np.max(np.abs(_residual_raw(solved, config, params)), axis=1, initial=0.0)
+            solutions = {
+                row: SpectralSolution(config, params, tuple(energies), omega, rn, exact[row][0])
+                for row, energies, omega, rn in zip(
+                    live.tolist(), solved.tolist(), found.tolist(), norms.tolist()
+                )
+            }
     except LmgError as exc:
-        return Level(index, omega, vector, error=exc)
-    rn = float(np.max(np.abs(_residual_raw(solved, config, params)), initial=0.0))
-    energies = tuple(float(x) for x in solved)
-    return Level(index, omega, vector, SpectralSolution(config, params, energies, found, rn, index))
+        for row in live:
+            errors[row] = exc
+    return [
+        Level(index, omega, vector, solutions.get(row), errors[row])
+        for row, (index, omega, vector) in enumerate(exact)
+    ]
 
 
 def solve_levels(config: SectorConfig, params: ModelParams) -> tuple[Level, ...]:
@@ -325,10 +461,13 @@ def solve_levels(config: SectorConfig, params: ModelParams) -> tuple[Level, ...]
     seeded by eigenvector j, polished by damped Newton within TOL and
     matching the eigenvalue within MATCH_TOL, or the level's error: a
     NumericFailureError, or a ComplexPaironsError for non-real pair energies
-    in the hyperbolic regime.  A rational or V = 0 sector, or one with M > 0
-    whose g or eta overflowed (InvalidArgumentError), is still diagonalized
-    and repeats its refusal at every level; a wrong N raises
-    InvalidArgumentError.
+    in the hyperbolic regime.  The levels are solved together, in batches of
+    K consecutive levels with K M^2 at most ``_BATCH_CAP`` (at least one
+    level each), which bounds the stacked (K, M, M) companion and Jacobian
+    matrices; a level's outcome does not depend on its batch.  A rational or
+    V = 0 sector, or one with M > 0 whose g or eta overflowed
+    (InvalidArgumentError), is still diagonalized and repeats its refusal at
+    every level; a wrong N raises InvalidArgumentError.
     """
     values, vectors = sector_spectrum(config, params)
     rows = np.ascontiguousarray(vectors.T)
@@ -339,7 +478,14 @@ def solve_levels(config: SectorConfig, params: ModelParams) -> tuple[Level, ...]
     except LmgError as exc:
         return tuple(Level(*pair, error=exc) for pair in exact)
     weights = _ladder_weights(config)
-    return tuple(_solve_level(*pair, weights, config, params) for pair in exact)
+    size = max(1, _BATCH_CAP // max(1, config.m * config.m))
+    return tuple(
+        level
+        for start in range(0, len(exact), size)
+        for level in _solve_batch(
+            exact[start : start + size], rows[start : start + size], weights, config, params
+        )
+    )
 
 
 def solve_bethe(config: SectorConfig, params: ModelParams) -> list[SpectralSolution]:

@@ -4,11 +4,15 @@ Applying the operator  (a+)^2/(E + eta) + (b+)^2/(E - eta)  once per
 spectral parameter to a fiducial state |nu_a, nu_b> produces an
 (unnormalized) eigenstate whose ladder support has exactly M+1 points.
 The factors commute, so the result is independent of application order.
-The W = 0 closed form of one such step, ``extend_state``, lives in the
-test suite's oracles, where it checks :func:`apply_pair_factor`.
+Both entry points run the same step on raw ladder amplitudes; a state
+becomes a :class:`FockVector` once, at the end.  The W = 0 closed form of
+one such step, ``extend_state``, lives in the test suite's oracles, where it
+checks :func:`apply_pair_factor`.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -21,19 +25,67 @@ __all__ = ["apply_pair_factor", "build_eigenstate"]
 _POLE_GUARD = 1e-10
 
 
+def _checked_energies(energies, eta) -> list[float]:
+    """The pair energies as floats in ascending order, each finite, real and off the poles.
+
+    Anything that is not a Python or numpy int or float (a bool included),
+    or is not finite, raises InvalidArgumentError, and so does such an eta
+    when there are energies; an energy within 1e-10 of a pole E = +/-eta
+    raises SingularityError naming the lowest such energy.
+    """
+    try:
+        values = tuple(energies)
+    except TypeError:
+        raise InvalidArgumentError(f"pair energies must be a sequence, got {energies!r}") from None
+    if not values:
+        return []
+    real = (float, int, np.floating, np.integer)
+    kinds = set(map(type, (*values, eta)))  # one check per type, not per energy
+    if bool in kinds or not all(issubclass(kind, real) for kind in kinds):
+        bad = next(x for x in (*values, eta) if type(x) is bool or not isinstance(x, real))
+        raise InvalidArgumentError(f"pair energies and eta must be real numbers, got {bad!r}")
+    try:
+        finite = all(map(math.isfinite, (*values, eta)))
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise InvalidArgumentError("pair energies and eta must be finite")
+    floats = sorted(map(float, values))
+    for energy in floats:
+        if abs(energy - eta) < _POLE_GUARD or abs(energy + eta) < _POLE_GUARD:
+            raise SingularityError(f"pair energy {energy:.6g} sits on a pole (+/-eta = {eta:.6g})")
+    return floats
+
+
+def _lifts(n: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt((n_a+1)(n_a+2)) and sqrt((n_b+1)(n_b+2)) along an n-quantum ladder."""
+    na, nb = ladder_occupations(n, parity)
+    return np.sqrt((na + 1) * (na + 2)), np.sqrt((nb + 1) * (nb + 2))
+
+
+def _pair_step(amps: np.ndarray, lift_a, lift_b, energy: float, eta: float) -> np.ndarray:
+    """One pair-creation factor on raw ladder amplitudes (size s in, s + 1 out).
+
+    ``lift_a`` and ``lift_b`` are the input ladder's :func:`_lifts`: entry k
+    feeds entries k (via (a+)^2) and k+1 (via (b+)^2) of the output.
+    """
+    out = np.zeros(amps.size + 1)
+    out[:-1] = amps * lift_a / (energy + eta)
+    out[1:] += amps * lift_b / (energy - eta)
+    return out
+
+
 def apply_pair_factor(psi: FockVector, energy: float, eta: float) -> FockVector:
     """One unnormalized pair-creation step: N quanta in, N+2 quanta out.
 
     Ladder entry k of the input feeds entries k (via (a+)^2, weight
     sqrt((n_a+1)(n_a+2))/(E+eta)) and k+1 (via (b+)^2, weight
-    sqrt((n_b+1)(n_b+2))/(E-eta)) of the output.
+    sqrt((n_b+1)(n_b+2))/(E-eta)) of the output.  A non-real or non-finite
+    energy or eta raises InvalidArgumentError, an energy on a pole
+    SingularityError.
     """
-    if abs(energy - eta) < _POLE_GUARD or abs(energy + eta) < _POLE_GUARD:
-        raise SingularityError(f"pair energy {energy:.6g} sits on a pole (+/-eta = {eta:.6g})")
-    na, nb = ladder_occupations(psi.n, psi.parity)
-    out = np.zeros(psi.amps.size + 1)
-    out[:-1] = psi.amps * np.sqrt((na + 1) * (na + 2)) / (energy + eta)
-    out[1:] += psi.amps * np.sqrt((nb + 1) * (nb + 2)) / (energy - eta)
+    (energy,) = _checked_energies((energy,), eta)
+    out = _pair_step(psi.amps, *_lifts(psi.n, psi.parity), energy, eta)
     return FockVector(psi.n + 2, psi.parity, out)
 
 
@@ -42,15 +94,24 @@ def build_eigenstate(solution: SpectralSolution) -> FockVector:
 
     Factors are applied in ascending pair-energy order (they commute; a fixed
     order keeps outputs bit-stable) with renormalization after each step, and
-    the global sign follows the largest-amplitude-positive convention.
+    the global sign follows the largest-amplitude-positive convention.  The
+    energies are checked as :func:`apply_pair_factor` checks one.
     """
     config, params = solution.config, solution.params
-    state = FockVector.fiducial(config.nu_a, config.nu_b)
-    for energy in sorted(solution.energies):
-        state = apply_pair_factor(state, energy, params.eta).normalize()
-    if state.n != params.n:
+    energies = _checked_energies(solution.energies, params.eta)
+    m, parity = len(energies), config.nu_b
+    n = config.nu_a + parity + 2 * m
+    # step i reads the first i + 1 b-lifts and the last i + 1 a-lifts of the final ladder
+    lift_a, lift_b = _lifts(n, parity)
+    amps = np.ones(1)
+    for i, energy in enumerate(energies):
+        amps = _pair_step(amps, lift_a[m - i :], lift_b[: i + 1], energy, params.eta)
+        norm = math.sqrt(amps @ amps)  # the bits of np.linalg.norm
+        if norm == 0.0:
+            raise InvalidArgumentError("cannot normalize the zero vector")
+        amps = amps / norm
+    if n != params.n:
         raise InvalidArgumentError(
-            f"solution generates {state.n}-quantum states but params describe {params.n}"
+            f"solution generates {n}-quantum states but params describe {params.n}"
         )
-    return FockVector(state.n, state.parity, canonical_sign(state.amps))
-
+    return FockVector(n, parity, canonical_sign(amps))

@@ -157,7 +157,7 @@ def objective(
     """
     _check_sector(config, params)
     opts = options or VqeOptions()
-    angles = AngleSet(tuple(thetas), opts.depth)
+    angles = AngleSet(thetas, opts.depth)
     if len(angles) != config.m:
         raise InvalidArgumentError(f"sector needs {config.m} angles, got {len(angles)}")
     states = one_hot_output(angles)[None, :]

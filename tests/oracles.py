@@ -8,7 +8,9 @@ must match and the copy-based dense simulator the in-place one must match.
 They also hold the closed forms and instances that only the tests read:
 the single-pair quadratic, the W = 0 one-step state extension, a hyperbolic
 instance with non-real pair energies, and the N = 7 circuit energy at the
-six-figure reference angles.
+six-figure reference angles.  Last comes the per-level Bethe solve (seed,
+damped Newton, validation, one exact level at a time) that the batched
+``lmg.bethe.solve_levels`` must match bit for bit.
 """
 
 import math
@@ -16,12 +18,18 @@ import math
 import numpy as np
 
 from lmg import (
+    ComplexPaironsError,
     FockVector,
     InvalidArgumentError,
+    Level,
+    LmgError,
     ModelParams,
+    NumericFailureError,
     SectorConfig,
     SingularityError,
+    SpectralSolution,
     UnsupportedRegimeError,
+    bethe,
 )
 
 # Energy of the linear circuit run at the 6-figure lmg.reference.N7_LINEAR_ANGLES.
@@ -284,3 +292,95 @@ def extend_state(
     out[1:] += upper
     gamma = float(np.sum(lower**2) + np.sum(upper**2) + 2.0 * np.sum(lower[1:] * upper[:-1]))
     return FockVector(psi.n + 2, nu, out / np.sqrt(gamma))
+
+
+def level_pairons(vec: np.ndarray, weights: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Candidate pair energies from one exact eigenvector's ladder amplitudes.
+
+    ``np.roots`` of the one vector's Moebius polynomial, mapped back to
+    sorted real energies; raises the level's error: ComplexPaironsError for
+    a non-real root in the hyperbolic regime, else NumericFailureError.
+    """
+    m = vec.size - 1
+    with np.errstate(all="ignore"):
+        scaled = vec / weights
+        if abs(scaled[0]) >= abs(scaled[-1]):
+            elem = scaled / scaled[0]
+            sign = 1.0
+        else:
+            elem = scaled[::-1] / scaled[-1]
+            sign = -1.0
+    if not np.all(np.isfinite(elem)):
+        raise NumericFailureError("the eigenvector's amplitude ratios over- or underflow")
+    coeffs = [(-1) ** k * elem[k] for k in range(m + 1)]
+    roots = np.roots(coeffs)
+    if np.any(np.abs(roots - 1.0) < 1e-12):
+        raise NumericFailureError("a Moebius root sits at 1, an infinite pair energy")
+    energies = sign * params.eta * (roots + 1.0) / (roots - 1.0)
+    scale = 1.0 + np.max(np.abs(energies.real), initial=0.0)
+    if np.any(np.abs(energies.imag) > 1e-6 * scale):
+        if params.s > 0:
+            raise NumericFailureError("non-real pair energies in the trigonometric regime")
+        example = energies[np.argmax(np.abs(energies.imag))]
+        raise ComplexPaironsError(f"non-real pair energies detected (e.g. {example:.6g})")
+    return np.sort(energies.real)
+
+
+def level_newton(start, config: SectorConfig, params: ModelParams) -> np.ndarray:
+    """Damped Newton polish of one seed, on one-row stacks of the package's kernels.
+
+    Reads ``bethe.TOL``, ``bethe.MAX_ITERATIONS`` and ``bethe._jacobian`` at
+    call time, and decides singular sets with the one-set
+    ``bethe._singularity``, so a patched kernel acts here as it does in the
+    batched solver.
+    """
+    def residual_of(e):
+        return bethe._residual_raw(e[None], config, params)[0]
+
+    e = np.array(start, dtype=float)
+    with np.errstate(all="ignore"):
+        if np.all(np.isfinite(e)) and not bethe._singularity(e, params.eta):
+            res = residual_of(e)
+            for _ in range(bethe.MAX_ITERATIONS):
+                rmax = np.max(np.abs(res), initial=0.0)
+                if rmax <= bethe.TOL:
+                    return np.sort(e)
+                if not rmax <= 1e8:
+                    break
+                try:
+                    step = np.linalg.solve(bethe._jacobian(e[None], config, params)[0], res)
+                except np.linalg.LinAlgError:
+                    break
+                if not np.all(np.isfinite(step)):
+                    break
+                best = res @ res
+                lam = 1.0
+                for _ in range(12):
+                    trial = e - lam * step
+                    if not bethe._singularity(trial, params.eta):
+                        trial_res = residual_of(trial)
+                        if np.all(np.isfinite(trial_res)) and trial_res @ trial_res < best:
+                            e, res = trial, trial_res
+                            break
+                    lam *= 0.5
+                else:
+                    break
+            if np.max(np.abs(res), initial=0.0) <= bethe.TOL:
+                return np.sort(e)
+    raise NumericFailureError(f"damped Newton left a residual above {bethe.TOL:g}")
+
+
+def solve_level(index, omega, vector, weights, config, params) -> Level:
+    """One exact level's outcome, solved on its own: seed, polish, eigenvalue, match."""
+    try:
+        solved = level_newton(level_pairons(vector, weights, params), config, params)
+        found = bethe.eigenvalue(solved, config, params)
+        if abs(found - omega) > bethe.MATCH_TOL:
+            raise NumericFailureError(
+                f"the set polished onto omega={found:.12g}, not level {index}"
+            )
+    except LmgError as exc:
+        return Level(index, omega, vector, error=exc)
+    rn = float(np.max(np.abs(bethe._residual_raw(solved[None], config, params)[0]), initial=0.0))
+    energies = tuple(float(x) for x in solved)
+    return Level(index, omega, vector, SpectralSolution(config, params, energies, found, rn, index))

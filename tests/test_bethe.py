@@ -14,6 +14,7 @@ from lmg import (
     NumericFailureError,
     SectorConfig,
     SingularityError,
+    SpectralSolution,
     UnsupportedRegimeError,
     bethe,
     eigenvalue,
@@ -34,7 +35,7 @@ from lmg.reference import (
     n2_pairons,
     w0_pairons,
 )
-from oracles import HYPERBOLIC_COMPLEX, single_pair_pairons
+from oracles import HYPERBOLIC_COMPLEX, level_newton, single_pair_pairons, solve_level
 
 N7_CONFIG = SectorConfig(3, 1, 0)
 
@@ -373,11 +374,11 @@ def test_solve_bethe_refuses_a_set_polished_onto_another_level(monkeypatch):
     # the seed of level 1 is sent to level 0's set: that set is dropped on its
     # own, so only the three sets that match their own levels are counted
     polish = bethe._newton
-    polished = []
 
     def misdirected(start, config, params):
-        polished.append(polish(start, config, params))
-        return polished[0] if len(polished) == 2 else polished[-1]
+        polished, errors = polish(start, config, params)
+        polished[1] = polished[0]
+        return polished, errors
 
     monkeypatch.setattr(bethe, "_newton", misdirected)
     with pytest.raises(IncompleteSolveError) as excinfo:
@@ -385,7 +386,6 @@ def test_solve_bethe_refuses_a_set_polished_onto_another_level(monkeypatch):
     assert (excinfo.value.found, excinfo.value.needed) == (3, 4)
     assert str(excinfo.value) == "recovered 3 of 4 solution sets from the eigenvectors"
     # level 2 carries its own error; the other levels keep their sets
-    polished.clear()
     levels = solve_levels(N7_CONFIG, n7_params())
     assert isinstance(levels[1].error, NumericFailureError)
     assert "not level 2" in str(levels[1].error)
@@ -607,6 +607,14 @@ def _n7_ground_set():
     return np.array(solve_levels(N7_CONFIG, n7_params())[0].solution.energies)
 
 
+def _newton_row(seed):
+    # one seed polished on a one-row stack: its set, or its error raised
+    polished, (error,) = bethe._newton(seed[None], N7_CONFIG, n7_params())
+    if error is not None:
+        raise error
+    return polished[0]
+
+
 @pytest.mark.parametrize(
     "component",
     [math.nan, math.inf, "eta", 1e200],
@@ -619,14 +627,18 @@ def test_newton_refuses_a_seed_it_cannot_start_from(component):
     seed = _n7_ground_set()
     seed[1] = p.eta if component == "eta" else component
     with pytest.raises(NumericFailureError, match=f"^{NEWTON_FAILURE}$"):
-        bethe._newton(seed, N7_CONFIG, p)
+        _newton_row(seed)
+    # stacked with a good seed, only the bad row fails
+    polished, errors = bethe._newton(np.array([seed, _n7_ground_set()]), N7_CONFIG, p)
+    assert isinstance(errors[0], NumericFailureError) and str(errors[0]) == NEWTON_FAILURE
+    assert errors[1] is None and polished[1].tobytes() == _n7_ground_set().tobytes()
 
 
 @pytest.mark.parametrize(
     "jacobian",
     [
-        lambda e, config, params: np.zeros((e.size, e.size)),  # LinAlgError
-        lambda e, config, params: np.full((e.size, e.size), np.nan),  # non-finite step
+        lambda e, config, params: np.zeros((*e.shape, e.shape[1])),  # LinAlgError
+        lambda e, config, params: np.full((*e.shape, e.shape[1]), np.nan),  # non-finite step
         lambda e, config, params, jac=bethe._jacobian: -jac(e, config, params),  # ascent
     ],
     ids=["singular-jacobian", "non-finite-step", "no-decrease-on-the-last-step"],
@@ -638,7 +650,7 @@ def test_newton_fails_where_a_step_cannot_be_taken(monkeypatch, jacobian):
     # one step in the budget: the third case fails on the last (only) step
     monkeypatch.setattr(bethe, "MAX_ITERATIONS", 1)
     with pytest.raises(NumericFailureError, match=f"^{NEWTON_FAILURE}$"):
-        bethe._newton(seed, N7_CONFIG, p)
+        _newton_row(seed)
 
 
 def test_newton_checks_the_residual_after_its_last_step(monkeypatch):
@@ -651,13 +663,21 @@ def test_newton_checks_the_residual_after_its_last_step(monkeypatch):
     for budget in range(1, 8):
         monkeypatch.setattr(bethe, "MAX_ITERATIONS", budget)
         try:
-            polished.append(bethe._newton(seed, N7_CONFIG, p))
+            polished.append(_newton_row(seed))
         except NumericFailureError as exc:
             assert str(exc) == NEWTON_FAILURE
             polished.append(None)
     fewest = next(k for k, energies in enumerate(polished) if energies is not None)
     assert fewest >= 2 and all(energies is not None for energies in polished[fewest:])
     np.testing.assert_allclose(polished[fewest], _n7_ground_set(), atol=1e-9)
+
+
+def _seed_row(vector, weights, params):
+    # one vector inverted on a one-row stack: its seed, or its error raised
+    seeds, (error,) = bethe._invert_pairons(vector[None], weights, params)
+    if error is not None:
+        raise error
+    return seeds[0]
 
 
 def test_invert_pairons_refuses_vectors_without_a_finite_seed():
@@ -668,24 +688,24 @@ def test_invert_pairons_refuses_vectors_without_a_finite_seed():
     with pytest.raises(
         NumericFailureError, match="^the eigenvector's amplitude ratios over- or underflow$"
     ):
-        bethe._invert_pairons(np.array([0.0, 1.0, 0.0]), weights, p)
+        _seed_row(np.array([0.0, 1.0, 0.0]), weights, p)
     # M = 1 with equal scaled amplitudes: the Moebius root x = 1 is E = infinity
     config = SectorConfig(1, 0, 0)
     weights = bethe._ladder_weights(config)
     with pytest.raises(
         NumericFailureError, match="^a Moebius root sits at 1, an infinite pair energy$"
     ):
-        bethe._invert_pairons(weights * 0.5, weights, make_params(2, 0.75, 0.5))
+        _seed_row(weights * 0.5, weights, make_params(2, 0.75, 0.5))
 
 
 def test_solve_levels_records_an_error_raised_by_the_eigenvalue(monkeypatch):
-    # any LmgError raised while a level is solved becomes that level's error
+    # an LmgError a batched step raises becomes the error of every level it was given
     refusal = SingularityError("E[0] sits on a pole")
 
     def refuse(energies, config, params):
         raise refusal
 
-    monkeypatch.setattr(bethe, "eigenvalue", refuse)
+    monkeypatch.setattr(bethe, "_eigenvalues", refuse)
     levels = solve_levels(N7_CONFIG, n7_params())
     assert [level.error for level in levels] == [refusal] * 4
     assert all(level.solution is None for level in levels)
@@ -720,3 +740,114 @@ def test_an_empty_set_needs_no_pair_energy_parameters():
     assert math.isinf(p.eta) and math.isinf(p.g)
     (sol,) = solve_bethe(SectorConfig(0, 1, 0), p)
     assert sol.energies == () and sol.omega == 9e307 / 2
+
+
+def _outcome(level):
+    # every field of a Level outcome, as bytes or as the error's type and message
+    head = (level.index, np.float64(level.omega).tobytes())
+    if level.error is not None:
+        return (*head, type(level.error), str(level.error))
+    sol = level.solution
+    return (*head, np.array(sol.energies).tobytes(), np.float64(sol.omega).tobytes(),
+            np.float64(sol.residual_norm).tobytes(), sol.index)
+
+
+def _oracle_outcomes(config, p):
+    values, vectors = sector_spectrum(config, p)
+    weights = bethe._ladder_weights(config)
+    return [
+        _outcome(solve_level(j + 1, float(values[j]), vectors[:, j].copy(), weights, config, p))
+        for j in range(values.size)
+    ]
+
+
+def _drops_degree(vector, config):
+    # the anchored ratio ladder ends in an exact 0: np.roots drops that coefficient
+    scaled = vector / bethe._ladder_weights(config)
+    end = scaled[-1] if abs(scaled[0]) >= abs(scaled[-1]) else scaled[0]
+    return end == 0.0
+
+
+ORACLE_GRID = [
+    *[(n, v, w) for v, w in [(0.75, 0.5), (1.3, -0.4), (0.2, 1.5), (0.5921, -1.6233)]
+      for n in range(1, 17)],
+    (56, 0.75, 0.5),  # trigonometric sets lost to the Newton
+    (64, 0.75, 0.5),  # several batches per sector
+    # degree-dropping rows whose ComplexPaironsError names a root of the
+    # degree np.roots keeps (the full degree moves its last digits)
+    (100, 0.2, 1.5),
+]
+
+
+def test_solve_levels_matches_the_per_level_oracle_bit_for_bit():
+    # the batched solve gives every level the outcome the per-level path gives it:
+    # energies, omega and residual norm to the bit, or the same error and message
+    kinds, dropped = set(), 0
+    for n, v, w in ORACLE_GRID:
+        p = make_params(n, v, w)
+        for config in sector_configs(n):
+            levels = solve_levels(config, p)
+            got = [_outcome(level) for level in levels]
+            assert got == _oracle_outcomes(config, p), (n, v, w, config)
+            for level in levels:
+                kinds.add(type(level.error) if level.error else SpectralSolution)
+                if isinstance(level.error, ComplexPaironsError):
+                    dropped += _drops_degree(level.vector, config)
+    assert kinds == {SpectralSolution, NumericFailureError, ComplexPaironsError}
+    assert dropped >= 2
+
+
+def test_a_singular_jacobian_fails_only_its_own_row(monkeypatch):
+    # the stacked solve refuses the whole batch when one matrix is singular;
+    # only the row whose Jacobian it is fails, and every row polishes as the
+    # per-level Newton polishes it under the same Jacobian
+    p = n7_params()
+    seeds = np.array([level.solution.energies for level in solve_levels(N7_CONFIG, p)]) + 1e-3
+    marker = seeds[1, 0]
+    jacobian = bethe._jacobian
+
+    def singular_at_the_marker(e, config, params):
+        jac = jacobian(e, config, params)
+        jac[e[:, 0] == marker] = 0.0
+        return jac
+
+    monkeypatch.setattr(bethe, "_jacobian", singular_at_the_marker)
+    polished, errors = bethe._newton(seeds, N7_CONFIG, p)
+    assert [error is None for error in errors] == [True, False, True, True]
+    assert str(errors[1]) == NEWTON_FAILURE
+    for seed, row, error in zip(seeds, polished, errors):
+        try:
+            alone = level_newton(seed, N7_CONFIG, p)
+        except NumericFailureError as exc:
+            assert str(exc) == str(error)
+        else:
+            assert error is None and row.tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 4, 5, 6, 60])
+def test_newton_rows_match_the_per_level_newton(monkeypatch, budget):
+    # perturbed seeds take damped steps, converge on their last step, run out
+    # of budget or fail; stacked, each row ends as the per-level Newton ends it
+    monkeypatch.setattr(bethe, "MAX_ITERATIONS", budget)
+    p = n7_params()
+    sets = np.array([level.solution.energies for level in solve_levels(N7_CONFIG, p)])
+    rng = np.random.default_rng(3)
+    seeds = np.concatenate([sets + 1e-3, sets + rng.normal(0.0, 0.3, sets.shape), sets * 1.5])
+    polished, errors = bethe._newton(seeds, N7_CONFIG, p)
+    for seed, row, error in zip(seeds, polished, errors):
+        try:
+            alone = level_newton(seed, N7_CONFIG, p)
+        except NumericFailureError as exc:
+            assert str(error) == str(exc)
+        else:
+            assert error is None and row.tobytes() == alone.tobytes()
+
+
+def test_a_level_outcome_does_not_depend_on_its_batch(monkeypatch):
+    # one level per batch gives the bits of the default batches
+    cases = [(make_params(64, 0.75, 0.5), SectorConfig(32, 0, 0)),
+             (make_params(100, 0.2, 1.5), SectorConfig(50, 0, 0))]
+    default = [[_outcome(level) for level in solve_levels(config, p)] for p, config in cases]
+    monkeypatch.setattr(bethe, "_BATCH_CAP", 1)
+    single = [[_outcome(level) for level in solve_levels(config, p)] for p, config in cases]
+    assert single == default

@@ -90,6 +90,44 @@ def test_factors_commute():
 def test_pair_factor_pole_guard():
     with pytest.raises(SingularityError):
         apply_pair_factor(FockVector.fiducial(0, 0), -1.0 + 1e-12, -1.0)
+    sol = solve_bethe(SectorConfig(2, 0, 0), make_params(4, 1.0, 0.0))[0]
+    with pytest.raises(SingularityError, match="sits on a pole"):
+        build_eigenstate(dataclasses.replace(sol, energies=(sol.energies[0], -sol.params.eta)))
+
+
+@pytest.mark.parametrize(
+    "energy, eta",
+    [(math.nan, -1.0), (math.inf, -1.0), (-math.inf, -1.0), ("0.5", -1.0), (True, -1.0),
+     (10**400, -1.0), (1j, -1.0), (0.5, math.nan), (0.5, "eta")],
+)
+def test_pair_factor_refuses_input_that_is_not_a_finite_real(energy, eta):
+    # a NaN energy used to give a NaN state and an infinite one a zero state
+    with pytest.raises(InvalidArgumentError, match="must be (real numbers|finite)"):
+        apply_pair_factor(FockVector.fiducial(0, 0), energy, eta)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, "0.5", None])
+def test_build_eigenstate_refuses_energies_that_are_not_finite_reals(bad):
+    sol = solve_bethe(SectorConfig(2, 0, 0), make_params(4, 1.0, 0.0))[0]
+    with pytest.raises(InvalidArgumentError, match="must be (real numbers|finite)"):
+        build_eigenstate(dataclasses.replace(sol, energies=(sol.energies[0], bad)))
+    with pytest.raises(InvalidArgumentError, match="must be a sequence"):
+        build_eigenstate(dataclasses.replace(sol, energies=1.5))
+
+
+def test_build_eigenstate_is_the_normalized_factor_chain_to_the_bit():
+    # the raw-array build takes each step's ladder factors from the final
+    # ladder; the FockVector chain computes them per step
+    for n, v, w in ((7, 0.75, 0.5), (12, 1.3, -0.4), (21, 0.9, 0.2), (10, 0.5, 1.0)):
+        p = make_params(n, v, w)
+        for config in sector_configs(n):
+            for sol in solve_bethe(config, p):
+                state = FockVector.fiducial(config.nu_a, config.nu_b)
+                for energy in sorted(sol.energies):
+                    state = apply_pair_factor(state, energy, p.eta).normalize()
+                built = build_eigenstate(sol)
+                assert built.amps.tobytes() == canonical_sign(state.amps).tobytes()
+                assert (built.n, built.parity) == (state.n, state.parity)
 
 
 def test_build_eigenstate_n2_closed_form():

@@ -469,6 +469,13 @@ def test_objective_refuses_angles_that_are_not_reals():
             objective(thetas, SectorConfig(2, 0, 0), p)
 
 
+def test_objective_refuses_angles_that_are_not_a_sequence():
+    p = make_params(4, 0.8, 0.2)
+    for thetas in (5, 2.5, None):
+        with pytest.raises(InvalidArgumentError, match="must be a sequence"):
+            objective(thetas, SectorConfig(2, 0, 0), p)
+
+
 def test_benchmark_n7_report():
     p = make_params(**N7)
     report = benchmark(p)
