@@ -260,33 +260,100 @@ def test_export_unknown_format():
         export_circuit(circ, "svg")
 
 
-def test_import_rejects_malformed():
-    def one_gate(num_qubits, gate):
-        return f'{{"num_qubits": {num_qubits}, "gates": [{gate}], "layers": [[0]]}}'
+def one_gate(num_qubits, gate):
+    return f'{{"num_qubits": {num_qubits}, "gates": [{gate}], "layers": [[0]]}}'
 
-    for text in (
-        "not json",
-        "{}",
-        '{"num_qubits": 1, "gates": [{"kind": "x", "target": 1}]}',  # no layers
-        one_gate(1, '{"kind": "x", "target": true}'),
-        one_gate(2, '{"kind": "x", "target": 1.5}'),
-        one_gate("2.0", '{"kind": "x", "target": 1}'),
-        one_gate(1, '{"kind": "ry", "angle": "0.5", "target": 1}'),
-        one_gate(1, '{"kind": "ry", "angle": NaN, "target": 1}'),
-        one_gate(1, '{"kind": "ry", "angle": 1e400, "target": 1}'),
-        one_gate(1, '{"kind": "ry", "angle": 1' + "0" * 400 + ', "target": 1}'),
-        one_gate(1, '{"kind": "ry", "angle": 1' + "0" * 5000 + ', "target": 1}'),
-        one_gate(1, '{"kind": "x", "target": 2}'),  # qubit out of range
-        one_gate(2, '{"kind": "x", "target": 0}'),
-        one_gate(2, '{"kind": "cx", "control": 3, "target": 1}'),
-        one_gate(2, '{"kind": "cx", "control": 2, "target": 2}'),  # control == target
-        one_gate(2, '{"kind": "cx", "target": 2}'),  # no control
-        one_gate(2, '{"kind": "h", "target": 2}'),
-        one_gate(2, '["x", 1]'),
-        '{"num_qubits": 2, "gates": {"kind": "x"}, "layers": [[0]]}',
+
+def import_error(text):
+    with pytest.raises(InvalidArgumentError) as info:
+        import_circuit(text)
+    assert type(info.value) is InvalidArgumentError
+    return str(info.value)
+
+
+def test_import_rejects_malformed():
+    for text, message in (
+        ("not json", "not valid circuit JSON: Expecting value: line 1 column 1 (char 0)"),
+        ("{}", "malformed circuit JSON: 'gates'"),
+        ('{"num_qubits": 1, "gates": [{"kind": "x", "target": 1}]}',  # no layers
+         "malformed circuit JSON: 'layers'"),
+        (one_gate(1, '{"kind": "x", "target": true}'), "qubit indices must be ints, got (True,)"),
+        (one_gate(2, '{"kind": "x", "target": 1.5}'), "qubit indices must be ints, got (1.5,)"),
+        (one_gate('"2.0"', '{"kind": "x", "target": 1}'),
+         "qubit count must be an int >= 1, got '2.0'"),
+        (one_gate("2.0", '{"kind": "x", "target": 1}'), "qubit count must be an int >= 1, got 2.0"),
+        (one_gate("true", '{"kind": "x", "target": 1}'),
+         "qubit count must be an int >= 1, got True"),
+        (one_gate(1, '{"kind": "ry", "angle": "0.5", "target": 1}'),
+         "gate angle must be a finite real, got '0.5'"),
+        (one_gate(1, '{"kind": "ry", "angle": NaN, "target": 1}'),
+         "gate angle must be a finite real, got nan"),
+        (one_gate(1, '{"kind": "ry", "angle": 1e400, "target": 1}'),
+         "gate angle must be a finite real, got inf"),
+        (one_gate(1, '{"kind": "ry", "angle": 1' + "0" * 400 + ', "target": 1}'),
+         "gate angle must be a finite real, got 1" + "0" * 400),
+        (one_gate(1, '{"kind": "x", "target": 2}'), "qubit index 2 outside 1..1"),
+        (one_gate(2, '{"kind": "x", "target": 0}'), "qubit index 0 outside 1..2"),
+        (one_gate(2, '{"kind": "cx", "control": 3, "target": 1}'), "qubit index 3 outside 1..2"),
+        (one_gate(2, '{"kind": "cx", "control": 0, "target": 3}'), "qubit index 0 outside 1..2"),
+        (one_gate(2, '{"kind": "cx", "control": 2, "target": 2}'), "control and target must differ"),
+        (one_gate(2, '{"kind": "cx", "target": 2}'), "gate 'cx' control mismatch"),
+        (one_gate(2, '{"kind": "cx", "control": 1.0, "target": 2}'),
+         "qubit indices must be ints, got (1.0, 2)"),
+        (one_gate(2, '{"kind": "cry", "control": 1, "target": 2, "angle": null}'),
+         "gate 'cry' angle mismatch"),
+        (one_gate(2, '{"kind": "h", "target": 2}'), "unknown gate kind 'h'"),
+        (one_gate(2, '{"kind": ["x"], "target": 2}'), "unknown gate kind ['x']"),
+        (one_gate(2, '{"target": 2}'), "malformed circuit JSON: 'kind'"),
+        (one_gate(2, '{"kind": "x"}'), "malformed circuit JSON: 'target'"),
+        (one_gate(2, '["x", 1]'),
+         "malformed circuit JSON: list indices must be integers or slices, not str"),
+        (one_gate(2, "5"), "malformed circuit JSON: 'int' object is not subscriptable"),
+        ('{"num_qubits": 2, "gates": {"kind": "x"}, "layers": [[0]]}',
+         "malformed circuit JSON: string indices must be integers, not 'str'"),
+        ('{"num_qubits": 2, "gates": null, "layers": [[0]]}',
+         "malformed circuit JSON: 'NoneType' object is not iterable"),
+        ("[]", "malformed circuit JSON: list indices must be integers or slices, not str"),
+        ('{"gates": [{"kind": "x", "target": 1}], "layers": [[0]]}',
+         "malformed circuit JSON: 'num_qubits'"),
+        ('{"num_qubits": 1, "gates": [{"kind": "x", "target": 1}], "layers": 5}',
+         "layers must be the as-soon-as-possible schedule of the gates"),
+        ('{"num_qubits": 1, "gates": [], "layers": [[0]]}',
+         "layers must be the as-soon-as-possible schedule of the gates"),
     ):
-        with pytest.raises(InvalidArgumentError):
-            import_circuit(text)
+        assert import_error(text) == message, text
+    # json's own refusal; its wording is the interpreter's
+    huge = one_gate(1, '{"kind": "ry", "angle": 1' + "0" * 5000 + ', "target": 1}')
+    assert import_error(huge).startswith("not valid circuit JSON: Exceeds the limit")
+
+
+def test_import_reports_the_same_fault_first():
+    # every gate's fields are checked before the qubit count, the qubit ranges
+    # (gate by gate, control before target) and then the layers
+    for text, message in (
+        # a range fault in gate 0 and an unknown kind in gate 1
+        ('{"num_qubits": 2, "gates": [{"kind": "x", "target": 3}, {"kind": "h", "target": 1}],'
+         ' "layers": [[0], [1]]}', "unknown gate kind 'h'"),
+        (one_gate('"2.0"', '{"kind": "h", "target": 1}'), "unknown gate kind 'h'"),
+        ('{"num_qubits": 2, "gates": [{"kind": "h", "target": 1}]}', "unknown gate kind 'h'"),
+        ('{"gates": [{"kind": "h", "target": 1}]}', "unknown gate kind 'h'"),
+        ('{"num_qubits": 2, "gates": [{"kind": "x", "target": 1}, ["x", 1]]}',
+         "malformed circuit JSON: list indices must be integers or slices, not str"),
+        ('{"num_qubits": 2, "gates": [{"kind": "x", "target": 3}, {"kind": "x"}]}',
+         "malformed circuit JSON: 'target'"),
+        ('{"num_qubits": 0, "gates": [{"kind": "x", "target": 3}]}',
+         "qubit count must be an int >= 1, got 0"),
+        ('{"gates": [{"kind": "x", "target": 3}]}', "malformed circuit JSON: 'num_qubits'"),
+        ('{"num_qubits": 2, "gates": [{"kind": "x", "target": 1}, {"kind": "x", "target": 0},'
+         ' {"kind": "x", "target": 3}]}', "qubit index 0 outside 1..2"),
+        ('{"num_qubits": 2, "gates": [{"kind": "cx", "control": 4, "target": 3}]}',
+         "qubit index 4 outside 1..2"),
+        ('{"num_qubits": 2, "gates": [{"kind": "x", "target": 3}], "layers": 5}',
+         "qubit index 3 outside 1..2"),
+        ('{"num_qubits": 2, "gates": [{"kind": "x", "target": 1}]}',
+         "malformed circuit JSON: 'layers'"),
+    ):
+        assert import_error(text) == message, text
 
 
 @pytest.mark.parametrize(
