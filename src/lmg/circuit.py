@@ -155,6 +155,30 @@ class Gate(_GateFields):
         return (self.target,) if self.control is None else (self.control, self.target)
 
 
+def _schedule(gates) -> list[list[int]]:
+    """As-soon-as-possible layers of gate indices, as lists.
+
+    Tracks depth only for the qubits the gates touch, so a circuit declaring
+    10^15 qubits costs no more than its gates.
+    """
+    depth: dict[int, int] = {}  # layers used so far, per qubit touched
+    get = depth.get
+    layers: list[list[int]] = []
+    for i, (_, target, control, _) in enumerate(gates):
+        level = get(target, 0)
+        if control is not None:
+            above = get(control, 0)
+            if above > level:
+                level = above
+            depth[control] = level + 1
+        depth[target] = level + 1
+        if level < len(layers):
+            layers[level].append(i)
+        else:
+            layers.append([i])
+    return layers
+
+
 @dataclass(frozen=True)
 class Circuit:
     """Immutable gate list on qubits 1..num_qubits; ``layers`` derives its schedule."""
@@ -180,20 +204,7 @@ class Circuit:
     @property
     def layers(self) -> tuple[tuple[int, ...], ...]:
         """As-soon-as-possible schedule: one layer after the last gate on any of its qubits."""
-        depth = [0] * (self.num_qubits + 1)  # layers used so far, per qubit
-        layers: list[list[int]] = []
-        for i, (_, target, control, _) in enumerate(self.gates):
-            level = depth[target]
-            if control is not None:
-                if depth[control] > level:
-                    level = depth[control]
-                depth[control] = level + 1
-            depth[target] = level + 1
-            if level < len(layers):
-                layers[level].append(i)
-            else:
-                layers.append([i])
-        return tuple(map(tuple, layers))
+        return tuple(map(tuple, _schedule(self.gates)))
 
     @property
     def two_qubit_gate_count(self) -> int:
@@ -354,18 +365,27 @@ def build_circuit(angles: AngleSet) -> Circuit:
 
 
 def export_circuit(circ: Circuit, format: str = "json") -> str:
-    """Serialize a circuit; JSON round-trips bit-exactly, QASM-3 is one-way."""
+    """Serialize a circuit; JSON round-trips bit-exactly, QASM-3 is one-way.
+
+    The JSON is written directly, with the bytes ``json.dumps(...,
+    sort_keys=True)`` gives: keys "gates", "layers", "num_qubits", and per
+    gate "angle" and "control" (where set), "kind", "target"; separators
+    ", " and ": "; an angle by ``float.__repr__``, or ``int.__repr__`` if it
+    is an int, so a numpy float angle is written as its value.
+    """
     if format == "json":
-        gates = []
+        entries = []
         for kind, target, control, angle in circ.gates:
-            entry = {"kind": kind, "target": target}
+            head = ""
             if angle is not None:
-                entry["angle"] = angle
+                number = float.__repr__ if isinstance(angle, float) else int.__repr__
+                head = f'"angle": {number(angle)}, '
             if control is not None:
-                entry["control"] = control
-            gates.append(entry)
-        payload = {"num_qubits": circ.num_qubits, "gates": gates, "layers": circ.layers}
-        return json.dumps(payload, sort_keys=True)
+                head = f'{head}"control": {control}, '
+            entries.append(f'{{{head}"kind": "{kind}", "target": {target}}}')
+        layers = _schedule(circ.gates)  # lists of ints, whose repr is their JSON
+        return (f'{{"gates": [{", ".join(entries)}], "layers": {layers!r}, '
+                f'"num_qubits": {circ.num_qubits}}}')
     if format == "qasm":
         lines = ["OPENQASM 3;", f"qubit[{circ.num_qubits}] q;"]
         for kind, target, control, angle in circ.gates:
@@ -382,20 +402,44 @@ def export_circuit(circ: Circuit, format: str = "json") -> str:
 
 
 def import_circuit(text: str) -> Circuit:
-    """Rebuild a circuit from its JSON serialization, whose layers must be its schedule."""
+    """Rebuild a circuit from its JSON serialization, whose layers must be its schedule.
+
+    One pass over the parsed entries checks each entry's fields once, as the
+    ``Gate`` constructor would, and builds its gate unchecked.  The first
+    fault raises InvalidArgumentError, in this order: each entry's fields in
+    turn, the qubit count, each gate's qubits (control before target), a
+    missing "layers", then "layers" differing from the gates' schedule.
+    """
     try:
         payload = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an int too long to parse
         raise InvalidArgumentError(f"not valid circuit JSON: {exc}") from exc
+    new, gates = tuple.__new__, []
+    low, top = 1, 0  # the lowest and highest qubit the gates touch
     try:
-        gates = []
         for entry in payload["gates"]:
-            fields = (entry["kind"], entry["target"], entry.get("control"), entry.get("angle"))
-            gates.append(Gate(*fields))
-        circ = Circuit(num_qubits=payload["num_qubits"], gates=gates)
+            kind, target = entry["kind"], entry["target"]
+            control, angle = entry.get("control"), entry.get("angle")
+            _check_gate(kind, target, control, angle)
+            gates.append(new(Gate, (kind, target, control, angle)))
+            if target > top:
+                top = target
+            if target < low:
+                low = target
+            if control is not None:
+                if control > top:
+                    top = control
+                if control < low:
+                    low = control
+        n = payload["num_qubits"]
+        if type(n) is not int or n < 1 or low < 1 or top > n:
+            Circuit(num_qubits=n, gates=gates)  # raises the fault the checked constructor finds first
         layers = payload["layers"]
     except (KeyError, TypeError) as exc:
         raise InvalidArgumentError(f"malformed circuit JSON: {exc}") from exc
-    if layers != [list(layer) for layer in circ.layers]:
+    if layers != _schedule(gates):
         raise InvalidArgumentError("layers must be the as-soon-as-possible schedule of the gates")
+    circ = object.__new__(Circuit)  # every gate and qubit index is checked above
+    object.__setattr__(circ, "num_qubits", n)
+    object.__setattr__(circ, "gates", tuple(gates))
     return circ

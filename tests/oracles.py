@@ -8,11 +8,13 @@ must match and the copy-based dense simulator the in-place one must match.
 They also hold the closed forms and instances that only the tests read:
 the single-pair quadratic, the W = 0 one-step state extension, a hyperbolic
 instance with non-real pair energies, and the N = 7 circuit energy at the
-six-figure reference angles.  Last comes the per-level Bethe solve (seed,
+six-figure reference angles.  Then comes the per-level Bethe solve (seed,
 damped Newton, validation, one exact level at a time) that the batched
-``lmg.bethe.solve_levels`` must match bit for bit.
+``lmg.bethe.solve_levels`` must match bit for bit, and last the dict and
+``json.dumps`` circuit exporter whose bytes ``lmg.export_circuit`` must write.
 """
 
+import json
 import math
 
 import numpy as np
@@ -384,3 +386,17 @@ def solve_level(index, omega, vector, weights, config, params) -> Level:
     rn = float(np.max(np.abs(bethe._residual_raw(solved[None], config, params)[0]), initial=0.0))
     energies = tuple(float(x) for x in solved)
     return Level(index, omega, vector, SpectralSolution(config, params, energies, found, rn, index))
+
+
+def dumps_circuit(circ) -> str:
+    """The circuit's JSON as ``json.dumps`` writes it from one dict per gate."""
+    gates = []
+    for kind, target, control, angle in circ.gates:
+        entry = {"kind": kind, "target": target}
+        if angle is not None:
+            entry["angle"] = angle
+        if control is not None:
+            entry["control"] = control
+        gates.append(entry)
+    payload = {"num_qubits": circ.num_qubits, "gates": gates, "layers": circ.layers}
+    return json.dumps(payload, sort_keys=True)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from lmg.reference import (
     N20_LINEAR_ANGLES,
     N20_STATE,
 )
+from oracles import dumps_circuit
 
 
 def normalized(values):
@@ -237,6 +239,73 @@ def test_json_round_trip():
             circ = build_circuit(AngleSet(tuple(rng.uniform(-6, 6, m)), mode))
             again = import_circuit(export_circuit(circ, "json"))
             assert again == circ
+
+
+@pytest.mark.parametrize("mode", ["linear", "log"])
+def test_json_export_writes_the_json_dumps_bytes_for_every_n200_eigenstate(mode):
+    from lmg import exact_spectrum, make_params, sector_configs
+
+    maker = linear_angles if mode == "linear" else log_angles
+    configs = {c.parity: c for c in sector_configs(200)}
+    for _, psi in exact_spectrum(make_params(200, 0.75, 0.5)):
+        circ = build_circuit(maker(encode(psi, configs[psi.parity])))
+        text = export_circuit(circ, "json")
+        assert text == dumps_circuit(circ)
+        again = import_circuit(text)
+        assert again == circ
+        assert all(type(gate) is Gate for gate in again.gates)
+
+
+@pytest.mark.parametrize(
+    "angle",
+    [2, np.float64(0.5), np.float64(1 / 3), -0.0, 5e-324, -1.7976931348623157e308, 10**300, -(10**300)],
+    ids=["int", "np-float64", "np-float64-third", "minus-zero", "subnormal", "most-negative",
+         "int-1e300", "int-minus-1e300"],
+)
+def test_json_export_writes_numbers_as_json_does(angle):
+    gates = (Gate("x", target=2), Gate("ry", target=1, angle=angle),
+             Gate("cry", target=3, control=2, angle=angle), Gate("cx", target=1, control=3))
+    circ = Circuit(num_qubits=3, gates=gates)
+    text = export_circuit(circ, "json")
+    assert text == dumps_circuit(circ)
+    assert "np.float64" not in text
+    again = import_circuit(text)
+    assert again == circ
+    assert all(type(gate) is Gate for gate in again.gates)
+    assert type(again.gates[1].angle) is (int if isinstance(angle, int) else float)
+
+
+def test_json_export_of_circuits_without_pairs_or_gates():
+    for circ, layers in (
+        (build_circuit(AngleSet((), "linear")), "[[0]]"),
+        (build_circuit(AngleSet((), "log")), "[[0]]"),
+        (Circuit(num_qubits=1, gates=()), "[]"),
+        (Circuit(num_qubits=4, gates=()), "[]"),
+    ):
+        text = export_circuit(circ, "json")
+        assert text == dumps_circuit(circ)
+        assert f'"layers": {layers},' in text
+        assert import_circuit(text) == circ
+    assert export_circuit(Circuit(num_qubits=1, gates=()), "json") == (
+        '{"gates": [], "layers": [], "num_qubits": 1}'
+    )
+
+
+def test_import_allocates_for_the_gates_not_the_declared_qubits():
+    # the schedule tracks only the qubits the gates touch
+    text = '{"num_qubits": 1000000000000000, "gates": [{"kind": "x", "target": 1}], "layers": [[0]]}'
+    tracemalloc.start()
+    try:
+        circ = import_circuit(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert circ.layers == ((0,),)
+    assert circ.num_qubits == 10**15
+    assert export_circuit(circ, "json") == (
+        '{"gates": [{"kind": "x", "target": 1}], "layers": [[0]], "num_qubits": 1000000000000000}'
+    )
 
 
 def test_qasm_export_shape():
