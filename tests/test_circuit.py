@@ -18,10 +18,13 @@ from lmg import (
     build_circuit,
     control_slot,
     encode,
+    exact_spectrum,
     export_circuit,
     import_circuit,
     linear_angles,
     log_angles,
+    make_params,
+    sector_configs,
 )
 from lmg.circuit import one_hot_output, one_hot_split
 from lmg.model import ladder_occupations
@@ -243,8 +246,6 @@ def test_json_round_trip():
 
 @pytest.mark.parametrize("mode", ["linear", "log"])
 def test_json_export_writes_the_json_dumps_bytes_for_every_n200_eigenstate(mode):
-    from lmg import exact_spectrum, make_params, sector_configs
-
     maker = linear_angles if mode == "linear" else log_angles
     configs = {c.parity: c for c in sector_configs(200)}
     for _, psi in exact_spectrum(make_params(200, 0.75, 0.5)):
