@@ -49,7 +49,7 @@ from .errors import (
     SingularityError,
     UnsupportedRegimeError,
 )
-from .model import ModelParams, SectorConfig, _check_sector, sector_spectrum
+from .model import ModelParams, SectorConfig, _check_sector, _finite_reals, sector_spectrum
 
 __all__ = [
     "Level",
@@ -211,13 +211,23 @@ def _eigenvalues(e: np.ndarray, config, params) -> np.ndarray:
     return base - (eta / n) * terms.sum(axis=1)
 
 
-def residual(energies, config: SectorConfig, params: ModelParams) -> np.ndarray:
-    """Residual of the pair-energy equations, one component per parameter."""
-    e = np.asarray(energies, dtype=float)
-    if e.ndim != 1 or e.size != config.m:
-        raise InvalidArgumentError(f"expected {config.m} spectral parameters, got {e.shape}")
+def _checked_set(energies, config: SectorConfig, params: ModelParams) -> np.ndarray:
+    """The set as floats, for :func:`eigenvalue` and :func:`residual`, which share its refusals."""
+    e = _finite_reals(energies, "spectral parameters")
+    if e.size != config.m:
+        raise InvalidArgumentError(f"expected {config.m} spectral parameters, got {e.size}")
+    _check_sector(config, params)
     if params.rational:
         raise UnsupportedRegimeError("pair-energy equations are undefined at V^2 = W^2")
+    return e
+
+
+def residual(energies, config: SectorConfig, params: ModelParams) -> np.ndarray:
+    """Residual of the pair-energy equations, one component per parameter.
+
+    Shares :func:`eigenvalue`'s checks, and also refuses coinciding parameters.
+    """
+    e = _checked_set(energies, config, params)
     problem = _singularity(e, params.eta)
     if problem is not None:
         raise SingularityError(problem)
@@ -225,11 +235,14 @@ def residual(energies, config: SectorConfig, params: ModelParams) -> np.ndarray:
 
 
 def eigenvalue(energies, config: SectorConfig, params: ModelParams) -> float:
-    """Eigenvalue omega generated by a solution set (in units of the gap)."""
-    if params.rational:
-        raise UnsupportedRegimeError("eigenvalue formula is undefined at V^2 = W^2")
-    e = np.asarray(energies, dtype=float)
-    return float(_eigenvalues(e.reshape(1, -1), config, params)[0])
+    """Eigenvalue omega generated by a solution set (in units of the gap).
+
+    The set must be ``config.m`` finite reals and the sector hold ``params.n``
+    particles, else InvalidArgumentError; a rational instance raises
+    UnsupportedRegimeError and a parameter on a pole SingularityError.
+    """
+    e = _checked_set(energies, config, params)
+    return float(_eigenvalues(e[None], config, params)[0])
 
 
 def _require_solvable(config: SectorConfig, params: ModelParams):

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericFailureError
-from .model import FockVector, SectorConfig
+from .model import FockVector, SectorConfig, _finite_reals, _is_count
 
 __all__ = [
     "AngleSet",
@@ -46,17 +47,13 @@ GATE_KINDS = ("x", "ry", "cry", "cx")
 
 
 def control_slot(n: int, mode: str) -> int:
-    """Control-qubit index f(n) for gate pair n (an int, 1-based)."""
-    if n < 1:
-        raise InvalidArgumentError(f"gate pair index must be >= 1, got {n}")
+    """Control-qubit index f(n) for gate pair n, a positive int or numpy integer (not a bool)."""
+    if not (type(n) is int or _is_count(n)) or n < 1:
+        raise InvalidArgumentError(f"gate pair index must be a positive integer, got {n!r}")
     if mode == "linear":
         return n
     if mode == "log":
-        try:
-            top = 1 << (n.bit_length() - 1)  # exact 2^floor(log2 n), unlike float log2
-        except AttributeError:
-            raise InvalidArgumentError(f"gate pair index must be an int, got {n!r}") from None
-        return n - top + 1
+        return n - (1 << (int(n).bit_length() - 1)) + 1  # exact 2^floor(log2 n), unlike float log2
     raise InvalidArgumentError(f"unknown depth mode {mode!r}")
 
 
@@ -66,7 +63,7 @@ class AngleSet:
 
     Each angle is a Python or numpy int or float (not a bool) and finite,
     stored as a float; anything else, or an unknown mode, raises
-    InvalidArgumentError.
+    InvalidArgumentError.  A 1-D ndarray is judged by its dtype.
     """
 
     thetas: tuple[float, ...]
@@ -75,34 +72,11 @@ class AngleSet:
     def __post_init__(self):
         if self.mode not in MODES:
             raise InvalidArgumentError(f"unknown depth mode {self.mode!r}")
-        try:
-            values = tuple(self.thetas)
-        except TypeError:
-            raise InvalidArgumentError(f"angles must be a sequence, got {self.thetas!r}") from None
-        real = (float, int, np.floating, np.integer)
-        kinds = set(map(type, values))  # one check per type, not per angle
-        if bool in kinds or not all(issubclass(kind, real) for kind in kinds):
-            bad = next(t for t in values if type(t) is bool or not isinstance(t, real))
-            raise InvalidArgumentError(f"angles must be real numbers, got {bad!r}")
-        try:
-            thetas = tuple(map(float, values))
-        except OverflowError:  # an int beyond the float range
-            raise InvalidArgumentError("angles must be finite") from None
-        if not all(map(math.isfinite, thetas)):
-            raise InvalidArgumentError("angles must be finite")
+        thetas = tuple(_finite_reals(self.thetas, "angles").tolist())
         object.__setattr__(self, "thetas", thetas)
 
     def __len__(self) -> int:
         return len(self.thetas)
-
-
-def _is_finite_real(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
 
 
 def _check_gate(kind, target, control, angle) -> None:
@@ -112,7 +86,12 @@ def _check_gate(kind, target, control, angle) -> None:
     needs_angle = kind in ("ry", "cry")
     if needs_angle != (angle is not None):
         raise InvalidArgumentError(f"gate {kind!r} angle mismatch")
-    if needs_angle and not _is_finite_real(angle):
+    # a JSON number, as the exporter writes it by float.__repr__ or int.__repr__; the
+    # bound is False for NaN, infinities and ints beyond the float range
+    if needs_angle and not (
+        isinstance(angle, (int, float)) and type(angle) is not bool
+        and abs(angle) <= sys.float_info.max
+    ):
         raise InvalidArgumentError(f"gate angle must be a finite real, got {angle!r}")
     needs_control = kind in ("cry", "cx")
     if needs_control != (control is not None):
@@ -201,6 +180,14 @@ class Circuit:
             if not 1 <= target <= n:
                 raise InvalidArgumentError(f"qubit index {target} outside 1..{n}")
 
+    @classmethod
+    def _unchecked(cls, num_qubits: int, gates) -> "Circuit":
+        """A circuit built without the checks, from gates and a qubit count known valid."""
+        circ = object.__new__(cls)
+        object.__setattr__(circ, "num_qubits", num_qubits)
+        object.__setattr__(circ, "gates", tuple(gates))
+        return circ
+
     @property
     def layers(self) -> tuple[tuple[int, ...], ...]:
         """As-soon-as-possible schedule: one layer after the last gate on any of its qubits."""
@@ -226,9 +213,7 @@ def encode(psi: FockVector, config: SectorConfig) -> np.ndarray:
 
 
 def _check_unit_target(target) -> np.ndarray:
-    t = np.asarray(target, dtype=float)
-    if t.ndim != 1 or t.size < 1:
-        raise InvalidArgumentError("target must be a one-dimensional real vector")
+    t = _finite_reals(target, "target")
     if abs(t @ t - 1.0) > 1e-6:
         raise InvalidArgumentError(f"target must be normalized, got |T|^2 = {t @ t:.9f}")
     return t
@@ -241,7 +226,8 @@ def linear_angles(target) -> AngleSet:
     partial norms q = c_{M+2-j} / sqrt(sum_{k<=M+2-j} c_k^2), the angles are
     2 arccos(q) for j < M and the full-circle branch
     2 sgn(c_1)(arccos(q) - pi) + 2 pi at j = M.  Levels whose partial norm
-    vanishes get theta = 0 by convention.
+    vanishes get theta = 0 by convention.  A target that is not a unit
+    vector of finite reals raises InvalidArgumentError.
     """
     c = _check_unit_target(target)
     m = c.size - 1
@@ -257,7 +243,7 @@ def linear_angles(target) -> AngleSet:
         else:
             sign = -1.0 if c[0] < 0 else 1.0
             thetas[j - 1] = 2.0 * sign * (math.acos(q) - math.pi) + 2.0 * math.pi
-    return AngleSet(tuple(thetas), "linear")
+    return AngleSet(thetas, "linear")
 
 
 def one_hot_output(angles: AngleSet) -> np.ndarray:
@@ -320,8 +306,9 @@ def log_angles(target) -> AngleSet:
     Works backwards through the gate pairs, merging each pair's two ladder
     slots into its source slot; the merged amplitude keeps the source sign
     (so cos(theta/2) >= 0 for every pair but the first), which fixes one
-    representative of the sign-gauge equivalence class.  Raises
-    NumericFailureError if the angles do not reproduce the target.
+    representative of the sign-gauge equivalence class.  The target is
+    checked as :func:`linear_angles` checks it; NumericFailureError is raised
+    if the angles do not reproduce the target.
     """
     c = _check_unit_target(target)
     m = c.size - 1
@@ -353,7 +340,8 @@ def build_circuit(angles: AngleSet) -> Circuit:
     In log mode the pairs of each block n = 2^k .. 2^(k+1) - 1 touch
     disjoint qubits, so the derived schedule runs each block in two layers.
     The angles are finite floats (``AngleSet`` checks them) and f(n) <= n,
-    so every gate is valid by construction and skips the ``Gate`` checks.
+    so every gate is valid by construction and skips the ``Gate`` and
+    ``Circuit`` checks.
     """
     new, mode = tuple.__new__, angles.mode
     gates = [new(Gate, ("x", 1, None, None))]
@@ -361,7 +349,7 @@ def build_circuit(angles: AngleSet) -> Circuit:
         slot = control_slot(n, mode)
         gates.append(new(Gate, ("cry", n + 1, slot, theta)))
         gates.append(new(Gate, ("cx", slot, n + 1, None)))
-    return Circuit(num_qubits=len(angles.thetas) + 1, gates=tuple(gates))
+    return Circuit._unchecked(len(angles.thetas) + 1, gates)
 
 
 def export_circuit(circ: Circuit, format: str = "json") -> str:
@@ -439,7 +427,4 @@ def import_circuit(text: str) -> Circuit:
         raise InvalidArgumentError(f"malformed circuit JSON: {exc}") from exc
     if layers != _schedule(gates):
         raise InvalidArgumentError("layers must be the as-soon-as-possible schedule of the gates")
-    circ = object.__new__(Circuit)  # every gate and qubit index is checked above
-    object.__setattr__(circ, "num_qubits", n)
-    object.__setattr__(circ, "gates", tuple(gates))
-    return circ
+    return Circuit._unchecked(n, gates)  # every gate and qubit index is checked above

@@ -18,43 +18,26 @@ import numpy as np
 
 from .bethe import SpectralSolution
 from .errors import InvalidArgumentError, SingularityError
-from .model import FockVector, canonical_sign, ladder_occupations
+from .model import FockVector, _finite_reals, canonical_sign, ladder_occupations
 
 __all__ = ["apply_pair_factor", "build_eigenstate"]
 
 _POLE_GUARD = 1e-10
 
 
-def _checked_energies(energies, eta) -> list[float]:
-    """The pair energies as floats in ascending order, each finite, real and off the poles.
+def _checked_energies(energies, eta) -> tuple[list[float], float]:
+    """The pair energies as ascending floats, and eta as a float (checked when there are energies).
 
-    Anything that is not a Python or numpy int or float (a bool included),
-    or is not finite, raises InvalidArgumentError, and so does such an eta
-    when there are energies; an energy within 1e-10 of a pole E = +/-eta
-    raises SingularityError naming the lowest such energy.
+    An energy within 1e-10 of a pole E = +/-eta raises SingularityError
+    naming the lowest such energy.
     """
-    try:
-        values = tuple(energies)
-    except TypeError:
-        raise InvalidArgumentError(f"pair energies must be a sequence, got {energies!r}") from None
-    if not values:
-        return []
-    real = (float, int, np.floating, np.integer)
-    kinds = set(map(type, (*values, eta)))  # one check per type, not per energy
-    if bool in kinds or not all(issubclass(kind, real) for kind in kinds):
-        bad = next(x for x in (*values, eta) if type(x) is bool or not isinstance(x, real))
-        raise InvalidArgumentError(f"pair energies and eta must be real numbers, got {bad!r}")
-    try:
-        finite = all(map(math.isfinite, (*values, eta)))
-    except OverflowError:  # an int beyond the float range
-        finite = False
-    if not finite:
-        raise InvalidArgumentError("pair energies and eta must be finite")
-    floats = sorted(map(float, values))
+    floats = sorted(_finite_reals(energies, "pair energies").tolist())
+    if floats:
+        (eta,) = _finite_reals((eta,), "eta").tolist()
     for energy in floats:
         if abs(energy - eta) < _POLE_GUARD or abs(energy + eta) < _POLE_GUARD:
             raise SingularityError(f"pair energy {energy:.6g} sits on a pole (+/-eta = {eta:.6g})")
-    return floats
+    return floats, eta
 
 
 def _lifts(n: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
@@ -84,7 +67,7 @@ def apply_pair_factor(psi: FockVector, energy: float, eta: float) -> FockVector:
     energy or eta raises InvalidArgumentError, an energy on a pole
     SingularityError.
     """
-    (energy,) = _checked_energies((energy,), eta)
+    (energy,), eta = _checked_energies((energy,), eta)
     out = _pair_step(psi.amps, *_lifts(psi.n, psi.parity), energy, eta)
     return FockVector(psi.n + 2, psi.parity, out)
 
@@ -98,14 +81,14 @@ def build_eigenstate(solution: SpectralSolution) -> FockVector:
     energies are checked as :func:`apply_pair_factor` checks one.
     """
     config, params = solution.config, solution.params
-    energies = _checked_energies(solution.energies, params.eta)
+    energies, eta = _checked_energies(solution.energies, params.eta)
     m, parity = len(energies), config.nu_b
     n = config.nu_a + parity + 2 * m
     # step i reads the first i + 1 b-lifts and the last i + 1 a-lifts of the final ladder
     lift_a, lift_b = _lifts(n, parity)
     amps = np.ones(1)
     for i, energy in enumerate(energies):
-        amps = _pair_step(amps, lift_a[m - i :], lift_b[: i + 1], energy, params.eta)
+        amps = _pair_step(amps, lift_a[m - i :], lift_b[: i + 1], energy, eta)
         norm = math.sqrt(amps @ amps)  # the bits of np.linalg.norm
         if norm == 0.0:
             raise InvalidArgumentError("cannot normalize the zero vector")

@@ -32,7 +32,6 @@ __all__ = [
     "apply_hamiltonian",
     "exact_spectrum",
     "sector_spectrum",
-    "expectation",
 ]
 
 
@@ -64,22 +63,50 @@ def _is_count(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _finite_reals(values, what: str) -> np.ndarray:
+    """``values`` as a new float array; the package's one rule for real inputs.
+
+    Each value must be a Python or numpy int or float, not a bool, and finite
+    (an int beyond the float range is not).  A 1-D ndarray is judged by its
+    dtype (kind f, i or u), any other iterable by each distinct item type.
+    Raises InvalidArgumentError: "<what> must be a sequence / must be real
+    numbers, got ... / must be finite".
+    """
+    real = (int, float, np.integer, np.floating)
+    if isinstance(values, np.ndarray) and values.ndim == 1:
+        if values.dtype.kind not in "fiu":
+            raise InvalidArgumentError(f"{what} must be real numbers, got a {values.dtype} array")
+    else:
+        try:
+            values = tuple(values)
+        except TypeError:
+            raise InvalidArgumentError(f"{what} must be a sequence, got {values!r}") from None
+        kinds = set(map(type, values))  # one check per type, not per item
+        if bool in kinds or not all(issubclass(kind, real) for kind in kinds):
+            bad = next(x for x in values if type(x) is bool or not isinstance(x, real))
+            raise InvalidArgumentError(f"{what} must be real numbers, got {bad!r}")
+    try:
+        array = np.array(values, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        raise InvalidArgumentError(f"{what} must be finite") from None
+    if np.count_nonzero(np.isfinite(array)) < array.size:  # faster than .all() on short arrays
+        raise InvalidArgumentError(f"{what} must be finite")
+    return array
+
+
 def make_params(n: int, v: float, w: float) -> ModelParams:
     """Build a ModelParams, deriving g, eta and the regime sign s.
 
     Raises InvalidArgumentError for an n that is not a positive int or numpy
-    integer (a bool is refused) or a non-finite coupling.  The regime is
-    decided from |V| and |W|, not from their squares, which overflow or
-    underflow at extreme couplings.  The rational case |V| = |W| is
-    constructed with s = 0 and NaN g/eta; only exact diagonalization works
-    there.
+    integer, or a coupling that is not a finite int or float (a bool is
+    refused as either).  The regime is decided from |V| and |W|, not from
+    their squares, which overflow or underflow at extreme couplings.  The
+    rational case |V| = |W| is constructed with s = 0 and NaN g/eta; only
+    exact diagonalization works there.
     """
     if not _is_count(n) or n < 1:
         raise InvalidArgumentError(f"particle number must be a positive integer, got {n!r}")
-    v = float(v)
-    w = float(w)
-    if not (math.isfinite(v) and math.isfinite(w)):
-        raise InvalidArgumentError(f"couplings must be finite, got V={v!r}, W={w!r}")
+    v, w = _finite_reals((v, w), "couplings").tolist()
     s = (abs(v) > abs(w)) - (abs(v) < abs(w))
     if s == 0:
         return ModelParams(n=int(n), v=v, w=w, g=math.nan, eta=math.nan, s=0)
@@ -203,7 +230,8 @@ class FockVector:
     Entry k is the coefficient of |n - parity - 2k, parity + 2k>, so the
     array spans the whole conserved-parity block of an n-quantum state:
     the ladder of the sector :attr:`sector`.  ``n`` and ``parity`` are ints or
-    numpy integers (not bools), else InvalidArgumentError.
+    numpy integers (not bools) and ``amps`` finite reals, else
+    InvalidArgumentError.
     """
 
     n: int
@@ -217,11 +245,11 @@ class FockVector:
             )
         if self.parity not in (0, 1) or self.n < self.parity:
             raise InvalidArgumentError(f"bad quanta/parity pair ({self.n}, {self.parity})")
-        amps = np.asarray(self.amps, dtype=float).copy()
+        amps = _finite_reals(self.amps, "amplitudes")
         expected = (self.n - self.parity) // 2 + 1
-        if amps.shape != (expected,):
+        if amps.size != expected:
             raise InvalidArgumentError(
-                f"amplitude array must have length {expected}, got shape {amps.shape}"
+                f"amplitude array must have length {expected}, got {amps.size}"
             )
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
@@ -301,14 +329,3 @@ def sector_spectrum(config: SectorConfig, params: ModelParams) -> tuple[np.ndarr
     for j in range(vals.size):
         vecs[:, j] = canonical_sign(vecs[:, j])
     return vals, vecs
-
-
-def expectation(psi: FockVector, params: ModelParams) -> float:
-    """<psi| H |psi> in units of the gap.  Requires a normalized state."""
-    if psi.n != params.n:
-        raise InvalidArgumentError(
-            f"state carries {psi.n} quanta but the Hamiltonian expects {params.n}"
-        )
-    if abs(psi.amps @ psi.amps - 1.0) > 1e-9:
-        raise InvalidArgumentError("expectation requires a normalized state")
-    return ladder_energy(psi.amps, params, psi.parity)

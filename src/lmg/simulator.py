@@ -29,6 +29,7 @@ from .model import (
     ModelParams,
     SectorConfig,
     _check_sector,
+    _finite_reals,
     _is_count,
     ladder_energy,
     ladder_matrix,
@@ -284,8 +285,8 @@ def run(circ: Circuit, state: StateVector | None = None) -> StateVector:
 
 
 def fidelity(psi: StateVector, target) -> float:
-    """|<T|psi>|^2 with the real target embedded on the one-hot support."""
-    t = np.asarray(target, dtype=float)
+    """|<T|psi>|^2 with the target, one finite real per qubit, embedded on the one-hot support."""
+    t = _finite_reals(target, "target")
     if t.shape != (psi.num_qubits,):
         raise InvalidArgumentError(
             f"target must have one entry per qubit ({psi.num_qubits}), got {t.shape}"

@@ -111,6 +111,18 @@ def test_residual_rejects_rational():
         residual([0.5, 1.5], SectorConfig(2, 0, 0), p)
 
 
+@pytest.mark.parametrize("fn", [residual, eigenvalue], ids=["residual", "eigenvalue"])
+def test_residual_and_eigenvalue_check_a_set_alike(fn):
+    # eigenvalue took a set of any length, and neither refused a sector of another N
+    p2 = make_params(2, 0.75, 0.5)
+    with pytest.raises(InvalidArgumentError, match="expected 1 spectral parameters, got 3"):
+        fn([1.0, 2.0, 3.0], SectorConfig(1, 0, 0), p2)
+    with pytest.raises(InvalidArgumentError, match="sector describes 2 particles"):
+        fn([0.5], SectorConfig(1, 0, 0), make_params(4, 0.75, 0.5))
+    with pytest.raises(UnsupportedRegimeError):
+        fn([0.5, 1.5], SectorConfig(2, 0, 0), make_params(4, 1.0, -1.0))
+
+
 def test_solve_m1_reference_roots():
     p = make_params(2, 0.75, 0.0)
     sols = solve_bethe(SectorConfig(1, 0, 0), p)
@@ -214,7 +226,7 @@ def test_eigenvalue_empty_sector_formula():
 def test_eigenvalue_pole_error():
     p = n7_params()
     with pytest.raises(SingularityError):
-        eigenvalue([0.3, -p.eta], N7_CONFIG, p)
+        eigenvalue([0.3, 0.7, -p.eta], N7_CONFIG, p)
 
 
 def test_solve_bethe_n7_ground_solution():

@@ -61,9 +61,17 @@ def test_log_control_slot_is_exact_beyond_float_precision():
         n = 2**k - 1
         assert control_slot(n, "log") == n - 2 ** (k - 1) + 1
         assert control_slot(n + 1, "log") == 1
-    for bad in (3.0, np.int64(3)):
-        with pytest.raises(InvalidArgumentError):
-            control_slot(bad, "log")
+    assert control_slot(np.int64(2**60 - 1), "log") == 2**59
+
+
+@pytest.mark.parametrize("mode", ["linear", "log"])
+def test_control_slot_takes_the_counts_sector_config_takes(mode):
+    # 1.5 and True came back unchanged in linear mode; np.int64 was refused in log mode only
+    for n in range(1, 12):
+        assert control_slot(np.int64(n), mode) == control_slot(n, mode)
+    for bad in (1.5, 3.0, True, "a", None, np.float64(3.0), 0, -2, np.int64(0)):
+        with pytest.raises(InvalidArgumentError, match="gate pair index"):
+            control_slot(bad, mode)
 
 
 def test_encoding_bijection():
@@ -250,6 +258,7 @@ def test_json_export_writes_the_json_dumps_bytes_for_every_n200_eigenstate(mode)
     configs = {c.parity: c for c in sector_configs(200)}
     for _, psi in exact_spectrum(make_params(200, 0.75, 0.5)):
         circ = build_circuit(maker(encode(psi, configs[psi.parity])))
+        assert circ == Circuit(circ.num_qubits, circ.gates)  # the unchecked build passes the checks
         text = export_circuit(circ, "json")
         assert text == dumps_circuit(circ)
         again = import_circuit(text)

@@ -178,7 +178,7 @@ def test_build_eigenstate_n3_closed_forms():
 
 
 def test_build_eigenstate_n7_reference_amplitudes():
-    from lmg import expectation
+    from lmg.model import ladder_energy
     from lmg.reference import N7_ENERGY
 
     p = make_params(**N7)
@@ -187,7 +187,7 @@ def test_build_eigenstate_n7_reference_amplitudes():
     np.testing.assert_allclose(
         canonical_sign(built.amps), canonical_sign(np.array(N7_STATE)), atol=2e-6
     )
-    assert expectation(built, p) == pytest.approx(N7_ENERGY, abs=1e-9)
+    assert ladder_energy(built.amps, p, built.parity) == pytest.approx(N7_ENERGY, abs=1e-9)
 
 
 def test_build_eigenstate_support_size():

@@ -1,22 +1,33 @@
 """Model core: parameters, sectors, Hamiltonian action, diagonalization oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from lmg import (
+    AngleSet,
     FockVector,
     InvalidArgumentError,
     apply_hamiltonian,
+    apply_pair_factor,
+    build_circuit,
+    build_eigenstate,
+    eigenvalue,
     exact_spectrum,
-    expectation,
+    fidelity,
+    linear_angles,
+    log_angles,
     make_params,
+    residual,
+    run,
     sector_configs,
     sector_spectrum,
     SectorConfig,
+    solve_bethe,
 )
-from lmg.model import ladder_matrix
+from lmg.model import ladder_energy, ladder_matrix
 from oracles import dense_hamiltonian, embed_ladder
 
 
@@ -165,8 +176,6 @@ def test_apply_hamiltonian_quanta_mismatch():
     p = make_params(4, 1.0, 0.0)
     with pytest.raises(InvalidArgumentError):
         apply_hamiltonian(FockVector(6, 0, np.ones(4)), p)
-    with pytest.raises(InvalidArgumentError):
-        expectation(FockVector(6, 0, np.full(4, 0.5)), p)
 
 
 def test_ladder_matrix_is_shared_and_read_only():
@@ -268,7 +277,7 @@ def test_sector_spectrum_large_blocks(n):
 def test_expectation_of_eigenvector_is_eigenvalue():
     p = make_params(10, 1.1, 0.4)
     for omega, state in exact_spectrum(p):
-        assert expectation(state, p) == pytest.approx(omega, abs=1e-11)
+        assert ladder_energy(state.amps, p, state.parity) == pytest.approx(omega, abs=1e-11)
 
 
 def test_expectation_linearity_on_eigenvector_mix():
@@ -276,13 +285,7 @@ def test_expectation_linearity_on_eigenvector_mix():
     pairs = [(omega, st) for omega, st in exact_spectrum(p) if st.parity == 0]
     (w1, s1), (w2, s2) = pairs[0], pairs[1]
     mix = FockVector(8, 0, (s1.amps + s2.amps) / np.sqrt(2.0))
-    assert expectation(mix, p) == pytest.approx((w1 + w2) / 2, abs=1e-11)
-
-
-def test_expectation_rejects_unnormalized():
-    p = make_params(4, 1.0, 0.0)
-    with pytest.raises(InvalidArgumentError):
-        expectation(FockVector(4, 0, np.array([1.0, 1.0, 0.0])), p)
+    assert ladder_energy(mix.amps, p, mix.parity) == pytest.approx((w1 + w2) / 2, abs=1e-11)
 
 
 def test_sector_config_n_property():
@@ -310,3 +313,64 @@ def test_counts_must_be_integers(build):
     # numpy integers stay allowed, as plain ints are
     assert make_params(np.int64(7), 0.75, 0.5).n == 7
     assert SectorConfig(np.int64(3), np.int32(1), np.int8(0)).n == 7
+
+
+_P2 = make_params(2, 0.75, 0.5)  # eta = -sqrt(5): a set [1.0] is off the poles
+_SOLUTION = solve_bethe(SectorConfig(1, 0, 0), _P2)[0]
+_STATE = run(build_circuit(linear_angles([0.6, 0.8])))
+
+# Every public entry point that takes real numbers, fed one value x to judge:
+# a scalar slot takes x itself, a sequence slot of length k the first k of (x, 0.0).
+SCALAR_SLOTS = {
+    "make_params-v": lambda x: make_params(4, x, 0.5),
+    "make_params-w": lambda x: make_params(4, 0.75, x),
+    "apply_pair_factor-energy": lambda x: apply_pair_factor(FockVector.fiducial(0, 0), x, -0.5),
+    "apply_pair_factor-eta": lambda x: apply_pair_factor(FockVector.fiducial(0, 0), 0.25, x),
+}
+SEQUENCE_SLOTS = {
+    "AngleSet": (lambda xs: AngleSet(xs, "log"), 2),
+    "FockVector": (lambda xs: FockVector(2, 0, xs), 2),
+    "linear_angles": (linear_angles, 2),
+    "log_angles": (log_angles, 2),
+    "fidelity": (lambda xs: fidelity(_STATE, xs), 2),
+    "residual": (lambda xs: residual(xs, SectorConfig(1, 0, 0), _P2), 1),
+    "eigenvalue": (lambda xs: eigenvalue(xs, SectorConfig(1, 0, 0), _P2), 1),
+    "build_eigenstate": (lambda xs: build_eigenstate(dataclasses.replace(_SOLUTION, energies=xs)), 1),
+}
+NOT_FINITE_REALS = ["0.5", True, None, math.nan, math.inf, 1j, 10**400, np.str_("1")]
+FINITE_REAL_ONES = [1, np.int64(1), np.float32(1.0), np.float64(1.0)]
+
+
+def _inputs(x):
+    """(slot name, call, input) for every slot, with x as the value judged."""
+    for name, call in SCALAR_SLOTS.items():
+        yield name, call, x
+    for name, (call, k) in SEQUENCE_SLOTS.items():
+        yield name, call, [x, 0.0][:k]
+        # the array takes x's own dtype: np.array([True, 0.0]) alone would be floats
+        yield f"{name}-array", call, np.array([x, 0][:k], dtype=np.asarray(x).dtype)
+
+
+def _bits(out):
+    if isinstance(out, FockVector):
+        out = out.amps
+    return out.tobytes() if isinstance(out, np.ndarray) else repr(out)
+
+
+@pytest.mark.parametrize(
+    "bad", NOT_FINITE_REALS,
+    ids=["str", "bool", "None", "nan", "inf", "complex", "int-1e400", "numpy-str"],
+)
+def test_every_real_input_refuses_what_is_not_a_finite_real(bad):
+    # NaN passed linear_angles, residual, fidelity and FockVector; "0.5" and
+    # True passed make_params; None and "abc" raised TypeError or ValueError
+    for name, call, value in _inputs(bad):
+        with pytest.raises(InvalidArgumentError, match="must be (real numbers|finite)"):
+            call(value)
+            pytest.fail(f"{name} took {value!r}")
+
+
+@pytest.mark.parametrize("one", FINITE_REAL_ONES, ids=lambda x: type(x).__name__)
+def test_every_real_input_takes_python_and_numpy_reals_with_the_float_bits(one):
+    for (name, call, value), (_, _, floats) in zip(_inputs(one), _inputs(1.0)):
+        assert _bits(call(value)) == _bits(call(floats)), name

@@ -426,7 +426,6 @@ def test_encoded_expectation_reads_the_block_once_with_the_two_pass_bits(monkeyp
 
 
 def test_encoded_expectation_matches_fock_expectation():
-    from lmg import FockVector, expectation
     from lmg.circuit import linear_angles
 
     rng = np.random.default_rng(71)
@@ -434,7 +433,7 @@ def test_encoded_expectation_matches_fock_expectation():
     config = SectorConfig(4, 1, 0)
     target = normalized(rng.standard_normal(5))
     state = run(build_circuit(linear_angles(target)))
-    direct = expectation(FockVector(9, 0, target), p)
+    direct = ladder_energy(target, p, 0)
     assert encoded_expectation(state, config, p) == pytest.approx(direct, abs=1e-10)
 
 
