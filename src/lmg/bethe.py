@@ -219,6 +219,7 @@ def _checked_set(energies, config: SectorConfig, params: ModelParams) -> np.ndar
     _check_sector(config, params)
     if params.rational:
         raise UnsupportedRegimeError("pair-energy equations are undefined at V^2 = W^2")
+    _check_finite_couplings(config, params)
     return e
 
 
@@ -239,10 +240,21 @@ def eigenvalue(energies, config: SectorConfig, params: ModelParams) -> float:
 
     The set must be ``config.m`` finite reals and the sector hold ``params.n``
     particles, else InvalidArgumentError; a rational instance raises
-    UnsupportedRegimeError and a parameter on a pole SingularityError.
+    UnsupportedRegimeError, one with M > 0 whose g or eta overflowed
+    InvalidArgumentError (as :func:`solve_levels` refuses it), and a
+    parameter on a pole SingularityError.
     """
     e = _checked_set(energies, config, params)
     return float(_eigenvalues(e[None], config, params)[0])
+
+
+def _check_finite_couplings(config: SectorConfig, params: ModelParams) -> None:
+    """Raise InvalidArgumentError when M > 0 and g or eta overflowed."""
+    if config.m > 0 and not (math.isfinite(params.g) and math.isfinite(params.eta)):
+        raise InvalidArgumentError(
+            f"pair-energy parameters overflow at V={params.v!r}, W={params.w!r} "
+            f"(g={params.g!r}, eta={params.eta!r})"
+        )
 
 
 def _require_solvable(config: SectorConfig, params: ModelParams):
@@ -251,11 +263,7 @@ def _require_solvable(config: SectorConfig, params: ModelParams):
         raise UnsupportedRegimeError(
             "rational instance (V^2 = W^2): eta is undefined, use exact_spectrum"
         )
-    if config.m > 0 and not (math.isfinite(params.g) and math.isfinite(params.eta)):
-        raise InvalidArgumentError(
-            f"pair-energy parameters overflow at V={params.v!r}, W={params.w!r} "
-            f"(g={params.g!r}, eta={params.eta!r})"
-        )
+    _check_finite_couplings(config, params)
     if config.m > 0 and params.v == 0.0:
         raise UnsupportedRegimeError(
             "V = 0 leaves the Fock basis diagonal; pair energies degenerate onto the poles"

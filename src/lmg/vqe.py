@@ -17,13 +17,15 @@ polynomial of degree 2 in phi = theta_j/2,
 
 because the amplitudes are linear in cos phi and sin phi and the energy is
 quadratic in the amplitudes, and theta_j jumps to the polynomial's
-minimizer.  An angle visit splits the one-hot output once
-(:func:`lmg.circuit.one_hot_split`: the amplitudes are
-r + cos phi p + sin phi q), so it costs one O(M) pass.  The exact estimator
-reads the coefficients off the 3 x 3 Gram matrix G = S H S^T of the split
-rows S and the sector block H, since E = v G v^T with v = (1, cos phi,
-sin phi); its five node values at theta_j + 4pi k/5 (k = 0..4) are that
-polynomial at the nodes.  The sampled estimator measures the five node
+minimizer.  An angle visit splits the one-hot output as
+r + cos phi p + sin phi q.  The exact estimator reads the coefficients off
+the 3 x 3 Gram matrix G = S H S^T of the split rows S and the sector block
+H, since E = v G v^T with v = (1, cos phi, sin phi); its five node values
+at theta_j + 4pi k/5 (k = 0..4) are that polynomial at the nodes.  In
+linear depth an exact sweep carries G along: one O(M) pass at the start of
+a sweep, then O(1) a visit.  Log-depth and sampled visits split the output
+afresh (:func:`lmg.circuit.one_hot_split`), one O(M) pass each.  The
+sampled estimator measures the five node
 states with the run's seed and shots, as ``objective`` does at that node's
 angles, and fixes the coefficients through a real DFT of those values.
 A sweep visits every angle in turn; a restart stops when the energy
@@ -143,12 +145,24 @@ class VqeResult:
     converged: bool
 
 
+def _options(options) -> VqeOptions:
+    """The run's options: ``None`` means the defaults, and any non-VqeOptions value is refused."""
+    if options is None:
+        return VqeOptions()
+    if not isinstance(options, VqeOptions):
+        raise InvalidArgumentError(
+            f"options must be a VqeOptions or None, got {type(options).__name__}"
+        )
+    return options
+
+
 def objective(
     thetas, config: SectorConfig, params: ModelParams, options: VqeOptions | None = None
 ) -> float:
     """Energy of the circuit state at the given angles under the run's options.
 
-    ``options`` (default ``VqeOptions()``) supplies the circuit ``depth`` and
+    ``options`` (None means ``VqeOptions()``; any other value that is not a
+    VqeOptions raises InvalidArgumentError) supplies the circuit ``depth`` and
     the estimator: "exact" evaluates <H> from the one-hot amplitudes,
     "sampled" draws ``shots`` measurements per group from ``seed``, so the
     value is deterministic for fixed arguments.  Both equal the same
@@ -156,7 +170,7 @@ def objective(
     particle count is not ``params.n`` raises InvalidArgumentError.
     """
     _check_sector(config, params)
-    opts = options or VqeOptions()
+    opts = _options(options)
     angles = AngleSet(thetas, opts.depth)
     if len(angles) != config.m:
         raise InvalidArgumentError(f"sector needs {config.m} angles, got {len(angles)}")
@@ -213,25 +227,33 @@ def _node_states(thetas, j: int, depth: str) -> np.ndarray:
     return np.array(factors) @ one_hot_split(AngleSet(thetas, depth), j)
 
 
-def _exact_visit(thetas, j, config, params, opts):
-    """Node values and (z1, z2) of angle ``j``, read off the split's Gram matrix.
+def _gram_nodes(g00, g01, g02, g11, g12, g22, theta):
+    """Node values and (z1, z2) along an angle at ``theta`` from its Gram entries.
 
-    With S the split (r, p, q) and H the sector block, the energy along the
-    angle is v G v^T with v = (1, cos phi, sin phi) and G = S H S^T (the
-    circuit's output has unit norm), so z1 = 2 (G01 - i G02) and
+    With v = (1, cos phi, sin phi), the energy along the angle is v G v^T
+    (the circuit's output has unit norm), so z1 = 2 (G01 - i G02) and
     z2 = (G11 - G22)/2 - i G12, rotated by the current phi, and the constant
     term is G00 + (G11 + G22)/2.  The node values are that polynomial at
     the five nodes; no node state is built.
+    """
+    turn = cmath.exp(0.5j * theta)
+    z1 = 2.0 * complex(g01, -g02) * turn
+    z2 = complex(0.5 * (g11 - g22), -g12) * (turn * turn)
+    constant = g00 + 0.5 * (g11 + g22)
+    return constant + (z1 * _NODE_WAVES[0] + z2 * _NODE_WAVES[1]).real, z1, z2
+
+
+def _exact_visit(thetas, j, config, params, opts):
+    """Node values and (z1, z2) of angle ``j`` from the Gram matrix of one split.
+
+    G = S H S^T for the split rows S = (r, p, q) and the sector block H.
     """
     diag, hop = ladder_matrix(params, config.parity)
     split = one_hot_split(AngleSet(thetas, opts.depth), j)
     cross = (split[:, :-1] * hop) @ split[:, 1:].T
     gram = (split * diag) @ split.T + cross + cross.T
-    turn = cmath.exp(0.5j * thetas[j])
-    z1 = 2.0 * complex(gram[0, 1], -gram[0, 2]) * turn
-    z2 = complex(0.5 * (gram[1, 1] - gram[2, 2]), -gram[1, 2]) * (turn * turn)
-    constant = gram[0, 0] + 0.5 * (gram[1, 1] + gram[2, 2])
-    return constant + (z1 * _NODE_WAVES[0] + z2 * _NODE_WAVES[1]).real, z1, z2
+    return _gram_nodes(gram[0, 0], gram[0, 1], gram[0, 2], gram[1, 1], gram[1, 2],
+                       gram[2, 2], thetas[j])
 
 
 def _sampled_visit(thetas, j, config, params, opts):
@@ -244,35 +266,80 @@ def _sampled_visit(thetas, j, config, params, opts):
     return values, z1, z2
 
 
+def _split_sweep(thetas, config, params, opts):
+    """The visits of one sweep, each from a fresh split of the output: O(M) a visit."""
+    visit = _exact_visit if opts.estimator == "exact" else _sampled_visit
+    for j in range(len(thetas)):
+        yield visit(thetas, j, config, params, opts)
+
+
+def _carried_sweep(thetas, config, params, opts):
+    """The visits of one exact linear-depth sweep: one O(M) pass, then O(1) a visit.
+
+    Slot m - j of the output holds P_j cos(theta_j/2), with P_j the product
+    of sin(theta_i/2) over i < j, and H is tridiagonal in slot order.  So
+    the split at angle j is the visited prefix r (the slots above m - j),
+    p = P_j at slot m - j, and the tail q = P_j u below it, where u depends
+    on the later angles alone: G11 = d P_j^2, G22 = P_j^2 uHu, G01 and G12
+    are the hops across p's two edges, and G02 = 0.  One backward pass gives
+    every uHu before the first visit, since later angles move only when
+    visited; rHr grows by one slot a visit, from zero at each sweep start.
+    The caller moves ``thetas[j]`` between visits.
+    """
+    diag, hop = ladder_matrix(params, config.parity)
+    d, t = diag.tolist(), hop.tolist() + [0.0]  # t[m] = 0: no slot above m
+    m = len(thetas)
+    tails, heads = [d[0]] * m, [1.0] * m  # u H u and u_0 at each visit
+    for j in range(m - 2, -1, -1):
+        half = thetas[j + 1] / 2.0
+        a, s = math.cos(half), math.sin(half)
+        slot = m - j - 1
+        tails[j] = (a * d[slot] * a + 2.0 * (a * t[slot - 1] * (s * heads[j + 1]))
+                    + s * s * tails[j + 1])
+        heads[j] = a
+    prefix, edge, scale = 0.0, 0.0, 1.0  # r H r, r at slot m-j+1, P_j
+    for j in range(m):
+        slot = m - j
+        yield _gram_nodes(prefix, edge * t[slot] * scale, 0.0, scale * d[slot] * scale,
+                          scale * t[slot - 1] * (scale * heads[j]),
+                          scale * scale * tails[j], thetas[j])
+        half = thetas[j] / 2.0
+        amp = scale * math.cos(half)
+        prefix += amp * d[slot] * amp + 2.0 * (edge * t[slot] * amp)
+        edge, scale = amp, scale * math.sin(half)
+
+
 def _single_restart(x0, config, params, opts, trace):
     """One restart from the start angles ``x0``; returns (energy, angles, converged).
 
     Every node value and the final evaluation are appended to ``trace``.  An
     angle visit gives its five node values and the coefficients (z1, z2) of
-    the energy along the angle: :func:`_exact_visit` reads them off the
-    split's Gram matrix, :func:`_sampled_visit` off the DFT of the measured
-    nodes.  An M = 0 sector has no angle to move, so its one evaluation, at
-    the end, is converged.
+    the energy along the angle: exact linear-depth sweeps carry them along
+    (:func:`_carried_sweep`), others split the output at every visit
+    (:func:`_exact_visit`, :func:`_sampled_visit`).  An M = 0 sector has no
+    angle to move, so its one evaluation is converged.
     """
-    thetas = np.array(x0, dtype=float)
-    visit = _exact_visit if opts.estimator == "exact" else _sampled_visit
+    thetas = np.array(x0, dtype=float).tolist()
 
     def measure() -> float:
         value = objective(thetas, config, params, opts)
         trace.append(value)
         return value
 
+    if not thetas:
+        return measure(), np.mod(thetas, FULL_TURN), True
+    carried = opts.estimator == "exact" and opts.depth == "linear"
+    sweep = _carried_sweep if carried else _split_sweep
     previous = math.inf
     for _ in range(MAX_SWEEPS):
-        for j in range(thetas.size):
-            values, z1, z2 = visit(thetas, j, config, params, opts)
+        for j, (values, z1, z2) in enumerate(sweep(thetas, config, params, opts)):
             trace.extend(values.tolist())
             if j == 0:  # values[0] is the energy at the start of the sweep
                 if previous - values[0] < SWEEP_TOL:
                     return measure(), np.mod(thetas, FULL_TURN), True
                 previous = values[0]
             thetas[j] += 2.0 * _fit_minimizer(z1, z2)
-    return measure(), np.mod(thetas, FULL_TURN), not thetas.size
+    return measure(), np.mod(thetas, FULL_TURN), False
 
 
 def optimize(
@@ -285,9 +352,10 @@ def optimize(
     energy, and ``trace`` holds the energy of every evaluation of all
     restarts in order.  The exact reference energy is the sector's lowest
     eigenvalue.  An M = 0 sector has one start point, the empty angle list,
-    so it runs one restart of one evaluation.
+    so it runs one restart of one evaluation.  ``options`` are read as
+    :func:`objective` reads them.
     """
-    opts = options or VqeOptions()
+    opts = _options(options)
     values, vectors = sector_spectrum(config, params)
     exact_energy = float(values[0])
     trace: list[float] = []
@@ -343,9 +411,10 @@ def benchmark(
     estimator), a cold and a warm VQE run with ``options`` on the ground
     sector, ``exact_spectrum(params)[0][1].sector`` (the even-parity sector
     on an exact tie), attached to that sector's first row.  Partial failures
-    are recorded per row, not raised.
+    are recorded per row, not raised; ``options`` are read as
+    :func:`objective` reads them.
     """
-    opts = options or VqeOptions()
+    opts = _options(options)
     ground = exact_spectrum(params)[0][1].sector
     report = {"params": asdict(params), "sectors": []}
     for config in sector_configs(params.n):

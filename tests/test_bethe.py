@@ -741,9 +741,12 @@ def test_overflowing_pair_energy_parameters_refuse_the_sector(v, w, g, eta):
         assert all(isinstance(level.error, InvalidArgumentError) for level in levels)
         assert all(level.error is levels[0].error for level in levels)
         assert str(levels[0].error) == message
-        with pytest.raises(InvalidArgumentError) as excinfo:
-            solve_bethe(config, p)
-        assert str(excinfo.value) == message
+        # a set scored on that sector meets the same refusal, not a NaN
+        for score in (solve_bethe, lambda c, q: residual([0.5], c, q),
+                      lambda c, q: eigenvalue([0.5], c, q)):
+            with pytest.raises(InvalidArgumentError) as excinfo:
+                score(config, p)
+            assert str(excinfo.value) == message
 
 
 def test_an_empty_set_needs_no_pair_energy_parameters():
@@ -752,6 +755,7 @@ def test_an_empty_set_needs_no_pair_energy_parameters():
     assert math.isinf(p.eta) and math.isinf(p.g)
     (sol,) = solve_bethe(SectorConfig(0, 1, 0), p)
     assert sol.energies == () and sol.omega == 9e307 / 2
+    assert eigenvalue((), SectorConfig(0, 1, 0), p) == sol.omega
 
 
 def _outcome(level):

@@ -59,6 +59,9 @@ PINNED = [
     ("vqe --n 8 --v 0.8 --w 0.25", 0,
      "491ab797240e851ac1f51c0cb653c794537d319da6fd391a23a1e96c9c66a096",
      EMPTY),
+    ("vqe --n 1 --v 0.8 --w 0.25", 0,
+     "061de1bd2f05611e2722f594af2132e669c6a32c431eab8625e0f6b89bf5a2fb",
+     EMPTY),
     ("vqe --n 8 --v 0.8 --w 0.25 --shots 1000 --seed 7 --restarts 2", 0,
      "7eac92122a57a75815fa27a7f5e73ddfe3f803e46e6a171270b7b288149a1df2",
      EMPTY),

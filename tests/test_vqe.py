@@ -234,11 +234,68 @@ def test_gram_visit_equals_objective_and_the_dft_of_node_energies(depth):
             assert abs(z2 - dft[1]) <= 1e-12 * scale, (m, j)
 
 
+@pytest.mark.parametrize("parity", [0, 1])
+def test_carried_sweep_equals_a_fresh_split_at_every_visit(parity):
+    # an exact linear-depth sweep carries its Gram entries from visit to
+    # visit; at every visit of full sweeps, moved as the optimizer moves
+    # them, they must give _exact_visit's node values and (z1, z2)
+    rng = np.random.default_rng(41)
+    opts = VqeOptions()
+    cases = [(m, 0.75, 0.5, rng.uniform(0.0, 4 * math.pi, m)) for m in (1, 2, 3, 7, 100)]
+    cases.append((7, 0.75, 0.5, np.array([1.0, 0.0, 2.0, 3.0, 2 * math.pi, 5.0, 4.0])))
+    cases.append((4, 1e306, 0.0, rng.uniform(0.0, 4 * math.pi, 4)))
+    for m, v, w, start in cases:
+        config = SectorConfig(m, 0, parity)
+        p = make_params(config.n, v, w)
+        thetas = start.tolist()
+        for _ in range(3):
+            for j, (values, z1, z2) in enumerate(vqe._carried_sweep(thetas, config, p, opts)):
+                want, want_z1, want_z2 = vqe._exact_visit(thetas, j, config, p, opts)
+                tol = 1e-13 * max(1.0, np.max(np.abs(want)))
+                assert np.max(np.abs(values - want)) <= tol, (m, j)
+                assert abs(np.mean(values) - np.mean(want)) <= tol, (m, j)  # the constant
+                assert abs(z1 - want_z1) <= tol and abs(z2 - want_z2) <= tol, (m, j)
+                thetas[j] += 2.0 * vqe._fit_minimizer(z1, z2)
+
+
+@pytest.mark.parametrize("n, v, w, seed, energy, evaluations", [
+    (8, 0.8, 0.25, 0, -3.9969422268114476, 186),
+    (8, 0.8, 0.25, 1, -3.996942226811449, 186),
+    (8, 0.8, 0.25, 2, -3.996942226811449, 186),
+    (20, 0.75, 0.5, 0, -9.84692247112598, 606),
+    (20, 0.75, 0.5, 1, -9.846922471125977, 606),
+    (20, 0.75, 0.5, 2, -9.846922471125975, 556),
+])
+def test_linear_exact_runs_keep_their_bits(n, v, w, seed, energy, evaluations):
+    # pinned from the split-per-visit sweep that the carried sweep replaced
+    result = optimize(SectorConfig(n // 2, 0, 0), make_params(n, v, w),
+                      VqeOptions(restarts=1, seed=seed))
+    assert (result.best_energy, result.evaluations, result.converged) == (
+        energy, evaluations, True)
+
+
+def test_near_overflow_linear_exact_run_stays_finite_and_exact():
+    # |H| near 1e306: the carried products must not overflow, and the run
+    # ends within a few rounding units of the lowest eigenvalue.  SWEEP_TOL
+    # is below one rounding unit there, so how many sweeps a restart runs is
+    # decided by last-bit rounding; the winning restart is pinned, the
+    # evaluation count is not.
+    p = make_params(8, 1e306, 0.0)
+    result = optimize(SectorConfig(4, 0, 0), p, VqeOptions())
+    assert result.converged
+    assert all(math.isfinite(value) for value in result.trace)
+    assert result.abs_error <= 1e-15 * abs(result.exact_energy)
+    assert result.best_energy == -1.8027756377319947e+306
+    assert result.best_thetas.thetas == (
+        9.0557885216181226, 4.2087828895274804, 11.205158977550617, 11.863070239542457)
+
+
 @pytest.mark.parametrize("depth", ["linear", "log"])
 def test_exact_sweeps_score_no_node_states(monkeypatch, depth):
     # an exact sweep needs neither node states nor ladder_energy: the only
-    # scoring call is each restart's final objective
-    counts = {"_node_states": 0, "ladder_energy": 0}
+    # scoring call is each restart's final objective; linear depth carries
+    # the Gram entries along a sweep, log depth splits the output per visit
+    counts = {"_node_states": 0, "ladder_energy": 0, "one_hot_split": 0, "_exact_visit": 0}
     for name in counts:
         def counted(*args, _fn=getattr(vqe, name), _name=name, **kwargs):
             counts[_name] += 1
@@ -249,7 +306,9 @@ def test_exact_sweeps_score_no_node_states(monkeypatch, depth):
     result = optimize(SectorConfig(4, 0, 0), make_params(8, 0.8, 0.25), opts)
     assert result.abs_error <= 1e-12
     assert result.evaluations > vqe.NODES * restarts
-    assert counts == {"_node_states": 0, "ladder_energy": restarts}
+    splits = 0 if depth == "linear" else (result.evaluations - restarts) // vqe.NODES
+    assert counts == {"_node_states": 0, "ladder_energy": restarts,
+                      "one_hot_split": splits, "_exact_visit": splits}
     # the sampled visit still measures its node states
     optimize(SectorConfig(4, 0, 0), make_params(8, 0.8, 0.25),
              dataclasses.replace(opts, estimator="sampled", shots=500, restarts=1))
@@ -306,8 +365,13 @@ def test_optimize_sampled_n20_within_five_sigma():
     assert result.abs_error <= 5 * sigma
 
 
-def test_optimize_m0_sector():
-    # no angles: every restart would start at the empty list, so one restart runs
+def test_optimize_m0_sector(monkeypatch):
+    # no angles: every restart would start at the empty list, so one restart
+    # runs, and it returns its one evaluation without running a sweep
+    def no_sweep(*args):
+        raise AssertionError("an M = 0 restart ran a sweep")
+    for name in ("_carried_sweep", "_split_sweep"):
+        monkeypatch.setattr(vqe, name, no_sweep)
     p = make_params(2, 0.75, 0.4)
     config = SectorConfig(0, 1, 1)
     for estimator in ("exact", "sampled"):
@@ -365,6 +429,20 @@ def test_vqe_options_refuse_bad_settings(settings, message):
         VqeOptions(**settings)
     # shots mean nothing to the exact estimator
     assert VqeOptions(estimator="exact", shots=0).shots == 0
+
+
+@pytest.mark.parametrize("options", [{"depth": "log"}, "fast", 0, False, (), 1.5])
+def test_options_must_be_vqe_options_or_none(options):
+    p = make_params(4, 0.8, 0.25)
+    config = SectorConfig(2, 0, 0)
+    calls = [lambda: objective((0.1, 0.2), config, p, options),
+             lambda: optimize(config, p, options),
+             lambda: benchmark(p, options, (None,))]
+    for call in calls:
+        with pytest.raises(InvalidArgumentError, match="options must be a VqeOptions or None"):
+            call()
+    # None means the defaults
+    assert objective((0.1, 0.2), config, p, None) == objective((0.1, 0.2), config, p, VqeOptions())
 
 
 def _sample_n7(shots, seed):
