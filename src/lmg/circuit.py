@@ -6,8 +6,12 @@ one-hot integer 2^k  <->  |2M + nu_a - 2k, nu_b + 2k>.  Starting from
 unit vector on that support.  Pair n has its rotation controlled by qubit
 f(n) and targeted at qubit n+1; the slot function f picks the depth:
 
-    f(n) = n                       linear depth, hyperspherical angles
+    f(n) = n                       linear depth
     f(n) = n - 2^floor(log2 n) + 1  logarithmic depth (tree fan-out)
+
+One backward merge of slot pairs compiles a target's angles for either
+schedule; the two depths differ only in the sign gauge, and both compilers
+check the circuit's output against the target over its merged norm.
 
 Qubit 1 is the leftmost (most significant) bit, so the one-hot integer 2^k
 keeps its set bit on qubit M+1-k.  A circuit stores only its gates; its
@@ -212,40 +216,6 @@ def encode(psi: FockVector, config: SectorConfig) -> np.ndarray:
     return psi.amps.copy()
 
 
-def _check_unit_target(target) -> np.ndarray:
-    t = _finite_reals(target, "target")
-    if abs(t @ t - 1.0) > 1e-6:
-        raise InvalidArgumentError(f"target must be normalized, got |T|^2 = {t @ t:.9f}")
-    return t
-
-
-def linear_angles(target) -> AngleSet:
-    """Closed-form angles driving the linear-depth circuit to a unit target.
-
-    With coefficients c_1..c_{M+1} (c_j on one-hot integer 2^(j-1)) and
-    partial norms q = c_{M+2-j} / sqrt(sum_{k<=M+2-j} c_k^2), the angles are
-    2 arccos(q) for j < M and the full-circle branch
-    2 sgn(c_1)(arccos(q) - pi) + 2 pi at j = M.  Levels whose partial norm
-    vanishes get theta = 0 by convention.  A target that is not a unit
-    vector of finite reals raises InvalidArgumentError.
-    """
-    c = _check_unit_target(target)
-    m = c.size - 1
-    thetas = np.zeros(m)
-    for j in range(1, m + 1):
-        top = m + 2 - j  # 1-based coefficient index
-        den = math.sqrt(float(c[:top] @ c[:top]))
-        if den == 0.0:
-            continue
-        q = min(1.0, max(-1.0, float(c[top - 1]) / den))
-        if j < m:
-            thetas[j - 1] = 2.0 * math.acos(q)
-        else:
-            sign = -1.0 if c[0] < 0 else 1.0
-            thetas[j - 1] = 2.0 * sign * (math.acos(q) - math.pi) + 2.0 * math.pi
-    return AngleSet(thetas, "linear")
-
-
 def one_hot_output(angles: AngleSet) -> np.ndarray:
     """Closed-form one-hot amplitudes produced by the circuit for ``angles``.
 
@@ -300,36 +270,61 @@ def one_hot_split(angles: AngleSet, j: int) -> np.ndarray:
     return parts
 
 
-def log_angles(target) -> AngleSet:
-    """Angles driving the logarithmic-depth circuit to a unit target.
+def _merge_angles(target, mode: str) -> AngleSet:
+    """Invert :func:`one_hot_output` on ``mode``'s schedule, in O(M).
 
-    Works backwards through the gate pairs, merging each pair's two ladder
-    slots into its source slot; the merged amplitude keeps the source sign
-    (so cos(theta/2) >= 0 for every pair but the first), which fixes one
-    representative of the sign-gauge equivalence class.  The target is
-    checked as :func:`linear_angles` checks it; NumericFailureError is raised
-    if the angles do not reproduce the target.
+    For n = M .. 1, pair n's slots M+1-f(n) (source) and M-n merge into the
+    source with radius hypot(src, dst), and theta_n/2 is their atan2 over
+    that radius; a pair of zeros keeps theta_n = 0.  The target ends in slot
+    M as the root radius r.  The gauge picks one of the angle sets reaching
+    the same state.  A target that is not a unit vector of finite reals
+    raises InvalidArgumentError, and an output that misses T / r by more
+    than 1e-12 raises NumericFailureError.
     """
-    c = _check_unit_target(target)
+    c = _finite_reals(target, "target")
+    if abs(c @ c - 1.0) > 1e-6:
+        raise InvalidArgumentError(f"target must be normalized, got |T|^2 = {c @ c:.9f}")
     m = c.size - 1
     amps = c.tolist()
     thetas = [0.0] * m
+    signed = mode == "log"
     for n in range(m, 0, -1):
-        src = m + 1 - control_slot(n, "log")
+        src = m + 1 - control_slot(n, mode)
         dst = m - n
         radius = math.hypot(amps[src], amps[dst])
         if radius == 0.0:
             continue
-        if n > 1 and amps[src] < 0:
+        if signed and n > 1 and amps[src] < 0:
             radius = -radius
         thetas[n - 1] = 2.0 * math.atan2(amps[dst] / radius, amps[src] / radius)
         amps[src] = radius
         amps[dst] = 0.0
-    angles = AngleSet(thetas, "log")
-    reached = one_hot_output(angles)
-    if float(np.max(np.abs(reached - c))) > 1e-12:
-        raise NumericFailureError("log-depth angles do not reproduce the target")
+    if not signed:
+        thetas = [theta % (4.0 * math.pi) for theta in thetas]
+    angles = AngleSet(thetas, mode)
+    if float(np.max(np.abs(one_hot_output(angles) - c / amps[m]))) > 1e-12:
+        raise NumericFailureError(f"{mode}-depth angles do not reproduce the target")
     return angles
+
+
+def linear_angles(target) -> AngleSet:
+    """Angles driving the linear-depth circuit to a unit target, checked.
+
+    The backward merge in the linear gauge: every merged radius is >= 0 and
+    the angles are taken mod 4 pi, which gives the paper's hyperspherical
+    angles.  Raises as :func:`_merge_angles` does.
+    """
+    return _merge_angles(target, "linear")
+
+
+def log_angles(target) -> AngleSet:
+    """Angles driving the logarithmic-depth circuit to a unit target, checked.
+
+    The backward merge in the log gauge: a merged radius keeps its source
+    sign, so cos(theta/2) >= 0 for every pair but the first.  Raises as
+    :func:`_merge_angles` does.
+    """
+    return _merge_angles(target, "log")
 
 
 def build_circuit(angles: AngleSet) -> Circuit:

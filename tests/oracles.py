@@ -10,8 +10,10 @@ the single-pair quadratic, the W = 0 one-step state extension, a hyperbolic
 instance with non-real pair energies, and the N = 7 circuit energy at the
 six-figure reference angles.  Then comes the per-level Bethe solve (seed,
 damped Newton, validation, one exact level at a time) that the batched
-``lmg.bethe.solve_levels`` must match bit for bit, and last the dict and
-``json.dumps`` circuit exporter whose bytes ``lmg.export_circuit`` must write.
+``lmg.bethe.solve_levels`` must match bit for bit, the dict and
+``json.dumps`` circuit exporter whose bytes ``lmg.export_circuit`` must write,
+and last the paper's closed-form hyperspherical angles, which
+``lmg.linear_angles`` must match mod 4 pi.
 """
 
 import json
@@ -400,3 +402,31 @@ def dumps_circuit(circ) -> str:
         gates.append(entry)
     payload = {"num_qubits": circ.num_qubits, "gates": gates, "layers": circ.layers}
     return json.dumps(payload, sort_keys=True)
+
+
+def closed_form_linear_angles(target) -> tuple[float, ...]:
+    """The paper's hyperspherical angles for the linear-depth circuit, in O(M^2).
+
+    With unit coefficients c_1..c_{M+1} (c_j on one-hot integer 2^(j-1)) and
+    partial norms q = c_{M+2-j} / sqrt(sum_{k<=M+2-j} c_k^2), the angles are
+    2 arccos(q) for j < M and the full-circle branch
+    2 sgn(c_1)(arccos(q) - pi) + 2 pi at j = M.  Levels whose partial norm
+    vanishes get theta = 0.  Each norm is summed afresh, and arccos is
+    ill-conditioned near q = +-1, so the state these angles reach can miss
+    a target with tiny amplitudes by far more than rounding.
+    """
+    c = np.asarray(target, dtype=float)
+    m = c.size - 1
+    thetas = [0.0] * m
+    for j in range(1, m + 1):
+        top = m + 2 - j  # 1-based coefficient index
+        den = math.sqrt(float(c[:top] @ c[:top]))
+        if den == 0.0:
+            continue
+        q = min(1.0, max(-1.0, float(c[top - 1]) / den))
+        if j < m:
+            thetas[j - 1] = 2.0 * math.acos(q)
+        else:
+            sign = -1.0 if c[0] < 0 else 1.0
+            thetas[j - 1] = 2.0 * sign * (math.acos(q) - math.pi) + 2.0 * math.pi
+    return tuple(thetas)

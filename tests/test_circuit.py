@@ -25,6 +25,7 @@ from lmg import (
     log_angles,
     make_params,
     sector_configs,
+    sector_spectrum,
 )
 from lmg.circuit import one_hot_output, one_hot_split
 from lmg.model import ladder_occupations
@@ -35,7 +36,7 @@ from lmg.reference import (
     N20_LINEAR_ANGLES,
     N20_STATE,
 )
-from oracles import dumps_circuit
+from oracles import closed_form_linear_angles, dumps_circuit
 
 
 def normalized(values):
@@ -527,13 +528,75 @@ def test_json_round_trip_mixed_gate_kinds():
     assert import_circuit(text) == circ
 
 
-def test_log_angles_refuse_angles_that_miss_the_target(monkeypatch):
+@pytest.mark.parametrize("mode", ["linear", "log"])
+def test_log_angles_refuse_angles_that_miss_the_target(mode, monkeypatch):
     import lmg.circuit
 
+    maker = linear_angles if mode == "linear" else log_angles
     target = normalized(np.arange(1.0, 6.0))
     monkeypatch.setattr(lmg.circuit, "one_hot_output", lambda angles: np.zeros(5))
-    with pytest.raises(NumericFailureError):
-        log_angles(target)
+    with pytest.raises(NumericFailureError, match=f"{mode}-depth"):
+        maker(target)
+
+
+_UNIT = normalized(np.random.default_rng(89).standard_normal(201))
+
+
+@pytest.mark.parametrize("mode", ["linear", "log"])
+@pytest.mark.parametrize(
+    "target",
+    [[0.6, 0.8000001], np.array([0.6, 0.8], dtype=np.float32), [-1.0],
+     _UNIT * math.sqrt(1 + 9e-7)],
+    ids=["norm-off-by-1.6e-7", "float32", "one-slot-negative", "201-slots-scaled"],
+)
+def test_both_depths_compile_every_target_the_input_check_accepts(target, mode):
+    # the input check lets |T|^2 miss 1 by up to 1e-6, so the circuit
+    # reaches T/|T|, not T, and the self-check must compare with that
+    maker = linear_angles if mode == "linear" else log_angles
+    unit = np.asarray(target, dtype=float)
+    unit = unit / np.linalg.norm(unit)
+    reached = one_hot_output(maker(target))
+    assert min(np.max(np.abs(reached - unit)), np.max(np.abs(reached + unit))) <= 1e-12
+
+
+def _eigenstates(n):
+    params = make_params(n, 0.75, 0.5)
+    for config in sector_configs(n):
+        yield from sector_spectrum(config, params)[1].T
+
+
+def test_linear_angles_match_the_closed_form_on_every_eigenstate():
+    for n in (7, 20, 40, 100, 200):
+        for target in _eigenstates(n):
+            thetas = linear_angles(target).thetas
+            assert all(0.0 <= theta <= 4 * math.pi for theta in thetas)
+            angles_close_mod_4pi(thetas, closed_form_linear_angles(target), 1e-12)
+
+
+@pytest.mark.parametrize("mode", ["linear", "log"])
+def test_every_eigenstate_up_to_n400_is_reached(mode):
+    maker = linear_angles if mode == "linear" else log_angles
+    for n in (1, 2, 7, 20, 40, 100, 200, 400):
+        for target in _eigenstates(n):
+            overlap = float(one_hot_output(maker(target)) @ target)
+            assert overlap * overlap >= 1 - 1e-12, (n, mode)
+
+
+def test_both_depths_reach_wide_range_targets_that_the_closed_form_misses():
+    # amplitudes spanning 1e-9 to 1: arccos of partial norms near +-1 loses
+    # accuracy, so the closed-form angles miss these targets by about 1e-8
+    # (1.1e-8 on these seeds), while the merge stays at rounding
+    rng = np.random.default_rng(61)
+    oracle_miss = 0.0
+    for _ in range(2000):
+        size = int(rng.integers(2, 41))
+        amps = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-9.0, 0.0, size)
+        target = amps / np.linalg.norm(amps)
+        for maker in (linear_angles, log_angles):
+            assert np.max(np.abs(one_hot_output(maker(target)) - target)) <= 1e-15
+        oracle = AngleSet(closed_form_linear_angles(target), "linear")
+        oracle_miss = max(oracle_miss, float(np.max(np.abs(one_hot_output(oracle) - target))))
+    assert 1e-9 < oracle_miss < 2e-8
 
 
 @pytest.mark.parametrize("mode", ["linear", "log"])

@@ -36,16 +36,16 @@ PINNED = [
      "fb213a71cd280ed455f2a8363f3774ce35309a3b7a418951e8388034b06f01fa",
      EMPTY),
     ("benchmark --n 7 --v 0.75 --w 0.5 --shots 0 1000", 0,
-     "47fcc1204f030a7411e69ad7bfc29a1a807cf58eaf056a8d15707e9cce008d05",
+     "26decf2468d4b365119f99f0b8cd14e09d2475f654c04b4bcfe17d411e475179",
      EMPTY),
     ("benchmark --n 4 --v 1 --w 1", 0,
-     "4c9091a631b308eb5a6f544d0830433ade7994cf08b6adb20590772ad8d86dd3",
+     "afe601b630a058295729f10512108838cc162992c2220660eeb89391aa07b745",
      EMPTY),
     ("benchmark --n 4 --v 0 --w 0.5", 0,
      "cb8fae310721d1cec5e214f8c77ca65faccc7b97a83d3f09f72605134753cba7",
      EMPTY),
     ("benchmark --n 10 --v 0.5921 --w -1.6233", 0,
-     "d40565a78292bfd9d48ad00d3d0e13b69fb9f0dca56ad9b1cedd01817303f396",
+     "49393306db9d678870dba351984b37051b7db5cb02405ba82abcbff06217938d",
      EMPTY),
     ("bethe --n 7 --v 0.75 --w 0.5 --sector 1,0", 0,
      "2475ef59b0a2de3236d6130c228cdae95a11e116521a026994961c9ea98604bf",
@@ -84,7 +84,10 @@ PINNED = [
      "b5eb0932ce401da79f5705fcfaf0b8c341e3ddfb6b804bb2dc188db7cfeebcfe",
      EMPTY),
     ("angles --n 200 --v 0.75 --w 0.5 --index 3 --format csv", 0,
-     "77036e0691019cb20f567a1e7cf5d4562f67841cda77e4e64669567b1de32df4",
+     "77ac2507e918d244d2ecc04fb89fea1677495f173c33429656de8eeba2405caf",
+     EMPTY),
+    ("angles --n 200 --v 0.75 --w 0.5 --index 3 --depth log --format csv", 0,
+     "1e7c5b8e909eb062cecf3d4d6b6f291f99cfa57595b2cb2531f20a6111fa29e5",
      EMPTY),
     ("circuit --n 7 --v 0.75 --w 0.5 --index 1 --depth log --format qasm", 0,
      "850e318097d19ccaa1bad680230349ac5e85b3876e1d43386d0a51eb14ff881c",
