@@ -98,6 +98,15 @@ PINNED = [
     ("bethe --n 1 --v 1e308 --w 9e307 --sector 1,0", 0,
      "598d888e7296d8dbf90728acc3ba75a401c0f624dcdb23782202de7b6e602171",
      EMPTY),
+    ("bethe --n 6 --v 0 --w 0.5 --sector 0,0", 1,
+     EMPTY,
+     "d37363552c564f0e6511c20e06e0291ae17d4b896558f34bf57c5aa3a73d6111"),
+    ("bethe --n 56 --v 0.75 --w 0.5 --sector 0,0", 1,
+     EMPTY,
+     "52db2f0aea72f520c2576139e53c8ce1b5ab0e9cf83ad0bf53e68c782bd501fe"),
+    ("spectrum --n 24 --v 0.2 --w 1.5", 0,
+     "17a4822e8fad5d9414b0b237b38c6e783e50b54e2afbca5de3400fc53a1a85d8",
+     EMPTY),
 ]
 
 
