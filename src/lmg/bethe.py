@@ -27,10 +27,15 @@ polishes every row with its own convergence test, step halving and failure,
 and one eigenvalue and one residual evaluation validate them.  Each step
 (seed, polish, eigenvalue, match) fails row by row, and a level records the
 error of the step that refused it; each row gets the bits a solve of its
-level alone gives.  ``_BATCH_CAP`` bounds the K M^2 elements of a batch's
-stacked (K, M, M) matrices.  The small-M closed forms are oracles kept apart
-from the solver: the decoupled W = 0 pair in :mod:`lmg.reference`, the
-single-pair quadratic in the test suite.
+level alone gives.  ``GUARD`` is the one pole distance: Newton keeps each
+parameter that far from E = +/-eta and from the others, and :func:`residual`,
+:func:`eigenvalue` and :func:`lmg.eigenstates.build_eigenstate` refuse a set
+as :func:`solve_levels` refuses its sector, and a parameter nearer a pole
+(the residual also two parameters nearer each other).  ``_BATCH_CAP``
+bounds the K M^2 elements of a batch's stacked (K, M, M) matrices.  The
+small-M closed forms are oracles kept apart from the solver: the decoupled
+W = 0 pair in :mod:`lmg.reference`, the single-pair quadratic in the test
+suite.
 """
 
 from __future__ import annotations
@@ -103,31 +108,24 @@ class Level:
     error: LmgError | None = None
 
 
-def _pole_violation(energies: np.ndarray, eta: float, guard: float) -> str | None:
-    """Describe the first parameter sitting on a pole E = +/-eta, if any.
+def _singularity(energies: np.ndarray, eta: float, pairs: bool = True) -> str | None:
+    """Describe the first parameter of one set within GUARD of a pole E = +/-eta.
 
-    ``energies`` is one set or a stack of sets, one per row; l in E[l]
-    counts within the set.
+    Failing that, with ``pairs``, describe two parameters closer than GUARD,
+    a pole of the pair-energy equations alone.
     """
-    near = np.flatnonzero(np.abs(np.abs(energies) - abs(eta)) < guard)
-    if near.size == 0:
-        return None
-    l = int(near[0]) % energies.shape[-1]
-    value = energies.flat[near[0]]
-    name = "+eta" if value * eta > 0 else "-eta"
-    return f"E[{l}]={value:.6g} within {guard:g} of {name}"
-
-
-def _singularity(energies: np.ndarray, eta: float) -> str | None:
-    """Describe the first pole hit or pair of coinciding parameters of one set, if any."""
-    problem = _pole_violation(energies, eta, GUARD)
-    if problem is None and energies.size > 1:
+    near = np.flatnonzero(np.abs(np.abs(energies) - abs(eta)) < GUARD)
+    if near.size:
+        l = int(near[0])
+        name = "+eta" if energies[l] * eta > 0 else "-eta"
+        return f"E[{l}]={energies[l]:.6g} within {GUARD:g} of {name}"
+    if pairs and energies.size > 1:
         order = np.argsort(energies)
         k = int(np.argmin(np.diff(energies[order])))
         if energies[order[k + 1]] - energies[order[k]] < GUARD:
             l, n_ = sorted((int(order[k]), int(order[k + 1])))
-            problem = f"E[{l}] and E[{n_}] closer than {GUARD:g}"
-    return problem
+            return f"E[{l}] and E[{n_}] closer than {GUARD:g}"
+    return None
 
 
 def _singular(e: np.ndarray, eta: float) -> np.ndarray:
@@ -193,81 +191,76 @@ def _jacobian(e: np.ndarray, config, params) -> np.ndarray:
 
 
 def _eigenvalues(e: np.ndarray, config, params) -> np.ndarray:
-    """Eigenvalue omega generated by each row of a (K, M) stack of sets.
-
-    Raises SingularityError naming the first parameter within 1e-12 of a pole.
-    """
+    """Eigenvalue omega generated by each row of a (K, M) stack of sets."""
     nu_a, nu_b, n = config.nu_a, config.nu_b, params.n
     g, eta, s, v, w = params.g, params.eta, params.s, params.v, params.w
     base = (w * (nu_a + nu_b + 2 * nu_a * nu_b) + n * (nu_b - nu_a)) / (2 * n)
     if e.shape[1] == 0:
         return np.full(len(e), base)
-    problem = _pole_violation(e, eta, 1e-12)
-    if problem is not None:
-        raise SingularityError(problem)
     terms = (g * n * (1 + nu_a + nu_b) * (1.0 + s * e * e) - 2.0 * v * (nu_b - nu_a) * e) / (
         e * e - eta * eta
     )
     return base - (eta / n) * terms.sum(axis=1)
 
 
-def _checked_set(energies, config: SectorConfig, params: ModelParams) -> np.ndarray:
-    """The set as floats, for :func:`eigenvalue` and :func:`residual`, which share its refusals."""
+def _require_solvable(config: SectorConfig, params: ModelParams) -> None:
+    """Refuse a sector whose pair energies are not defined: the one sector rule.
+
+    A wrong N raises InvalidArgumentError, a rational instance
+    UnsupportedRegimeError; when M > 0, so do an overflowed g or eta
+    (InvalidArgumentError) and V = 0 (UnsupportedRegimeError).
+    """
+    _check_sector(config, params)
+    if params.rational:
+        raise UnsupportedRegimeError(
+            "rational instance (V^2 = W^2): eta is undefined, use exact_spectrum"
+        )
+    if config.m > 0 and not (math.isfinite(params.g) and math.isfinite(params.eta)):
+        raise InvalidArgumentError(
+            f"pair-energy parameters overflow at V={params.v!r}, W={params.w!r} "
+            f"(g={params.g!r}, eta={params.eta!r})"
+        )
+    if config.m > 0 and params.v == 0.0:
+        raise UnsupportedRegimeError(
+            "V = 0 leaves the Fock basis diagonal; pair energies degenerate onto the poles"
+        )
+
+
+def _checked_set(energies, config: SectorConfig, params: ModelParams, pairs=False) -> np.ndarray:
+    """The set as floats: the one rule of every entry that takes a set.
+
+    The set must be ``config.m`` finite reals (else InvalidArgumentError),
+    the sector pass :func:`_require_solvable`, and no parameter lie within
+    GUARD of a pole, nor, with ``pairs``, of another (else SingularityError).
+    """
     e = _finite_reals(energies, "spectral parameters")
     if e.size != config.m:
         raise InvalidArgumentError(f"expected {config.m} spectral parameters, got {e.size}")
-    _check_sector(config, params)
-    if params.rational:
-        raise UnsupportedRegimeError("pair-energy equations are undefined at V^2 = W^2")
-    _check_finite_couplings(config, params)
+    _require_solvable(config, params)
+    problem = _singularity(e, params.eta, pairs)
+    if problem is not None:
+        raise SingularityError(problem)
     return e
 
 
 def residual(energies, config: SectorConfig, params: ModelParams) -> np.ndarray:
     """Residual of the pair-energy equations, one component per parameter.
 
-    Shares :func:`eigenvalue`'s checks, and also refuses coinciding parameters.
+    Refuses what :func:`eigenvalue` refuses, and two parameters closer than GUARD.
     """
-    e = _checked_set(energies, config, params)
-    problem = _singularity(e, params.eta)
-    if problem is not None:
-        raise SingularityError(problem)
+    e = _checked_set(energies, config, params, pairs=True)
     return _residual_raw(e[None], config, params)[0]
 
 
 def eigenvalue(energies, config: SectorConfig, params: ModelParams) -> float:
     """Eigenvalue omega generated by a solution set (in units of the gap).
 
-    The set must be ``config.m`` finite reals and the sector hold ``params.n``
-    particles, else InvalidArgumentError; a rational instance raises
-    UnsupportedRegimeError, one with M > 0 whose g or eta overflowed
-    InvalidArgumentError (as :func:`solve_levels` refuses it), and a
-    parameter on a pole SingularityError.
+    A set that is not ``config.m`` finite reals raises InvalidArgumentError,
+    a sector :func:`solve_levels` refuses raises its refusal, and a
+    parameter within GUARD of a pole E = +/-eta raises SingularityError.
     """
     e = _checked_set(energies, config, params)
     return float(_eigenvalues(e[None], config, params)[0])
-
-
-def _check_finite_couplings(config: SectorConfig, params: ModelParams) -> None:
-    """Raise InvalidArgumentError when M > 0 and g or eta overflowed."""
-    if config.m > 0 and not (math.isfinite(params.g) and math.isfinite(params.eta)):
-        raise InvalidArgumentError(
-            f"pair-energy parameters overflow at V={params.v!r}, W={params.w!r} "
-            f"(g={params.g!r}, eta={params.eta!r})"
-        )
-
-
-def _require_solvable(config: SectorConfig, params: ModelParams):
-    _check_sector(config, params)
-    if params.rational:
-        raise UnsupportedRegimeError(
-            "rational instance (V^2 = W^2): eta is undefined, use exact_spectrum"
-        )
-    _check_finite_couplings(config, params)
-    if config.m > 0 and params.v == 0.0:
-        raise UnsupportedRegimeError(
-            "V = 0 leaves the Fock basis diagonal; pair energies degenerate onto the poles"
-        )
 
 
 def _squares(rows: np.ndarray) -> np.ndarray:
@@ -432,42 +425,36 @@ def _passed(live: np.ndarray, step_errors: list, errors: list) -> np.ndarray:
 def _solve_batch(exact: list, vectors: np.ndarray, weights, config, params) -> list[Level]:
     """The levels of one batch of exact eigenpairs, their sets solved together.
 
-    Each step takes the rows every earlier step passed.  A row a step refuses
-    records that step's error; an LmgError raised by a step as a whole
-    becomes the error of every row it was given.
+    Each step takes the rows every earlier step passed, and a row a step
+    refuses records that step's error.  No step raises an LmgError (Newton's
+    rows stay GUARD from every pole), so none is caught for the whole batch.
     """
     errors: list[LmgError | None] = [None] * len(exact)
     live = np.arange(len(exact))
-    solutions = {}
-    try:
-        seeds, step_errors = _invert_pairons(vectors, weights, params)
-        ok = _passed(live, step_errors, errors)
-        seeds, live = seeds[ok], live[ok]
-        if live.size:  # else every row failed its seed
-            solved, step_errors = _newton(seeds, config, params)
-            ok = _passed(live, step_errors, errors)
-            solved, live = solved[ok], live[ok]
-            found = _eigenvalues(solved, config, params)
-            step_errors = [
-                NumericFailureError(
-                    f"the set polished onto omega={omega:.12g}, not level {exact[row][0]}"
-                )
-                if abs(omega - exact[row][1]) > MATCH_TOL
-                else None
-                for row, omega in zip(live, found.tolist())
-            ]
-            ok = _passed(live, step_errors, errors)
-            solved, found, live = solved[ok], found[ok], live[ok]
-            norms = np.max(np.abs(_residual_raw(solved, config, params)), axis=1, initial=0.0)
-            solutions = {
-                row: SpectralSolution(config, params, tuple(energies), omega, rn, exact[row][0])
-                for row, energies, omega, rn in zip(
-                    live.tolist(), solved.tolist(), found.tolist(), norms.tolist()
-                )
-            }
-    except LmgError as exc:
-        for row in live:
-            errors[row] = exc
+    seeds, step_errors = _invert_pairons(vectors, weights, params)
+    ok = _passed(live, step_errors, errors)
+    seeds, live = seeds[ok], live[ok]
+    solved, step_errors = _newton(seeds, config, params)
+    ok = _passed(live, step_errors, errors)
+    solved, live = solved[ok], live[ok]
+    found = _eigenvalues(solved, config, params)
+    step_errors = [
+        NumericFailureError(
+            f"the set polished onto omega={omega:.12g}, not level {exact[row][0]}"
+        )
+        if abs(omega - exact[row][1]) > MATCH_TOL
+        else None
+        for row, omega in zip(live, found.tolist())
+    ]
+    ok = _passed(live, step_errors, errors)
+    solved, found, live = solved[ok], found[ok], live[ok]
+    norms = np.max(np.abs(_residual_raw(solved, config, params)), axis=1, initial=0.0)
+    solutions = {
+        row: SpectralSolution(config, params, tuple(energies), omega, rn, exact[row][0])
+        for row, energies, omega, rn in zip(
+            live.tolist(), solved.tolist(), found.tolist(), norms.tolist()
+        )
+    }
     return [
         Level(index, omega, vector, solutions.get(row), errors[row])
         for row, (index, omega, vector) in enumerate(exact)

@@ -121,9 +121,10 @@ def _parse_sector(text: str, n: int) -> SectorConfig:
         nu_a, nu_b = (int(part) for part in text.split(","))
     except ValueError as exc:
         raise InvalidArgumentError(f"--sector expects 'NU_A,NU_B', got {text!r}") from exc
-    if (n - nu_a - nu_b) % 2 or n - nu_a - nu_b < 0:
-        raise InvalidArgumentError(f"sector ({nu_a},{nu_b}) is impossible for N={n}")
-    return SectorConfig((n - nu_a - nu_b) // 2, nu_a, nu_b)
+    for config in sector_configs(n):
+        if (config.nu_a, config.nu_b) == (nu_a, nu_b):
+            return config
+    raise InvalidArgumentError(f"sector ({nu_a},{nu_b}) is impossible for N={n}")
 
 
 def _spectrum_rows(params) -> list[dict]:
@@ -247,19 +248,19 @@ def _cmd_simulate(args) -> int:
             raise InvalidArgumentError("--report-energy needs --n, --v and --w")
         params = make_params(args.n, args.v, args.w)
         m = circ.num_qubits - 1
-        leftover = args.n - 2 * m
         if args.sector is not None:
             config = _parse_sector(args.sector, args.n)
-        elif leftover in (0, 2):
-            config = SectorConfig(m, leftover // 2, leftover // 2)
-        elif leftover == 1:
-            raise InvalidArgumentError(
-                "odd-particle circuits need --sector to pick (nu_a, nu_b)"
-            )
         else:
-            raise InvalidArgumentError(
-                f"a circuit of {m + 1} qubits fits no sector of N={args.n}"
-            )
+            fits = [config for config in sector_configs(args.n) if config.m == m]
+            if not fits:
+                raise InvalidArgumentError(
+                    f"a circuit of {m + 1} qubits fits no sector of N={args.n}"
+                )
+            if len(fits) > 1:  # odd N: both sectors hold M pairs
+                raise InvalidArgumentError(
+                    "odd-particle circuits need --sector to pick (nu_a, nu_b)"
+                )
+            (config,) = fits
         if config.m != m:
             raise InvalidArgumentError(
                 f"circuit has {m + 1} qubits but the sector needs {config.m + 1}"

@@ -16,28 +16,11 @@ import math
 
 import numpy as np
 
-from .bethe import SpectralSolution
+from .bethe import SpectralSolution, _checked_set, _singularity
 from .errors import InvalidArgumentError, SingularityError
 from .model import FockVector, _finite_reals, canonical_sign, ladder_occupations
 
 __all__ = ["apply_pair_factor", "build_eigenstate"]
-
-_POLE_GUARD = 1e-10
-
-
-def _checked_energies(energies, eta) -> tuple[list[float], float]:
-    """The pair energies as ascending floats, and eta as a float (checked when there are energies).
-
-    An energy within 1e-10 of a pole E = +/-eta raises SingularityError
-    naming the lowest such energy.
-    """
-    floats = sorted(_finite_reals(energies, "pair energies").tolist())
-    if floats:
-        (eta,) = _finite_reals((eta,), "eta").tolist()
-    for energy in floats:
-        if abs(energy - eta) < _POLE_GUARD or abs(energy + eta) < _POLE_GUARD:
-            raise SingularityError(f"pair energy {energy:.6g} sits on a pole (+/-eta = {eta:.6g})")
-    return floats, eta
 
 
 def _lifts(n: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
@@ -64,11 +47,15 @@ def apply_pair_factor(psi: FockVector, energy: float, eta: float) -> FockVector:
     Ladder entry k of the input feeds entries k (via (a+)^2, weight
     sqrt((n_a+1)(n_a+2))/(E+eta)) and k+1 (via (b+)^2, weight
     sqrt((n_b+1)(n_b+2))/(E-eta)) of the output.  A non-real or non-finite
-    energy or eta raises InvalidArgumentError, an energy on a pole
-    SingularityError.
+    energy or eta raises InvalidArgumentError, an energy within
+    :data:`lmg.bethe.GUARD` of a pole E = +/-eta SingularityError.
     """
-    (energy,), eta = _checked_energies((energy,), eta)
-    out = _pair_step(psi.amps, *_lifts(psi.n, psi.parity), energy, eta)
+    e = _finite_reals((energy,), "pair energies")
+    (eta,) = _finite_reals((eta,), "eta").tolist()
+    problem = _singularity(e, eta)
+    if problem is not None:
+        raise SingularityError(problem)
+    out = _pair_step(psi.amps, *_lifts(psi.n, psi.parity), e.item(), eta)
     return FockVector(psi.n + 2, psi.parity, out)
 
 
@@ -78,23 +65,18 @@ def build_eigenstate(solution: SpectralSolution) -> FockVector:
     Factors are applied in ascending pair-energy order (they commute; a fixed
     order keeps outputs bit-stable) with renormalization after each step, and
     the global sign follows the largest-amplitude-positive convention.  The
-    energies are checked as :func:`apply_pair_factor` checks one.
+    set is refused, before any step, as :func:`lmg.bethe.eigenvalue` refuses it.
     """
     config, params = solution.config, solution.params
-    energies, eta = _checked_energies(solution.energies, params.eta)
-    m, parity = len(energies), config.nu_b
-    n = config.nu_a + parity + 2 * m
+    energies = sorted(_checked_set(solution.energies, config, params).tolist())
+    m, parity, n = config.m, config.parity, config.n
     # step i reads the first i + 1 b-lifts and the last i + 1 a-lifts of the final ladder
     lift_a, lift_b = _lifts(n, parity)
     amps = np.ones(1)
     for i, energy in enumerate(energies):
-        amps = _pair_step(amps, lift_a[m - i :], lift_b[: i + 1], energy, eta)
+        amps = _pair_step(amps, lift_a[m - i :], lift_b[: i + 1], energy, params.eta)
         norm = math.sqrt(amps @ amps)  # the bits of np.linalg.norm
         if norm == 0.0:
             raise InvalidArgumentError("cannot normalize the zero vector")
         amps = amps / norm
-    if n != params.n:
-        raise InvalidArgumentError(
-            f"solution generates {n}-quantum states but params describe {params.n}"
-        )
     return FockVector(n, parity, canonical_sign(amps))

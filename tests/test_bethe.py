@@ -8,6 +8,7 @@ import pytest
 
 from lmg import (
     ComplexPaironsError,
+    FockVector,
     IncompleteSolveError,
     InvalidArgumentError,
     LmgError,
@@ -16,7 +17,9 @@ from lmg import (
     SingularityError,
     SpectralSolution,
     UnsupportedRegimeError,
+    apply_pair_factor,
     bethe,
+    build_eigenstate,
     eigenvalue,
     exact_spectrum,
     linear_angles,
@@ -121,6 +124,70 @@ def test_residual_and_eigenvalue_check_a_set_alike(fn):
         fn([0.5], SectorConfig(1, 0, 0), make_params(4, 0.75, 0.5))
     with pytest.raises(UnsupportedRegimeError):
         fn([0.5, 1.5], SectorConfig(2, 0, 0), make_params(4, 1.0, -1.0))
+
+
+def _set_entries(sol):
+    # the entries that score a set, each called as (energies, config, params);
+    # build_eigenstate takes them in a copy of the solved set ``sol``
+    def build(energies, config, params):
+        return build_eigenstate(
+            dataclasses.replace(sol, energies=tuple(energies), config=config, params=params)
+        )
+
+    return {"residual": residual, "eigenvalue": eigenvalue, "build_eigenstate": build}
+
+
+# input -> (error every entry raises, (set, config, params) from the solved N = 7 set e at p)
+ONE_SET_RULE = {
+    "wrong-length": (InvalidArgumentError, lambda e, p: (e[:2], N7_CONFIG, p)),
+    "wrong-n": (InvalidArgumentError, lambda e, p: (e, N7_CONFIG, make_params(9, 0.75, 0.5))),
+    "rational": (UnsupportedRegimeError, lambda e, p: (e, N7_CONFIG, make_params(7, 1.0, -1.0))),
+    "overflowed-eta": (
+        InvalidArgumentError, lambda e, p: (e, N7_CONFIG, make_params(7, 1e308, 9e307))
+    ),
+    "v-zero": (UnsupportedRegimeError, lambda e, p: (e, N7_CONFIG, make_params(7, 0.0, 0.5))),
+    "near-plus-eta": (SingularityError, lambda e, p: ([p.eta + 1e-9, *e[1:]], N7_CONFIG, p)),
+    "near-minus-eta": (SingularityError, lambda e, p: ([-p.eta + 1e-9, *e[1:]], N7_CONFIG, p)),
+}
+
+
+@pytest.mark.parametrize("case", ONE_SET_RULE)
+def test_every_entry_that_takes_a_set_refuses_it_alike(case):
+    # eigenvalue scored a set 1e-9 from a pole and build_eigenstate built its
+    # state, V = 0 passed all three, and a rational instance got two texts
+    expected, make = ONE_SET_RULE[case]
+    sol = solve_levels(N7_CONFIG, n7_params())[0].solution
+    energies, config, p = make(list(sol.energies), sol.params)
+    refusals = set()
+    for name, score in _set_entries(sol).items():
+        with pytest.raises(LmgError) as excinfo:
+            score(energies, config, p)
+            pytest.fail(f"{name} took the set")
+        refusals.add((type(excinfo.value), str(excinfo.value)))
+    ((kind, message),) = refusals
+    assert kind is expected
+    if kind is SingularityError:
+        # the pole sits at E[0], so the one factor's message is the set's
+        assert message.startswith("E[0]=") and "within 1e-08 of" in message
+        with pytest.raises(SingularityError) as excinfo:
+            apply_pair_factor(FockVector.fiducial(1, 0), energies[0], p.eta)
+        assert str(excinfo.value) == message
+
+
+def test_only_the_residual_refuses_coinciding_energies_and_2e_8_from_a_pole_passes():
+    p = n7_params()
+    sol = solve_levels(N7_CONFIG, p)[0].solution
+    entries = _set_entries(sol)
+    coinciding = [0.3, 0.3 + 1e-9, 0.7]
+    with pytest.raises(SingularityError, match=r"^E\[0\] and E\[1\] closer than 1e-08$"):
+        residual(coinciding, N7_CONFIG, p)
+    assert math.isfinite(eigenvalue(coinciding, N7_CONFIG, p))
+    build_eigenstate(dataclasses.replace(sol, energies=tuple(coinciding)))
+    for pole in (p.eta, -p.eta):
+        energies = [pole + 2e-8, *sol.energies[1:]]
+        for score in entries.values():
+            score(energies, N7_CONFIG, p)
+        apply_pair_factor(FockVector.fiducial(1, 0), energies[0], p.eta)
 
 
 def test_solve_m1_reference_roots():
@@ -710,17 +777,17 @@ def test_invert_pairons_refuses_vectors_without_a_finite_seed():
         _seed_row(weights * 0.5, weights, make_params(2, 0.75, 0.5))
 
 
-def test_solve_levels_records_an_error_raised_by_the_eigenvalue(monkeypatch):
-    # an LmgError a batched step raises becomes the error of every level it was given
-    refusal = SingularityError("E[0] sits on a pole")
-
-    def refuse(energies, config, params):
-        raise refusal
-
-    monkeypatch.setattr(bethe, "_eigenvalues", refuse)
-    levels = solve_levels(N7_CONFIG, n7_params())
-    assert [level.error for level in levels] == [refusal] * 4
-    assert all(level.solution is None for level in levels)
+@pytest.mark.parametrize("config", [SectorConfig(1, 0, 0), SectorConfig(3, 1, 1)])
+def test_a_batch_whose_every_seed_fails_runs_the_later_steps_on_no_rows(config):
+    # zero vectors give no finite seed, so Newton, the eigenvalue and the
+    # residual each take an empty (0, M) stack and every level keeps its seed error
+    p = make_params(config.n, 0.75, 0.5)
+    vectors = np.zeros((2, config.m + 1))
+    exact = [(1, -1.0, vectors[0]), (2, 1.0, vectors[1])]
+    levels = bethe._solve_batch(exact, vectors, bethe._ladder_weights(config), config, p)
+    for level in levels:
+        assert level.solution is None
+        assert str(level.error) == "the eigenvector's amplitude ratios over- or underflow"
 
 
 @pytest.mark.parametrize(

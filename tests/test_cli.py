@@ -292,6 +292,7 @@ def test_bethe_past_float_factorials_gives_json_error():
          "--n", "4", "--v", "0.75", "--w", "0.5"],
         ["simulate", "--circuit", "{tmp}/five.json", "--report-energy",
          "--n", "20", "--v", "0.75", "--w", "0.5"],
+        ["bethe", "--n", "7", "--v", "0.75", "--w", "0.5", "--sector", "3,0"],
     ],
 )
 def test_bad_values_give_json_error_not_traceback(argv, tmp_path):
@@ -464,6 +465,18 @@ def test_simulate_circuit_that_fits_no_sector(n, tmp_path, capsys):
     assert parse_json(err)["error"]["message"] == (
         f"a circuit of 5 qubits fits no sector of N={n}"
     )
+
+
+@pytest.mark.parametrize("n, sector", [(7, "3,0"), (8, "1,0"), (7, "0,-1"), (7, "2,2")])
+def test_a_sector_outside_the_instance_is_named_as_typed(n, sector, capsys):
+    # (3,0) at N = 7 was refused as "invalid sector (2, 3, 0)", an M never typed
+    code, out, err = invoke(capsys, "bethe", "--n", str(n), "--v", "0.75", "--w", "0.5",
+                            "--sector", sector)
+    assert code == 1 and out == ""
+    assert parse_json(err)["error"] == {
+        "type": "InvalidArgumentError",
+        "message": f"sector ({sector}) is impossible for N={n}",
+    }
 
 
 N60 = ("--n", "60", "--v", "0.75", "--w", "0.5")
