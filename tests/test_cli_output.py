@@ -71,6 +71,18 @@ PINNED = [
     ("vqe --n 8 --v 0.8 --w 0.25 --shots 1000 --warm --restarts 1", 0,
      "accaae211883a37c9cfe02390bfda8539d970b3b208685e001a682aff649da4b",
      EMPTY),
+    ("vqe --n 20 --v 0.75 --w 0.5 --shots 10000 --seed 0 --restarts 3", 0,
+     "f0df7135badbb2a9e1b8a7150c3d23c10574f7637ff9305617ab5443945fcff3",
+     EMPTY),
+    ("vqe --n 8 --v 40 --w 0.25 --shots 1000 --seed 3 --restarts 2 --depth log", 0,
+     "98e5ef33029a2572a328c17220ec9f1472f5626cc090b9f7af88f61f9c65d629",
+     EMPTY),
+    ("vqe --n 9 --v 1e6 --w 0.5 --shots 1 --seed 5 --restarts 1", 0,
+     "c3b0064a0133e65745759da13a4cb80e2a400ca0710cb38ac58916b082764e9f",
+     EMPTY),
+    ("vqe --n 40 --v 0.75 --w 0.5 --shots 100000 --seed 11 --restarts 2 --depth log", 0,
+     "0941f1aec5304648a6e826b19c72f257a0a1244d4353c3cafa5bc3e1eea26b3f",
+     EMPTY),
     ("bethe --n 22 --v 0.75 --w 0.5 --sector 0,0 --format csv", 0,
      "a0ed97edda64700bfd0980fb5d9cad2c2c79d4642475fd1df664f939d1aa729d",
      EMPTY),
