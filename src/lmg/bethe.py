@@ -229,13 +229,19 @@ def _require_solvable(config: SectorConfig, params: ModelParams) -> None:
 def _checked_set(energies, config: SectorConfig, params: ModelParams, pairs=False) -> np.ndarray:
     """The set as floats: the one rule of every entry that takes a set.
 
-    The set must be ``config.m`` finite reals (else InvalidArgumentError),
-    the sector pass :func:`_require_solvable`, and no parameter lie within
-    GUARD of a pole, nor, with ``pairs``, of another (else SingularityError).
+    The set must be ``config.m`` finite reals whose squares are finite (else
+    InvalidArgumentError, naming the first parameter whose square
+    overflows), the sector pass :func:`_require_solvable`, and no parameter
+    lie within GUARD of a pole, nor, with ``pairs``, of another (else
+    SingularityError).
     """
     e = _finite_reals(energies, "spectral parameters")
     if e.size != config.m:
         raise InvalidArgumentError(f"expected {config.m} spectral parameters, got {e.size}")
+    peak = float(np.abs(e).max(initial=0.0))  # squaring is monotone in |E|
+    if peak * peak == math.inf:
+        l, value = next((l, x) for l, x in enumerate(e.tolist()) if x * x == math.inf)
+        raise InvalidArgumentError(f"E[{l}]={value!r} overflows when squared")
     _require_solvable(config, params)
     problem = _singularity(e, params.eta, pairs)
     if problem is not None:

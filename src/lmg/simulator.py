@@ -43,6 +43,7 @@ __all__ = [
     "encoded_expectation",
     "pauli_groups",
     "sampled_expectation",
+    "sampled_expectations",
 ]
 
 DENSE_QUBIT_CAP = 20
@@ -328,9 +329,12 @@ class MeasurementGroup:
 
     ``label`` is ``"z"`` for the diagonal family (terms are (position,
     energy) pairs) or ``"bond-even"``/``"bond-odd"`` for hopping families
-    (terms are (left position, coupling) pairs).  A group measures in a real
-    basis built once: e_k for ``"z"``; per bond (e_k +- e_(k+1))/sqrt 2 with
-    values +-coupling, then value 0 on e_k for each position no bond covers.
+    (terms are (left position, coupling) pairs).  The "z" family measures
+    every position k, with value d_k.  A hopping family measures each bond
+    in the basis (e_k +- e_(k+1))/sqrt 2, with values +-coupling in that
+    order, then each position no bond covers, with value 0.  The outcome
+    values are built once; the probabilities come from gathers of the
+    weights, O(M) a state, and no measured basis is ever built.
     """
 
     label: str
@@ -338,31 +342,44 @@ class MeasurementGroup:
     terms: tuple[tuple[int, float], ...]
 
     @functools.cached_property
-    def _table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Outcome values and the measured basis, one row per outcome; read-only."""
-        unit = np.eye(self.size)
+    def _layout(self) -> tuple[np.ndarray, ...]:
+        """Per outcome, in order: its value, and k, l, a, b of its basis vector a e_k + b e_l.
+
+        The measured basis is stored by its at most two nonzero entries per
+        vector: (k, k+1, c, +c) and (k, k+1, c, -c) per bond, c = 1/sqrt 2,
+        and (k, k, 1, 0) per position measured alone.  The arrays are
+        read-only.
+        """
+        c = 1.0 / np.sqrt(2)
         if self.label == "z":
-            values, basis = np.zeros(self.size), unit
-            for k, d in self.terms:
-                values[k] = d
+            energy = dict(self.terms)
+            rows = [(energy.get(k, 0.0), k, k, 1.0, 0.0) for k in range(self.size)]
         else:
-            pairs = [(sign * t, (unit[k] + sign * unit[k + 1]) / np.sqrt(2))
-                     for k, t in self.terms for sign in (1.0, -1.0)]
+            rows = [(sign * t, k, k + 1, c, sign * c)
+                    for k, t in self.terms for sign in (1.0, -1.0)]
             covered = {j for k, _ in self.terms for j in (k, k + 1)}
-            pairs += [(0.0, unit[k]) for k in range(self.size) if k not in covered]
-            values, basis = np.array([v for v, _ in pairs]), np.array([row for _, row in pairs])
-        values.flags.writeable = basis.flags.writeable = False
-        return values, basis
+            rows += [(0.0, k, k, 1.0, 0.0) for k in range(self.size) if k not in covered]
+        layout = tuple(np.array(column) for column in zip(*rows))
+        for array in layout:
+            array.flags.writeable = False
+        return layout
 
     @functools.cached_property
     def _peak(self) -> float:
         """Largest |outcome value|, which sets the scale of a sampled estimate."""
-        return float(np.max(np.abs(self._table[0])))
+        return float(np.max(np.abs(self._layout[0])))
 
     def outcomes(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Measurement values and probabilities for normalized ladder weights."""
-        values, basis = self._table
-        return values, np.abs(basis @ weights) ** 2
+        """Measurement values and probabilities for normalized ladder weights.
+
+        ``weights`` is one state or an array of states along its last axis;
+        the probabilities follow the outcome order on that axis.  Each is
+        |a w_k + b w_l|^2 for its basis vector a e_k + b e_l: the only
+        nonzero terms of a product with the dense basis, O(M) a state.
+        """
+        values, first, second, a, b = self._layout
+        amps = a * weights.take(first, axis=-1) + b * weights.take(second, axis=-1)
+        return values, np.abs(amps) ** 2
 
 
 @functools.lru_cache(maxsize=128)
@@ -401,13 +418,32 @@ def sampled_expectation(
     of the largest |outcome value|, so squaring a spread cannot overflow;
     power-of-two scaling is exact, so it changes no bit where nothing
     overflowed.  ``shots`` and ``seed`` are ints or numpy integers (not
-    bools), else InvalidArgumentError.
+    bools), else InvalidArgumentError.  It is :func:`sampled_expectations`
+    on the state's one-hot block.
     """
-    return _sampled_block_expectation(psi.one_hot_block(), groups, shots, seed)
+    estimates, errors = sampled_expectations(psi.one_hot_block()[None, :], groups, shots, seed)
+    return float(estimates[0]), float(errors[0])
 
 
-def _sampled_block_expectation(weights, groups, shots, seed) -> tuple[float, float]:
-    """:func:`sampled_expectation` of the state whose one-hot block is ``weights``."""
+def sampled_expectations(
+    states: np.ndarray,
+    groups: Sequence[MeasurementGroup],
+    shots: int,
+    seed: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`sampled_expectation` of each row of a (rows, M+1) array of one-hot amplitudes.
+
+    Every row is measured from the start of the stream seeded with
+    ``seed``: one generator is built, and it is rewound to its seeded state
+    before each row, which then draws one multinomial per group in group
+    order.  The rows are taken as complex amplitudes, as a state's one-hot
+    block is, so each row's estimate and standard error are the bits
+    :func:`sampled_expectation` gives for that row alone.  ``shots``,
+    ``seed``, ``groups`` and the rows' weights are checked once, and each
+    group's outcome probabilities are taken for all rows together.  A row
+    with no weight, or rows whose length is not the groups' size, raise
+    InvalidArgumentError.
+    """
     if not (_is_count(shots) and _is_count(seed)):
         raise InvalidArgumentError(f"shots and seed must be integers, got {shots!r}, {seed!r}")
     if shots < 1:
@@ -416,22 +452,34 @@ def _sampled_block_expectation(weights, groups, shots, seed) -> tuple[float, flo
         raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
     if not groups:
         raise InvalidArgumentError("need at least one measurement group")
-    nrm = np.sqrt(np.sum(np.abs(weights) ** 2))
-    if nrm == 0.0:
+    states = np.asarray(states, dtype=complex)
+    if states.ndim != 2 or any(group.size != states.shape[1] for group in groups):
+        raise InvalidArgumentError(
+            f"states must be rows of {groups[0].size} one-hot amplitudes, got shape {states.shape}"
+        )
+    norms = np.sqrt(np.sum(np.abs(states) ** 2, axis=1))
+    if not norms.all():
         raise InvalidArgumentError("state has no weight on the one-hot subspace")
-    weights = weights / nrm
+    weights = states / norms[:, None]
     scale = 2.0 ** -max(0, math.frexp(max(group._peak for group in groups))[1])
-    rng = np.random.default_rng(seed)
-    estimate = 0.0
-    variance = 0.0
+    tables = []
     for group in groups:
         values, probs = group.outcomes(weights)
-        values = values * scale
-        probs = probs / probs.sum()
-        counts = rng.multinomial(shots, probs)
-        mean = float(counts @ values) / shots
-        estimate += mean
-        if shots > 1:
-            spread = float(counts @ (values - mean) ** 2) / (shots - 1)
-            variance += spread / shots
-    return estimate / scale, float(np.sqrt(variance)) / scale
+        tables.append((values * scale, probs / probs.sum(axis=1, keepdims=True)))
+    rng = np.random.default_rng(seed)
+    start = rng.bit_generator.state
+    estimates, errors = [], []
+    for row in range(len(weights)):
+        rng.bit_generator.state = start
+        estimate = 0.0
+        variance = 0.0
+        for values, probs in tables:
+            counts = rng.multinomial(shots, probs[row])
+            mean = float(counts @ values) / shots
+            estimate += mean
+            if shots > 1:
+                spread = float(counts @ (values - mean) ** 2) / (shots - 1)
+                variance += spread / shots
+        estimates.append(estimate / scale)
+        errors.append(math.sqrt(variance) / scale)
+    return np.array(estimates), np.array(errors)

@@ -24,10 +24,12 @@ H, since E = v G v^T with v = (1, cos phi, sin phi); its five node values
 at theta_j + 4pi k/5 (k = 0..4) are that polynomial at the nodes.  In
 linear depth an exact sweep carries G along: one O(M) pass at the start of
 a sweep, then O(1) a visit.  Log-depth and sampled visits split the output
-afresh (:func:`lmg.circuit.one_hot_split`), one O(M) pass each.  The
-sampled estimator measures the five node
-states with the run's seed and shots, as ``objective`` does at that node's
-angles, and fixes the coefficients through a real DFT of those values.
+afresh (:func:`lmg.circuit.one_hot_split`), one O(M) pass each.  A
+sampled visit measures its five node states in one
+:func:`lmg.simulator.sampled_expectations` call: one generator, rewound to
+the seed's start before each node, so every node draws the stream
+``objective`` draws at that node's angles and gets the very same value.
+The coefficients come from a real DFT of those values.
 A sweep visits every angle in turn; a restart stops when the energy
 at the start of a sweep falls by less than SWEEP_TOL from the previous
 sweep's start (``converged``), or after MAX_SWEEPS sweeps.  Its energy is
@@ -69,11 +71,11 @@ from .model import (
     sector_spectrum,
 )
 from .simulator import (
-    _sampled_block_expectation,
     encoded_expectation,
     fidelity,
     pauli_groups,
     run,
+    sampled_expectations,
 )
 
 __all__ = ["VqeOptions", "VqeResult", "objective", "optimize", "benchmark"]
@@ -182,14 +184,13 @@ def _energies(states, config, params, opts) -> np.ndarray:
     """Energy of each row of ``states`` (one-hot amplitudes) under the run's estimator.
 
     Exact rows are scored by one ``ladder_energy`` call (only ``objective``
-    scores exactly; exact visits read the Gram matrix instead); each sampled
-    row is measured with the run's ``shots`` per group from its ``seed``.
+    scores exactly; exact visits read the Gram matrix instead); sampled rows
+    by one ``sampled_expectations`` call, which measures every row with the
+    run's ``shots`` per group from the start of its ``seed``'s stream.
     """
     if opts.estimator == "exact":
         return ladder_energy(states, params, config.parity)
-    groups = pauli_groups(config, params)
-    return np.array([_sampled_block_expectation(row, groups, opts.shots, opts.seed)[0]
-                     for row in states.astype(complex)])
+    return sampled_expectations(states, pauli_groups(config, params), opts.shots, opts.seed)[0]
 
 
 def _warm_start(ground: np.ndarray, depth: str) -> np.ndarray:
@@ -257,9 +258,11 @@ def _exact_visit(thetas, j, config, params, opts):
 
 
 def _sampled_visit(thetas, j, config, params, opts):
-    """Node values and (z1, z2) of angle ``j``: each node measured, z from their DFT.
+    """Node values and (z1, z2) of angle ``j``: the nodes measured in one pass, z from their DFT.
 
-    ``values[k]`` is the energy at phi + 2pi k/5, so z_m = 2 rfft(values)[m] / 5.
+    The five node states go to one estimator call, which seeds one generator
+    and rewinds it before each node.  ``values[k]`` is the energy at
+    phi + 2pi k/5, so z_m = 2 rfft(values)[m] / 5.
     """
     values = _energies(_node_states(thetas, j, opts.depth), config, params, opts)
     z1, z2 = 2.0 * np.fft.rfft(values)[1:] / NODES

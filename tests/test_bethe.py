@@ -174,6 +174,28 @@ def test_every_entry_that_takes_a_set_refuses_it_alike(case):
         assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("energies, message", [
+    ((1e300, 1e301), "E[0]=1e+300 overflows when squared"),
+    ((1e160, 2e160), "E[0]=1e+160 overflows when squared"),
+    ((0.5, 1e160), "E[1]=1e+160 overflows when squared"),
+], ids=["1e300-1e301", "1e160-2e160", "second-parameter"])
+def test_every_entry_refuses_a_set_whose_squares_overflow_alike(energies, message):
+    # such sets gave NaN residuals and eigenvalues, with overflow warnings, and
+    # build_eigenstate refused them as "cannot normalize the zero vector"
+    config, p = SectorConfig(2, 0, 0), make_params(4, 0.75, 0.5)
+    sol = solve_levels(config, p)[0].solution
+    refusals = set()
+    with np.errstate(all="raise"):
+        for score in _set_entries(sol).values():
+            with pytest.raises(LmgError) as excinfo:
+                score(energies, config, p)
+            refusals.add((type(excinfo.value), str(excinfo.value)))
+        # a set whose squares stay finite is still scored
+        assert np.all(np.isfinite(residual((1e150, 2e150), config, p)))
+        assert math.isfinite(eigenvalue((1e150, 2e150), config, p))
+    assert refusals == {(InvalidArgumentError, message)}
+
+
 def test_only_the_residual_refuses_coinciding_energies_and_2e_8_from_a_pole_passes():
     p = n7_params()
     sol = solve_levels(N7_CONFIG, p)[0].solution

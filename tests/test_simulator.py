@@ -20,10 +20,12 @@ from lmg import (
     pauli_groups,
     run,
     sampled_expectation,
+    sampled_expectations,
     sector_configs,
     sector_spectrum,
     solve_bethe,
 )
+from lmg.circuit import one_hot_split
 from lmg.model import ladder_energy
 from lmg.simulator import LEAKAGE_TOL
 from lmg.reference import (
@@ -452,16 +454,37 @@ def test_pauli_groups_are_built_once_and_immutable():
     groups = pauli_groups(SectorConfig(3, 0, 0), make_params(6, 0.9, 0.25))
     assert isinstance(groups, tuple)
     assert pauli_groups(SectorConfig(3, 0, 0), make_params(6, 0.9, 0.25)) is groups
-    # each group builds its outcome values and basis once, not per call
+    # each group builds its outcome values once, not per call or per row
     weights = normalized([0.5, -0.1, 0.3, 0.8])
     for group in groups:
         values = group.outcomes(weights)[0]
         assert group.outcomes(weights[::-1].copy())[0] is values
+        assert group.outcomes(np.stack([weights, weights[::-1]]))[0] is values
         assert not values.flags.writeable
 
 
+def test_pauli_groups_take_memory_linear_in_the_sector():
+    # the outcome probabilities come from gathers of the weights, so no
+    # (M+1)^2 basis is built: at M = 2000 that would be 32 MB per group
+    m = 2000
+    config, p = SectorConfig(m, 0, 0), make_params(2 * m, 0.61, 0.37)
+    weights = np.random.default_rng(5).standard_normal((5, m + 1))
+    weights /= np.linalg.norm(weights, axis=1)[:, None]
+    pauli_groups.cache_clear()
+    tracemalloc.start()
+    try:
+        groups = pauli_groups(config, p)
+        for group in groups:
+            group.outcomes(weights)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(groups) == 3
+    assert peak < 8_000_000, peak
+
+
 def test_outcomes_equal_the_term_by_term_oracle():
-    # the basis rows give the term-by-term table: same values in the same
+    # the O(M) gathers give the term-by-term table: same values in the same
     # order, and probabilities up to rounding, for real and complex weights
     rng = np.random.default_rng(83)
     for n in [*range(1, 41), 101]:
@@ -475,6 +498,14 @@ def test_outcomes_equal_the_term_by_term_oracle():
                     want_values, want_probs = outcomes_by_terms(group, weights)
                     assert values.tolist() == want_values.tolist()
                     np.testing.assert_allclose(probs, want_probs, rtol=0.0, atol=1e-15)
+                # rows of states give each row's probabilities, in the same order
+                rows = np.stack([real, phased])
+                values, probs = group.outcomes(rows)
+                assert probs.shape == (2, values.size)
+                for weights, got in zip(rows, probs):
+                    want_values, want_probs = outcomes_by_terms(group, weights)
+                    assert values.tolist() == want_values.tolist()
+                    np.testing.assert_allclose(got, want_probs, rtol=0.0, atol=1e-15)
 
 
 def test_pauli_groups_sum_to_expectation():
@@ -548,6 +579,25 @@ def test_sampled_expectation_equals_the_unscaled_oracle_bit_for_bit():
                 assert got == unscaled_sampled_expectation(state, groups, shots, seed)
 
 
+def test_equal_outcome_probabilities_keep_their_sampled_bits():
+    # a zero amplitude gives its bonds two equal outcome probabilities, so a
+    # binomial draw's p sits at 1/2, where a last-bit change in the
+    # probabilities changes the counts: |a_k +- a_(k+1)|^2 / 2 changes the
+    # first state's, and normalizing real rows by real division the second's.
+    # Pinned from the estimator that multiplied a dense (M+1)^2 basis.
+    groups = pauli_groups(SectorConfig(4, 0, 0), make_params(8, 0.75, 0.5))
+    pinned = {  # (amplitudes, seed): (estimate, standard error) at 1000 shots
+        ((0.3, 0.0, 0.5, -0.2, 0.7), 0): (2.182956256383383, 0.08023646580604984),
+        ((0.3, 0.0, 0.5, -0.2, 0.7), 1): (2.228084401112215, 0.08267866023534799),
+        ((-0.5, 0.0, 0.6, -0.8, 0.2), 0): (0.5959070676218874, 0.08152074736406317),
+    }
+    for (amps, seed), want in pinned.items():
+        state = StateVector(5, {1 << k: complex(a) for k, a in enumerate(amps)})
+        assert sampled_expectation(state, groups, 1000, seed) == want
+        estimates, errors = sampled_expectations(np.array([amps]), groups, 1000, seed)
+        assert (estimates[0], errors[0]) == want
+
+
 @pytest.mark.parametrize("shots", [100, 10_000])
 def test_sampled_expectation_finite_where_squared_spreads_overflow(shots):
     p = make_params(8, 1e306, 0.0)
@@ -561,6 +611,51 @@ def test_sampled_expectation_finite_where_squared_spreads_overflow(shots):
     assert math.isfinite(estimate) and math.isfinite(stderr) and stderr > 0.0
     exact = encoded_expectation(state, config, p)
     assert abs(estimate - exact) < 5 * stderr
+
+
+def _node_rows(rng, m, depth):
+    """The five one-hot states of one SMO angle visit: r + cos(phi_k) p + sin(phi_k) q."""
+    thetas = rng.uniform(0.0, 4 * math.pi, m)
+    j = int(rng.integers(m))
+    halves = thetas[j] / 2 + 2 * math.pi * np.arange(5) / 5
+    factors = np.stack([np.ones(5), np.cos(halves), np.sin(halves)], axis=1)
+    return factors @ one_hot_split(AngleSet(thetas, depth), j)
+
+
+@pytest.mark.parametrize("depth", ["linear", "log"])
+def test_rows_measured_together_equal_each_row_measured_alone(depth):
+    # every row is measured from the start of the seed's stream, so a row's
+    # estimate and standard error are exactly those of sampled_expectation on
+    # that row's state; V = 40 and 1e4 scale the units, and at V = 1e306 the
+    # squared spreads only stay finite in those units
+    rng = np.random.default_rng(61)
+    for n, v, w in ((8, 40.0, 0.25), (20, 1e4, 0.5), (8, 1e306, 0.0), (101, 0.75, 0.5)):
+        p = make_params(n, v, w)
+        config = SectorConfig(n // 2, n % 2, 0)
+        groups = pauli_groups(config, p)
+        real = _node_rows(rng, config.m, depth)
+        phased = real * np.exp(1j * rng.uniform(0.0, 2 * math.pi, real.shape))
+        for rows in (real, phased):
+            for shots in (1, 100, 10_000):
+                seed = int(rng.integers(2**31))
+                estimates, errors = sampled_expectations(rows, groups, shots, seed)
+                assert estimates.shape == errors.shape == (5,)
+                for row, estimate, error in zip(rows, estimates, errors):
+                    state = StateVector(config.m + 1, {1 << k: a for k, a in enumerate(row)})
+                    assert (estimate, error) == sampled_expectation(state, groups, shots, seed)
+                    assert math.isfinite(estimate) and math.isfinite(error)
+                    assert (error == 0.0) == (shots == 1)
+
+
+def test_sampled_expectations_refuses_rows_of_the_wrong_shape_or_without_weight():
+    # shots, seed and groups are checked as sampled_expectation checks them
+    groups = pauli_groups(SectorConfig(2, 0, 0), make_params(4, 0.75, 0.5))
+    rows = np.array([[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]])
+    for states in (rows[0], rows[:, :2], rows[None]):
+        with pytest.raises(InvalidArgumentError, match="rows of 3 one-hot amplitudes"):
+            sampled_expectations(states, groups, shots=10, seed=0)
+    with pytest.raises(InvalidArgumentError, match="no weight"):
+        sampled_expectations(np.vstack([rows, np.zeros(3)]), groups, shots=10, seed=0)
 
 
 def test_sampled_expectation_input_validation():

@@ -343,6 +343,26 @@ def test_sampled_node_values_equal_objective(depth):
 
 
 @pytest.mark.parametrize("depth", ["linear", "log"])
+def test_a_sampled_visit_seeds_one_generator(monkeypatch, depth):
+    # the five nodes are measured in one call that rewinds one generator to
+    # the seed's start before each node, instead of seeding one per node
+    seeds = []
+
+    def counted(seed=None, _fn=np.random.default_rng):
+        seeds.append(seed)
+        return _fn(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    p = make_params(20, 0.75, 0.5)
+    config = SectorConfig(10, 0, 0)
+    opts = VqeOptions(seed=17, estimator="sampled", shots=1000, depth=depth)
+    thetas = np.linspace(0.3, 9.0, config.m).tolist()
+    values, _, _ = vqe._sampled_visit(thetas, 4, config, p, opts)
+    assert seeds == [17]
+    assert values.shape == (vqe.NODES,)
+
+
+@pytest.mark.parametrize("depth", ["linear", "log"])
 def test_optimize_one_cold_restart_at_n160_reaches_ground(depth):
     p = make_params(160, 0.75, 0.5)
     config = SectorConfig(80, 0, 0)
