@@ -1,106 +1,21 @@
-"""Exact solutions, preparation circuits, and VQE benchmarking for the LMG model."""
+"""Exact solutions, preparation circuits, and VQE benchmarking for the LMG model.
 
-from .bethe import (
-    Level,
-    SpectralSolution,
-    eigenvalue,
-    residual,
-    solve_bethe,
-    solve_levels,
-)
-from .circuit import (
-    AngleSet,
-    Circuit,
-    Gate,
-    build_circuit,
-    control_slot,
-    encode,
-    export_circuit,
-    import_circuit,
-    linear_angles,
-    log_angles,
-)
-from .eigenstates import apply_pair_factor, build_eigenstate
-from .errors import (
-    ComplexPaironsError,
-    IncompleteSolveError,
-    InvalidArgumentError,
-    LeakageError,
-    LmgError,
-    NumericFailureError,
-    SingularityError,
-    UnsupportedRegimeError,
-)
-from .model import (
-    FockVector,
-    ModelParams,
-    SectorConfig,
-    apply_hamiltonian,
-    exact_spectrum,
-    make_params,
-    sector_configs,
-    sector_spectrum,
-)
-from .simulator import (
-    MeasurementGroup,
-    StateVector,
-    encoded_expectation,
-    fidelity,
-    pauli_groups,
-    run,
-    sampled_expectation,
-    sampled_expectations,
-)
-from .vqe import VqeOptions, VqeResult, benchmark, objective, optimize
+The package re-exports each layer module's ``__all__``, so a public name is
+declared once, in the module that defines it.
+"""
+
+from . import bethe, circuit, eigenstates, errors, model, simulator, vqe
+from .bethe import *  # noqa: F403
+from .circuit import *  # noqa: F403
+from .eigenstates import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .model import *  # noqa: F403
+from .simulator import *  # noqa: F403
+from .vqe import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AngleSet",
-    "Circuit",
-    "ComplexPaironsError",
-    "FockVector",
-    "Gate",
-    "IncompleteSolveError",
-    "InvalidArgumentError",
-    "LeakageError",
-    "Level",
-    "LmgError",
-    "MeasurementGroup",
-    "ModelParams",
-    "NumericFailureError",
-    "SectorConfig",
-    "SingularityError",
-    "SpectralSolution",
-    "StateVector",
-    "UnsupportedRegimeError",
-    "VqeOptions",
-    "VqeResult",
-    "apply_hamiltonian",
-    "apply_pair_factor",
-    "benchmark",
-    "build_circuit",
-    "build_eigenstate",
-    "control_slot",
-    "eigenvalue",
-    "encode",
-    "encoded_expectation",
-    "exact_spectrum",
-    "export_circuit",
-    "fidelity",
-    "import_circuit",
-    "linear_angles",
-    "log_angles",
-    "make_params",
-    "objective",
-    "optimize",
-    "pauli_groups",
-    "residual",
-    "run",
-    "sampled_expectation",
-    "sampled_expectations",
-    "sector_configs",
-    "sector_spectrum",
-    "solve_bethe",
-    "solve_levels",
-]
+__all__ = sorted(
+    name for module in (bethe, circuit, eigenstates, errors, model, simulator, vqe)
+    for name in module.__all__
+)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .bethe import solve_bethe, solve_levels
-from .circuit import build_circuit, export_circuit, import_circuit, linear_angles, log_angles
+from .circuit import MODES, build_circuit, export_circuit, import_circuit, linear_angles, log_angles
 from .errors import InvalidArgumentError, LmgError, NumericFailureError
 from .model import (
     SectorConfig,
@@ -247,24 +247,20 @@ def _cmd_simulate(args) -> int:
         if args.n is None or args.v is None or args.w is None:
             raise InvalidArgumentError("--report-energy needs --n, --v and --w")
         params = make_params(args.n, args.v, args.w)
-        m = circ.num_qubits - 1
         if args.sector is not None:
             config = _parse_sector(args.sector, args.n)
         else:
-            fits = [config for config in sector_configs(args.n) if config.m == m]
+            fits = [c for c in sector_configs(args.n) if c.m + 1 == circ.num_qubits]
             if not fits:
                 raise InvalidArgumentError(
-                    f"a circuit of {m + 1} qubits fits no sector of N={args.n}"
+                    f"a circuit of {circ.num_qubits} qubits fits no sector of N={args.n}"
                 )
             if len(fits) > 1:  # odd N: both sectors hold M pairs
                 raise InvalidArgumentError(
                     "odd-particle circuits need --sector to pick (nu_a, nu_b)"
                 )
             (config,) = fits
-        if config.m != m:
-            raise InvalidArgumentError(
-                f"circuit has {m + 1} qubits but the sector needs {config.m + 1}"
-            )
+        # encoded_expectation refuses a sector whose M + 1 is not the circuit's width
         payload["energy"] = encoded_expectation(state, config, params)
         payload["sector"] = asdict(config)
     _emit_json(payload)
@@ -360,14 +356,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("angles", help="rotation angles preparing an eigenstate")
     _add_instance_flags(p)
     p.add_argument("--index", type=int, required=True)
-    p.add_argument("--depth", choices=("linear", "log"), default="linear")
+    p.add_argument("--depth", choices=MODES, default=VqeOptions.depth)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_angles)
 
     p = sub.add_parser("circuit", help="export a preparation circuit")
     _add_instance_flags(p)
     p.add_argument("--index", type=int, required=True)
-    p.add_argument("--depth", choices=("linear", "log"), default="linear")
+    p.add_argument("--depth", choices=MODES, default=VqeOptions.depth)
     p.add_argument("--format", choices=("json", "qasm"), default="json")
     p.add_argument("--out", help="write to a file instead of stdout")
     p.set_defaults(func=_cmd_circuit)
@@ -384,18 +380,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vqe", help="variational optimization against exact answers")
     _add_instance_flags(p)
     p.add_argument("--sector", help="fiducial occupations; default: ground sector")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=VqeOptions.seed)
     p.add_argument("--shots", type=int, default=0, help="0 = exact estimator")
-    p.add_argument("--restarts", type=int, default=10)
+    p.add_argument("--restarts", type=int, default=VqeOptions.restarts)
     p.add_argument("--warm", action="store_true")
-    p.add_argument("--depth", choices=("linear", "log"), default="linear")
+    p.add_argument("--depth", choices=MODES, default=VqeOptions.depth)
     p.set_defaults(func=_cmd_vqe)
 
     p = sub.add_parser("benchmark", help="full per-eigenstate scorecard (report JSON)")
     _add_instance_flags(p)
     p.add_argument("--shots", type=int, nargs="*", help="VQE shot budgets; 0 = exact")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=10)
+    p.add_argument("--seed", type=int, default=VqeOptions.seed)
+    p.add_argument("--restarts", type=int, default=VqeOptions.restarts)
     p.add_argument("--out", help="write the report to a file")
     p.set_defaults(func=_cmd_benchmark)
 

@@ -1,5 +1,16 @@
 """Exception types shared across the toolkit."""
 
+__all__ = [
+    "LmgError",
+    "InvalidArgumentError",
+    "SingularityError",
+    "UnsupportedRegimeError",
+    "IncompleteSolveError",
+    "ComplexPaironsError",
+    "LeakageError",
+    "NumericFailureError",
+]
+
 
 class LmgError(Exception):
     """Base class for all toolkit errors."""

@@ -442,7 +442,7 @@ def sampled_expectations(
     ``seed``, ``groups`` and the rows' weights are checked once, and each
     group's outcome probabilities are taken for all rows together.  A row
     with no weight, or rows whose length is not the groups' size, raise
-    InvalidArgumentError.
+    InvalidArgumentError; huge and tiny rows are normalized without overflow.
     """
     if not (_is_count(shots) and _is_count(seed)):
         raise InvalidArgumentError(f"shots and seed must be integers, got {shots!r}, {seed!r}")
@@ -457,7 +457,18 @@ def sampled_expectations(
         raise InvalidArgumentError(
             f"states must be rows of {groups[0].size} one-hot amplitudes, got shape {states.shape}"
         )
-    norms = np.sqrt(np.sum(np.abs(states) ** 2, axis=1))
+    # a row whose sum of squares over- or underflows is first scaled by 2^-e, e the
+    # binary exponent of its largest part: exact, and the other rows keep their bits
+    with np.errstate(over="ignore", under="ignore"):
+        squares = np.sum(np.abs(states) ** 2, axis=1)
+        odd = ~(np.isfinite(squares) & (squares >= np.finfo(float).tiny))
+        if odd.any():
+            parts = states[odd].view(float)
+            exponents = np.frexp(np.abs(parts).max(axis=1))[1]
+            states = states.copy()
+            states[odd] = np.ldexp(parts, -exponents[:, None]).view(complex)
+            squares[odd] = np.sum(np.abs(states[odd]) ** 2, axis=1)
+    norms = np.sqrt(squares)
     if not norms.all():
         raise InvalidArgumentError("state has no weight on the one-hot subspace")
     weights = states / norms[:, None]

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lmg import AngleSet, build_circuit, export_circuit
+from lmg import AngleSet, VqeOptions, build_circuit, export_circuit
+from lmg.circuit import MODES
 from lmg.cli import _to_json, build_parser, main
 from lmg.errors import NumericFailureError
 from lmg.reference import N7_ENERGY
@@ -221,12 +222,17 @@ def test_hyperbolic_instance_reports_its_validated_sets(capsys):
     assert excinfo.value.code == 2
 
 
-def test_subcommand_flag_sets():
+def _subparsers():
     (commands,) = (
         action.choices
         for action in build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
     )
+    return commands
+
+
+def test_subcommand_flag_sets():
+    commands = _subparsers()
     flags = {
         name: sorted(
             opt
@@ -250,6 +256,25 @@ def test_subcommand_flag_sets():
         "benchmark": sorted([*instance, "--shots", "--seed", "--restarts", "--out"]),
         "verify": ["--list", "--only"],
     }
+
+
+def test_optimizer_flags_default_to_vqe_options_and_depths_to_modes():
+    commands = _subparsers()
+    defaults = VqeOptions()
+    instance = ["--n", "4", "--v", "0.8", "--w", "0.2"]
+    vqe = commands["vqe"].parse_args(instance)
+    bench = commands["benchmark"].parse_args(instance)
+    assert (vqe.restarts, vqe.seed, vqe.depth) == (
+        defaults.restarts, defaults.seed, defaults.depth
+    )
+    assert (bench.restarts, bench.seed) == (defaults.restarts, defaults.seed)
+    depth_choices = {
+        name: action.choices
+        for name, sub in commands.items()
+        for action in sub._actions
+        if "--depth" in action.option_strings
+    }
+    assert depth_choices == {"angles": MODES, "circuit": MODES, "vqe": MODES}
 
 
 def test_spectrum_past_float_factorials():
@@ -465,6 +490,18 @@ def test_simulate_circuit_that_fits_no_sector(n, tmp_path, capsys):
     assert parse_json(err)["error"]["message"] == (
         f"a circuit of 5 qubits fits no sector of N={n}"
     )
+
+
+def test_simulate_sector_of_another_width_is_refused_by_the_energy(tmp_path, capsys):
+    path = tmp_path / "four.json"
+    path.write_text(export_circuit(build_circuit(AngleSet((1.0, 2.0, 3.0), "linear"))))
+    code, out, err = invoke(capsys, "simulate", "--circuit", str(path), "--report-energy",
+                            "--n", "8", "--v", "0.75", "--w", "0.5", "--sector", "0,0")
+    assert code == 1 and out == ""
+    assert parse_json(err)["error"] == {
+        "type": "InvalidArgumentError",
+        "message": "sector needs 5 qubits, state has 4",
+    }
 
 
 @pytest.mark.parametrize("n, sector", [(7, "3,0"), (8, "1,0"), (7, "0,-1"), (7, "2,2")])

@@ -658,6 +658,26 @@ def test_sampled_expectations_refuses_rows_of_the_wrong_shape_or_without_weight(
         sampled_expectations(np.vstack([rows, np.zeros(3)]), groups, shots=10, seed=0)
 
 
+@pytest.mark.parametrize("k", [-600, 600, 900])
+def test_rows_whose_weight_over_or_underflows_keep_their_sampled_bits(k):
+    # scaled by 2^k, each row's sum of squares under- or overflows; the row is
+    # scaled back by a power of two first, so it measures as the unscaled row
+    rng = np.random.default_rng(67)
+    groups = pauli_groups(SectorConfig(4, 0, 0), make_params(8, 0.75, 0.5))
+    rows = rng.uniform(1e-3, 1.0, (6, 5)) * rng.choice((-1.0, 1.0), (6, 5))
+    for shots, seed in ((1, 0), (100, 5), (10_000, 9)):
+        want = sampled_expectations(rows, groups, shots, seed)
+        got = sampled_expectations(rows * 2.0**k, groups, shots, seed)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+
+@pytest.mark.parametrize("amp", [1e200, 1e-170, 5e-324, 1e308])
+def test_sampled_expectation_of_huge_and_tiny_amplitudes(amp):
+    groups = pauli_groups(SectorConfig(1, 0, 0), make_params(2, 0.75, 0.5))
+    want = sampled_expectation(StateVector(2, {1: 1.0, 2: 1.0}), groups, 100, 0)
+    assert sampled_expectation(StateVector(2, {1: amp, 2: amp}), groups, 100, 0) == want
+
+
 def test_sampled_expectation_input_validation():
     state = StateVector.one_hot(2, 0b10)
     with pytest.raises(InvalidArgumentError):
