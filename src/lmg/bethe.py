@@ -47,7 +47,6 @@ import numpy as np
 
 from .errors import (
     ComplexPaironsError,
-    IncompleteSolveError,
     InvalidArgumentError,
     LmgError,
     NumericFailureError,
@@ -249,24 +248,32 @@ def _checked_set(energies, config: SectorConfig, params: ModelParams, pairs=Fals
     return e
 
 
+def _score(kernel, energies, config: SectorConfig, params: ModelParams, pairs=False):
+    """``kernel`` on a set :func:`_checked_set` accepts, as a one-row stack; overflow refuses it."""
+    e = _checked_set(energies, config, params, pairs)
+    try:
+        with np.errstate(over="raise"):
+            return kernel(e[None], config, params)[0]
+    except FloatingPointError:
+        raise InvalidArgumentError("the pair-energy terms of this set overflow a float") from None
+
+
 def residual(energies, config: SectorConfig, params: ModelParams) -> np.ndarray:
     """Residual of the pair-energy equations, one component per parameter.
 
     Refuses what :func:`eigenvalue` refuses, and two parameters closer than GUARD.
     """
-    e = _checked_set(energies, config, params, pairs=True)
-    return _residual_raw(e[None], config, params)[0]
+    return _score(_residual_raw, energies, config, params, pairs=True)
 
 
 def eigenvalue(energies, config: SectorConfig, params: ModelParams) -> float:
     """Eigenvalue omega generated by a solution set (in units of the gap).
 
-    A set that is not ``config.m`` finite reals raises InvalidArgumentError,
-    a sector :func:`solve_levels` refuses raises its refusal, and a
-    parameter within GUARD of a pole E = +/-eta raises SingularityError.
+    A set that is not ``config.m`` finite reals, or whose terms overflow a float,
+    raises InvalidArgumentError, a sector :func:`solve_levels` refuses raises its
+    refusal, and a parameter within GUARD of E = +/-eta raises SingularityError.
     """
-    e = _checked_set(energies, config, params)
-    return float(_eigenvalues(e[None], config, params)[0])
+    return float(_score(_eigenvalues, energies, config, params))
 
 
 def _squares(rows: np.ndarray) -> np.ndarray:
@@ -503,24 +510,14 @@ def solve_levels(config: SectorConfig, params: ModelParams) -> tuple[Level, ...]
 
 
 def solve_bethe(config: SectorConfig, params: ModelParams) -> list[SpectralSolution]:
-    """All M+1 solution sets of a sector: the ``solution`` of each :func:`solve_levels` level.
+    """All M+1 solution sets of a sector: every :func:`solve_levels` level's set.
 
-    Raises UnsupportedRegimeError for rational and V = 0 instances.  When a
-    level has no set, raises ComplexPaironsError if one has non-real pair
-    energies (hyperbolic instances only), else IncompleteSolveError.
+    A sector :func:`solve_levels` refuses raises its refusal; otherwise the
+    first level without a set raises its own error.
     """
     _require_solvable(config, params)
     levels = solve_levels(config, params)
-    found = [level.solution for level in levels if level.solution is not None]
-    non_real = [level.error for level in levels if isinstance(level.error, ComplexPaironsError)]
-    if non_real:
-        raise ComplexPaironsError(
-            f"{non_real[-1]}; only {len(found)} of {len(levels)} real solution sets exist"
-        )
-    if len(found) < len(levels):
-        raise IncompleteSolveError(
-            f"recovered {len(found)} of {len(levels)} solution sets from the eigenvectors",
-            found=len(found),
-            needed=len(levels),
-        )
-    return found
+    for level in levels:
+        if level.error is not None:
+            raise level.error
+    return [level.solution for level in levels]

@@ -19,7 +19,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .bethe import solve_bethe, solve_levels
+from .bethe import _require_solvable, solve_levels
 from .circuit import MODES, build_circuit, export_circuit, import_circuit, linear_angles, log_angles
 from .errors import InvalidArgumentError, LmgError, NumericFailureError
 from .model import (
@@ -80,20 +80,16 @@ def _emit_csv(rows: list[dict], columns: tuple[str, ...] = ()) -> None:
     """Header of sorted keys (numeric suffixes in number order), then one line per row.
 
     ``columns`` names keys that head the table even when ``rows`` is empty.
+    A cell holding a comma, a double quote or a newline is quoted (RFC 4180).
     """
+    import csv  # imported here, so that only CSV output pays for it at start-up
+
     keys = sorted({*columns, *(key for row in rows for key in row)}, key=_column_order)
-    sys.stdout.write(",".join(keys) + "\n")
-    for row in rows:
-        cells = []
-        for key in keys:
-            value = row.get(key)
-            if isinstance(value, float):
-                cells.append(_format_float(value))
-            elif value is None:
-                cells.append("")
-            else:
-                cells.append(str(value))
-        sys.stdout.write(",".join(cells) + "\n")
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(keys)
+    for row in rows:  # the writer prints None as an empty cell
+        values = map(row.get, keys)
+        writer.writerow([_format_float(v) if isinstance(v, float) else v for v in values])
 
 
 def _read_text(path: str) -> str:
@@ -170,8 +166,14 @@ def _cmd_spectrum(args) -> int:
 def _cmd_bethe(args) -> int:
     params = make_params(args.n, args.v, args.w)
     config = _parse_sector(args.sector, args.n)
+    _require_solvable(config, params)  # a refused sector prints no rows
     rows = []
-    for sol in solve_bethe(config, params):
+    for level in solve_levels(config, params):
+        sol = level.solution
+        if sol is None:
+            error = f"{type(level.error).__name__}: {level.error}"
+            rows.append({"index": level.index, "omega_exact": level.omega, "error": error})
+            continue
         row = {"index": sol.index, "omega": sol.omega, "residual_norm": sol.residual_norm}
         if args.format == "csv":
             row.update((f"e{i}", e) for i, e in enumerate(sol.energies, start=1))

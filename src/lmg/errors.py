@@ -5,7 +5,6 @@ __all__ = [
     "InvalidArgumentError",
     "SingularityError",
     "UnsupportedRegimeError",
-    "IncompleteSolveError",
     "ComplexPaironsError",
     "LeakageError",
     "NumericFailureError",
@@ -26,19 +25,6 @@ class SingularityError(LmgError):
 
 class UnsupportedRegimeError(LmgError):
     """The operation was asked to work outside its validity domain."""
-
-
-class IncompleteSolveError(LmgError):
-    """The solver could not produce the full, oracle-validated solution list.
-
-    ``found`` counts the solution sets that validated against their own exact
-    level; ``needed`` is the sector's M+1.
-    """
-
-    def __init__(self, message: str, found: int = 0, needed: int = 0):
-        super().__init__(message)
-        self.found = found
-        self.needed = needed
 
 
 class ComplexPaironsError(LmgError):

@@ -201,6 +201,25 @@ def ladder_matrix(params: ModelParams, parity: int) -> tuple[np.ndarray, np.ndar
     return diag, hop
 
 
+def _scaled_squares(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``w``, ``|w|^2`` and its sums over the last axis, for one state or a 2-D array of rows.
+
+    A row whose sum is not a positive, finite, normal number is first scaled by 2^-e
+    (exact), e the binary exponent of its largest real or imaginary part; no other row moves.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        probs = np.abs(w) ** 2
+        weight = probs.sum(axis=-1)
+        odd = ~(np.isfinite(weight) & (weight >= np.finfo(float).tiny))
+        if odd.any():
+            parts = np.ascontiguousarray(w, dtype=np.result_type(w, float)).view(float)
+            e = np.frexp(np.abs(parts).max(axis=-1, keepdims=True, initial=0.0))[1]
+            w = np.where(odd[..., None], np.ldexp(parts, -e), parts).view(np.result_type(w, float))
+            probs = np.abs(w) ** 2
+            weight = probs.sum(axis=-1)
+    return w, probs, weight
+
+
 def ladder_energy(w: np.ndarray, params: ModelParams, parity: int) -> float | np.ndarray:
     """<H> of (real or complex) ladder amplitudes ``w``, over their weight.
 
@@ -208,12 +227,10 @@ def ladder_energy(w: np.ndarray, params: ModelParams, parity: int) -> float | np
     sum_k d_k |w_k|^2 + 2 sum_k t_k Re(w_k* w_{k+1}), divided by sum_k |w_k|^2.
     ``w`` is one state, giving a float, or a 2-D array with one state per
     row, giving one energy per row; each row's energy has the bits of the
-    one-state call on that row.
+    one-state call on that row and of that row times a power of two.
     """
     diag, hop = ladder_matrix(params, parity)
-    w = np.asarray(w)
-    probs = np.abs(w) ** 2
-    weight = probs.sum(axis=-1)
+    w, probs, weight = _scaled_squares(np.asarray(w))
     if not np.all(weight):
         raise InvalidArgumentError("state has no weight on the ladder")
     value = (diag * probs).sum(axis=-1)

@@ -31,6 +31,7 @@ from .model import (
     _check_sector,
     _finite_reals,
     _is_count,
+    _scaled_squares,
     ladder_energy,
     ladder_matrix,
 )
@@ -118,9 +119,18 @@ class StateVector:
         return complex(self.amps.get(basis, 0.0))
 
     def norm(self) -> float:
-        if self.is_dense:
-            return float(np.linalg.norm(self.amps))
-        return float(np.sqrt(sum(abs(a) ** 2 for a in self.amps.values())))
+        """sqrt(sum |a|^2), or :func:`math.hypot` of every real and imaginary part
+        (which scales first) where that sum overflows."""
+        values = self.amps if self.is_dense else list(self.amps.values())
+        with np.errstate(over="ignore"):
+            try:
+                if self.is_dense:
+                    plain = float(np.linalg.norm(values))
+                else:
+                    plain = float(np.sqrt(sum(abs(a) ** 2 for a in values)))
+            except OverflowError:  # a Python float squared past the float range
+                plain = math.inf
+        return plain if plain != math.inf else math.hypot(*np.array(values, complex).view(float))
 
     def one_hot_block(self) -> np.ndarray:
         """Amplitudes on the one-hot integers 2^0 .. 2^(n-1).
@@ -139,12 +149,13 @@ class StateVector:
         return np.array(block)
 
     def one_hot_leakage(self) -> float:
-        """Squared weight living outside the Hamming-weight-1 subspace."""
-        return self._leakage(self.one_hot_block())
-
-    def _leakage(self, block: np.ndarray) -> float:
-        """Squared weight outside ``block``, this state's own one-hot block."""
-        return self.norm() ** 2 - float(np.sum(np.abs(block) ** 2))
+        """Squared weight on basis 0 and every basis with two or more set bits."""
+        if self.is_dense:
+            off = np.delete(self.amps, 1 << np.arange(self.num_qubits))
+        else:
+            off = [a for basis, a in self.amps.items() if not basis or basis & (basis - 1)]
+        with np.errstate(over="ignore"):
+            return float(np.sum(np.abs(np.array(off, dtype=complex)) ** 2))
 
 
 def _slices(n: int, assignments: dict[int, int]) -> tuple:
@@ -292,22 +303,11 @@ def fidelity(psi: StateVector, target) -> float:
         raise InvalidArgumentError(
             f"target must have one entry per qubit ({psi.num_qubits}), got {t.shape}"
         )
-    overlap = complex(np.sum(t * psi.one_hot_block()))
-    return float(abs(overlap) ** 2)
-
-
-def _one_hot_weights(psi: StateVector, config: SectorConfig) -> np.ndarray:
-    if psi.num_qubits != config.m + 1:
-        raise InvalidArgumentError(
-            f"sector needs {config.m + 1} qubits, state has {psi.num_qubits}"
-        )
-    block = psi.one_hot_block()
-    leak = psi._leakage(block)
-    if leak > LEAKAGE_TOL:
-        raise LeakageError(
-            f"state leaks {leak:.3e} probability outside the one-hot subspace"
-        )
-    return block
+    with np.errstate(over="ignore"):
+        overlap = abs(complex(np.sum(t * psi.one_hot_block())))
+    if overlap >= 2.0**512:  # the square reaches 2^1024
+        raise InvalidArgumentError(f"|<T|psi>|^2 overflows a float (|<T|psi>| = {overlap:.6g})")
+    return overlap**2
 
 
 def encoded_expectation(psi: StateVector, config: SectorConfig, params: ModelParams) -> float:
@@ -317,10 +317,18 @@ def encoded_expectation(psi: StateVector, config: SectorConfig, params: ModelPar
     :func:`lmg.model.ladder_energy`, normalized over the one-hot weight.
     Raises LeakageError when the state strays off the subspace (a broken
     circuit, not a numerical accident).  A sector whose particle count is not
-    ``params.n`` raises InvalidArgumentError.
+    ``params.n``, or whose M + 1 is not the state's width, raises
+    InvalidArgumentError.
     """
     _check_sector(config, params)
-    return ladder_energy(_one_hot_weights(psi, config), params, config.parity)
+    if psi.num_qubits != config.m + 1:
+        raise InvalidArgumentError(
+            f"sector needs {config.m + 1} qubits, state has {psi.num_qubits}"
+        )
+    leak = psi.one_hot_leakage()
+    if leak > LEAKAGE_TOL:
+        raise LeakageError(f"state leaks {leak:.3e} probability outside the one-hot subspace")
+    return ladder_energy(psi.one_hot_block(), params, config.parity)
 
 
 @dataclass(frozen=True)
@@ -457,17 +465,7 @@ def sampled_expectations(
         raise InvalidArgumentError(
             f"states must be rows of {groups[0].size} one-hot amplitudes, got shape {states.shape}"
         )
-    # a row whose sum of squares over- or underflows is first scaled by 2^-e, e the
-    # binary exponent of its largest part: exact, and the other rows keep their bits
-    with np.errstate(over="ignore", under="ignore"):
-        squares = np.sum(np.abs(states) ** 2, axis=1)
-        odd = ~(np.isfinite(squares) & (squares >= np.finfo(float).tiny))
-        if odd.any():
-            parts = states[odd].view(float)
-            exponents = np.frexp(np.abs(parts).max(axis=1))[1]
-            states = states.copy()
-            states[odd] = np.ldexp(parts, -exponents[:, None]).view(complex)
-            squares[odd] = np.sum(np.abs(states[odd]) ** 2, axis=1)
+    states, _, squares = _scaled_squares(states)
     norms = np.sqrt(squares)
     if not norms.all():
         raise InvalidArgumentError("state has no weight on the one-hot subspace")

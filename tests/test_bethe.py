@@ -9,7 +9,6 @@ import pytest
 from lmg import (
     ComplexPaironsError,
     FockVector,
-    IncompleteSolveError,
     InvalidArgumentError,
     LmgError,
     NumericFailureError,
@@ -312,6 +311,19 @@ def test_eigenvalue_empty_sector_formula():
             assert eigenvalue([], config, p) == pytest.approx(expected, abs=1e-14)
 
 
+def test_residual_and_eigenvalue_refuse_a_set_whose_terms_overflow():
+    # both returned values computed from inf, after overflow warnings
+    with pytest.raises(InvalidArgumentError, match="overflow a float"):
+        residual((1.3e154, 1.2e154), SectorConfig(2, 0, 0), make_params(4, 0.75, 0.5))
+    with pytest.raises(InvalidArgumentError, match="overflow a float"):
+        eigenvalue((1e150, 2e150), SectorConfig(2, 0, 0), make_params(4, 1e10, 0.5))
+    # an accepted set keeps the bits of the unchecked kernel
+    config, p = SectorConfig(2, 0, 0), make_params(4, 0.75, 0.5)
+    e = np.array([1e150, 2e150])
+    assert residual(e, config, p).tobytes() == bethe._residual_raw(e[None], config, p)[0].tobytes()
+    assert eigenvalue(e, config, p) == float(bethe._eigenvalues(e[None], config, p)[0])
+
+
 def test_eigenvalue_pole_error():
     p = n7_params()
     with pytest.raises(SingularityError):
@@ -457,23 +469,31 @@ def test_spectral_solution_energies_sorted_and_distinct():
             assert np.min(np.abs(np.abs(e) - abs(p.eta))) > 1e-8
 
 
-def test_solve_bethe_incomplete_with_exhausted_budget(monkeypatch):
-    from lmg import IncompleteSolveError
+def _raises_the_first_level_error(config, p, levels):
+    # solve_bethe raises the error of the first level without a set, as recorded
+    first = next(level.error for level in levels if level.error is not None)
+    with pytest.raises(LmgError) as excinfo:
+        solve_bethe(config, p)
+    assert type(excinfo.value) is type(first)
+    assert str(excinfo.value) == str(first)
 
+
+def test_solve_bethe_incomplete_with_exhausted_budget(monkeypatch):
     # an unreachable tolerance: no seed polishes within the Newton step budget
     monkeypatch.setattr(bethe, "TOL", 1e-300)
     p = make_params(8, 1.05, 0.35)
-    with pytest.raises(IncompleteSolveError) as excinfo:
-        solve_bethe(SectorConfig(4, 0, 0), p)
-    assert excinfo.value.needed == 5
-    assert excinfo.value.found == 0
+    config = SectorConfig(4, 0, 0)
+    levels = solve_levels(config, p)
+    assert len(levels) == 5
+    assert all(level.solution is None for level in levels)
+    assert {str(level.error) for level in levels} == {"damped Newton left a residual above 1e-300"}
+    assert all(type(level.error) is NumericFailureError for level in levels)
+    _raises_the_first_level_error(config, p, levels)
 
 
 def test_solve_bethe_refuses_a_set_polished_onto_another_level(monkeypatch):
-    from lmg import IncompleteSolveError
-
-    # the seed of level 1 is sent to level 0's set: that set is dropped on its
-    # own, so only the three sets that match their own levels are counted
+    # the seed of level 1 is sent to level 0's set: that set is refused on its
+    # own level, and the three sets that match their own levels are kept
     polish = bethe._newton
 
     def misdirected(start, config, params):
@@ -482,15 +502,12 @@ def test_solve_bethe_refuses_a_set_polished_onto_another_level(monkeypatch):
         return polished, errors
 
     monkeypatch.setattr(bethe, "_newton", misdirected)
-    with pytest.raises(IncompleteSolveError) as excinfo:
-        solve_bethe(N7_CONFIG, n7_params())
-    assert (excinfo.value.found, excinfo.value.needed) == (3, 4)
-    assert str(excinfo.value) == "recovered 3 of 4 solution sets from the eigenvectors"
-    # level 2 carries its own error; the other levels keep their sets
     levels = solve_levels(N7_CONFIG, n7_params())
     assert isinstance(levels[1].error, NumericFailureError)
-    assert "not level 2" in str(levels[1].error)
+    assert str(levels[1].error).startswith("the set polished onto omega=")
+    assert str(levels[1].error).endswith(", not level 2")
     assert [level.solution.index for i, level in enumerate(levels) if i != 1] == [1, 3, 4]
+    _raises_the_first_level_error(N7_CONFIG, n7_params(), levels)
 
 
 def _float_ladder_weights(config):
@@ -534,18 +551,16 @@ def test_ladder_weights_past_float_factorials(n):
 
 @pytest.mark.parametrize("n", [56, 60, 64])
 def test_solve_bethe_large_n_trigonometric_never_complex(n):
-    from lmg import IncompleteSolveError
-
     # trigonometric pair energies are real: a lost set is a numerical failure
     p = make_params(n, 0.75, 0.5)
     for config in sector_configs(n):
-        try:
-            sols = solve_bethe(config, p)
-        except IncompleteSolveError as exc:
-            assert exc.needed == config.m + 1
-            assert exc.found < exc.needed
+        levels = solve_levels(config, p)
+        errors = [level.error for level in levels if level.error is not None]
+        assert all(type(error) is NumericFailureError for error in errors)
+        if errors:
+            _raises_the_first_level_error(config, p, levels)
         else:
-            assert len(sols) == config.m + 1
+            assert len(solve_bethe(config, p)) == config.m + 1
 
 
 def test_solve_bethe_negative_v_regimes():
@@ -636,16 +651,7 @@ def test_solve_levels_regimes_one_outcome_per_level():
             if len(sets) == len(levels):
                 assert solve_bethe(config, p) == sets
                 continue
-            with pytest.raises(LmgError) as excinfo:
-                solve_bethe(config, p)
-            kinds = {type(level.error) for level in levels if level.error is not None}
-            if kinds <= {NumericFailureError}:
-                assert isinstance(excinfo.value, IncompleteSolveError)
-                assert (excinfo.value.found, excinfo.value.needed) == (len(sets), len(levels))
-            elif ComplexPaironsError in kinds:
-                assert isinstance(excinfo.value, ComplexPaironsError)
-            else:  # a refused sector: the one refusal, raised
-                assert kinds == {type(excinfo.value)} and not sets
+            _raises_the_first_level_error(config, p, levels)
 
 
 def _compiled(vector):

@@ -287,14 +287,17 @@ def test_spectrum_past_float_factorials():
     assert [lvl["index"] for lvl in levels] == list(range(1, 173))
 
 
-def test_bethe_past_float_factorials_gives_json_error():
+def test_bethe_past_float_factorials_gives_one_row_per_level():
     proc = python(
         "-m", "lmg.cli", "bethe", "--n", "171", "--v", "0.75", "--w", "0.5", "--sector", "1,0"
     )
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    assert parse_json(proc.stderr)["error"]["type"] == "IncompleteSolveError"
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    rows = parse_json(proc.stdout)["solutions"]
+    assert [row["index"] for row in rows] == list(range(1, 87))
+    # no set survives at this size: each level says why it has none
+    assert all(row["error"].startswith("NumericFailureError: ") for row in rows)
+    assert all(set(row) == {"index", "omega_exact", "error"} for row in rows)
 
 
 @pytest.mark.parametrize(
@@ -552,21 +555,53 @@ def test_benchmark_marks_only_the_levels_without_a_set(capsys):
         assert all("omega_bethe" in row for row in sector["rows"] if "error" not in row)
 
 
-def test_bethe_on_an_incomplete_sector_still_refuses(capsys):
+def test_bethe_on_an_incomplete_sector_marks_only_the_levels_without_a_set(capsys):
     code, out, err = invoke(capsys, "bethe", *N60, "--sector", "0,0")
-    assert code == 1 and out == ""
-    assert err == (
-        '{"error": {"message": "recovered 29 of 31 solution sets from the eigenvectors", '
-        '"type": "IncompleteSolveError"}}\n'
-    )
+    assert code == 0 and err == ""
+    rows = parse_json(out)["solutions"]
+    assert [row["index"] for row in rows] == list(range(1, 32))
+    errors = {row["index"]: row for row in rows if "error" in row}
+    assert sorted(errors) == [1, 2]
+    for row in errors.values():
+        assert set(row) == {"index", "omega_exact", "error"}
+        assert row["error"].startswith("NumericFailureError: ")
+    assert all(set(row) == {"index", "omega", "pairons", "residual_norm"}
+               for row in rows if row["index"] not in errors)
 
 
 def test_bethe_at_huge_couplings_is_not_called_rational(capsys):
     # V^2 and W^2 both overflow to inf here, but |V| > |W|: a trigonometric instance
     code, out, err = invoke(capsys, "bethe", "--n", "3", "--v", "1e200", "--w", "1e199",
                             "--sector", "1,0")
-    assert code == 1 and out == ""
-    assert parse_json(err)["error"]["type"] != "UnsupportedRegimeError"
+    assert code == 0 and err == ""
+    rows = parse_json(out)["solutions"]
+    assert len(rows) == 2
+    assert not any(row.get("error", "").startswith("UnsupportedRegimeError") for row in rows)
+
+
+def test_bethe_csv_quotes_an_error_that_holds_a_comma(capsys, monkeypatch):
+    import csv
+
+    from lmg import bethe
+
+    # level 2's seed is polished onto level 1's set, whose error names both levels
+    polish = bethe._newton
+
+    def misdirected(start, config, params):
+        polished, errors = polish(start, config, params)
+        polished[1] = polished[0]
+        return polished, errors
+
+    monkeypatch.setattr(bethe, "_newton", misdirected)
+    code, out, err = invoke(capsys, "bethe", "--n", "7", "--v", "0.75", "--w", "0.5",
+                            "--sector", "1,0", "--format", "csv")
+    assert code == 0 and err == ""
+    header, *rows = list(csv.reader(out.splitlines()))
+    assert len(rows) == 4 and all(len(row) == len(header) for row in rows)
+    error = dict(zip(header, rows[1]))["error"]
+    assert error.startswith("NumericFailureError: the set polished onto omega=")
+    assert error.endswith(", not level 2")
+    assert '"' in out.splitlines()[2]
 
 
 def test_bethe_refuses_overflowing_pair_energy_parameters(capsys):

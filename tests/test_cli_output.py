@@ -50,9 +50,9 @@ PINNED = [
     ("bethe --n 7 --v 0.75 --w 0.5 --sector 1,0", 0,
      "2475ef59b0a2de3236d6130c228cdae95a11e116521a026994961c9ea98604bf",
      EMPTY),
-    ("bethe --n 12 --v 0.2 --w 1.5 --sector 0,0", 1,
-     EMPTY,
-     "eeeb2ea0ae6ac7c8a580035da8398be48e803bbe356a4901eb75a73c420f80ca"),
+    ("bethe --n 12 --v 0.2 --w 1.5 --sector 0,0", 0,
+     "2c06c3e81d099a5c4602776c9abb51fb8bf13748606c47e998f598b61ea181e3",
+     EMPTY),
     ("bethe --n 4 --v 1 --w 1 --sector 0,0", 1,
      EMPTY,
      "7697ad40269d1219b624f53f0a94290242b815e94b3e708a0df2bb16c229347a"),
@@ -86,9 +86,9 @@ PINNED = [
     ("bethe --n 22 --v 0.75 --w 0.5 --sector 0,0 --format csv", 0,
      "a0ed97edda64700bfd0980fb5d9cad2c2c79d4642475fd1df664f939d1aa729d",
      EMPTY),
-    ("bethe --n 64 --v 0.75 --w 0.5 --sector 0,0", 1,
-     EMPTY,
-     "6e51f26e5f9a7a4688708774cf64db2e3dc14ed55a8a976e4fe891475b34a5c8"),
+    ("bethe --n 64 --v 0.75 --w 0.5 --sector 0,0", 0,
+     "b6a396ff2e4b077b9a95eb134f0d40a91f0bdff048f6afdf1d4770fd68a44ba2",
+     EMPTY),
     ("state --n 9 --v 0.75 --w 0.5 --index 4 --format csv", 0,
      "462c55e0885c2d5d5c31e1aad3dcb410b9c4e93f2233ed691c6d82c6731189f6",
      EMPTY),
@@ -113,9 +113,9 @@ PINNED = [
     ("bethe --n 6 --v 0 --w 0.5 --sector 0,0", 1,
      EMPTY,
      "d37363552c564f0e6511c20e06e0291ae17d4b896558f34bf57c5aa3a73d6111"),
-    ("bethe --n 56 --v 0.75 --w 0.5 --sector 0,0", 1,
-     EMPTY,
-     "52db2f0aea72f520c2576139e53c8ce1b5ab0e9cf83ad0bf53e68c782bd501fe"),
+    ("bethe --n 56 --v 0.75 --w 0.5 --sector 0,0", 0,
+     "3877e569f0b49514233ae39a85324ef5d6d414142ffaedf67549ec384993a91f",
+     EMPTY),
     ("spectrum --n 24 --v 0.2 --w 1.5", 0,
      "17a4822e8fad5d9414b0b237b38c6e783e50b54e2afbca5de3400fc53a1a85d8",
      EMPTY),

@@ -288,6 +288,30 @@ def test_expectation_linearity_on_eigenvector_mix():
     assert ladder_energy(mix.amps, p, mix.parity) == pytest.approx((w1 + w2) / 2, abs=1e-11)
 
 
+@pytest.mark.parametrize("k", [-600, 600, 900])
+def test_ladder_energy_of_rows_scaled_by_a_power_of_two_keeps_its_bits(k):
+    # scaled by 2^k, each row's sum of squares under- or overflows; the row is
+    # scaled back by a power of two first, so it scores as the unscaled row
+    rng = np.random.default_rng(71)
+    p = make_params(8, 0.75, 0.5)
+    real = rng.uniform(1e-3, 1.0, (6, 5)) * rng.choice((-1.0, 1.0), (6, 5))
+    for rows in (real, real + 1j * rng.uniform(-1.0, 1.0, (6, 5))):
+        want = ladder_energy(rows, p, 0)
+        assert ladder_energy(rows * 2.0**k, p, 0).tobytes() == want.tobytes()
+        for row, energy in zip(rows, want):
+            assert ladder_energy(row * 2.0**k, p, 0) == energy
+
+
+def test_ladder_energy_of_huge_and_tiny_states():
+    # 1e200 gave NaN after overflow warnings; 1e-170 was refused as weightless
+    p = make_params(2, 0.75, 0.5)
+    want = ladder_energy(np.array([1.0, 1.0]), p, 0)
+    for amp in (1e200, 1e-170, 5e-324, 1e308):
+        assert ladder_energy(np.array([amp, amp]), p, 0) == want
+    with pytest.raises(InvalidArgumentError, match="no weight"):
+        ladder_energy(np.array([[1.0, 1.0], [0.0, 0.0]]), p, 0)
+
+
 def test_sector_config_n_property():
     c = SectorConfig(3, 1, 0)
     assert c.n == 7 and c.parity == 0

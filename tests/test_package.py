@@ -9,7 +9,7 @@ MODULES = [importlib.import_module(f"lmg.{name}") for name in LAYERS]
 
 PUBLIC = {
     "AngleSet", "Circuit", "ComplexPaironsError", "FockVector", "Gate",
-    "IncompleteSolveError", "InvalidArgumentError", "LeakageError", "Level", "LmgError",
+    "InvalidArgumentError", "LeakageError", "Level", "LmgError",
     "MeasurementGroup", "ModelParams", "NumericFailureError", "SectorConfig",
     "SingularityError", "SpectralSolution", "StateVector", "UnsupportedRegimeError",
     "VqeOptions", "VqeResult", "apply_hamiltonian", "apply_pair_factor", "benchmark",

@@ -15,7 +15,10 @@ from lmg import (
     StateVector,
     build_circuit,
     encoded_expectation,
+    exact_spectrum,
     fidelity,
+    linear_angles,
+    log_angles,
     make_params,
     pauli_groups,
     run,
@@ -400,8 +403,8 @@ def test_encoded_expectation_leakage_error():
 
 
 def test_encoded_expectation_reads_the_block_once_with_the_two_pass_bits(monkeypatch):
-    # one block serves the leakage check and the energy; the values keep the
-    # bits of checking one_hot_leakage, then scoring a second one_hot_block
+    # the energy reads one block (the leakage check sums the entries off it);
+    # the values keep the bits of checking one_hot_leakage, then scoring the block
     rng = np.random.default_rng(59)
     states = []
     for _ in range(20):
@@ -676,6 +679,49 @@ def test_sampled_expectation_of_huge_and_tiny_amplitudes(amp):
     groups = pauli_groups(SectorConfig(1, 0, 0), make_params(2, 0.75, 0.5))
     want = sampled_expectation(StateVector(2, {1: 1.0, 2: 1.0}), groups, 100, 0)
     assert sampled_expectation(StateVector(2, {1: amp, 2: amp}), groups, 100, 0) == want
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_a_state_whose_squares_overflow_is_weighed_without_a_raw_overflow(dense):
+    # each of these raised a raw OverflowError when |a|^2 was summed as Python floats
+    config, p = SectorConfig(1, 0, 0), make_params(2, 0.75, 0.5)
+    amps = {1: 1e200, 2: 1e200}
+    state = StateVector(2, np.array([0.0, 1e200, 1e200, 0.0]) if dense else amps)
+    assert state.norm() == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+    assert state.one_hot_leakage() == 0.0
+    want = encoded_expectation(StateVector(2, {1: 1.0, 2: 1.0}), config, p)
+    assert encoded_expectation(state, config, p) == want
+    with pytest.raises(InvalidArgumentError, match="overflows a float"):
+        fidelity(state, [0.6, 0.8])
+    assert fidelity(StateVector(2, {1: 1e150, 2: 1e150}), [0.6, 0.8]) == pytest.approx(1.96e300)
+
+
+def test_norm_keeps_the_bits_of_the_plain_sum_wherever_it_is_finite():
+    rng = np.random.default_rng(73)
+    for size in (1, 3, 8):
+        amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        sparse = StateVector(3, {basis: complex(a) for basis, a in enumerate(amps)})
+        plain = float(np.sqrt(sum(abs(a) ** 2 for a in sparse.amps.values())))
+        assert sparse.norm() == plain
+        dense = StateVector(3, np.pad(amps, (0, 8 - size)))
+        assert dense.norm() == float(np.linalg.norm(dense.amps))
+
+
+def test_leakage_is_the_weight_off_the_one_hot_bases():
+    # summed over basis 0 and the bases with two or more set bits, not taken as
+    # norm^2 minus the block's weight, which read -4.4e-16 on exact circuits
+    p = make_params(7, 0.75, 0.5)
+    for _, state in exact_spectrum(p):
+        for maker in (linear_angles, log_angles):
+            circ = build_circuit(maker(state.amps))
+            assert run(circ).one_hot_leakage() == 0.0
+            assert run(circ, StateVector.zeros(circ.num_qubits, dense=True)).one_hot_leakage() == 0.0
+    leaking = {0b000: 0.1, 0b001: 0.8, 0b011: 0.6, 0b111: 0.2j}
+    want = abs(0.1) ** 2 + abs(0.6) ** 2 + abs(0.2j) ** 2
+    assert StateVector(3, leaking).one_hot_leakage() == want
+    dense = np.zeros(8, dtype=complex)
+    dense[list(leaking)] = list(leaking.values())
+    assert StateVector(3, dense).one_hot_leakage() == want
 
 
 def test_sampled_expectation_input_validation():
