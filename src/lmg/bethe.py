@@ -517,7 +517,10 @@ def solve_bethe(config: SectorConfig, params: ModelParams) -> list[SpectralSolut
     """
     _require_solvable(config, params)
     levels = solve_levels(config, params)
-    for level in levels:
-        if level.error is not None:
-            raise level.error
-    return [level.solution for level in levels]
+    error = next((level.error for level in levels if level.error is not None), None)
+    if error is None:
+        return [level.solution for level in levels]
+    try:
+        raise error
+    finally:  # the error's traceback keeps this frame: drop the cycle through its levels
+        levels = error = None

@@ -1,6 +1,7 @@
 """Pair-energy equations: residuals, closed forms, and the full solver."""
 
 import dataclasses
+import gc
 import math
 
 import numpy as np
@@ -508,6 +509,23 @@ def test_solve_bethe_refuses_a_set_polished_onto_another_level(monkeypatch):
     assert str(levels[1].error).endswith(", not level 2")
     assert [level.solution.index for i, level in enumerate(levels) if i != 1] == [1, 3, 4]
     _raises_the_first_level_error(N7_CONFIG, n7_params(), levels)
+
+
+def test_a_raised_level_error_frees_its_sector_without_a_gc_pass():
+    # the error's traceback holds solve_bethe's frame, and a level holds the error:
+    # that cycle kept every level's eigenvector alive until the collector ran
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            solve_bethe(SectorConfig(6, 0, 0), make_params(12, 0.2, 1.5))
+        except ComplexPaironsError:
+            pass
+        else:
+            pytest.fail("the sector has levels with non-real pair energies")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _float_ladder_weights(config):
